@@ -32,6 +32,7 @@ from .equilibrium import (
 )
 from .errors import (
     ConfigInvalid,
+    CostOutOfRange,
     CostTooLarge,
     DegenerateNoRevertCost,
     IndexOutOfRange,
@@ -72,7 +73,6 @@ from .model import (
 from .oracle import (
     EquilibriumCertificate,
     McEstimate,
-    OracleReport,
     PureDeviation,
     ReplayReport,
     SignCheck,

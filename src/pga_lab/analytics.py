@@ -19,12 +19,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibrium import solve_equilibrium
-from .errors import CostTooLarge
+from .equilibrium import abstention, check_entry_cost, log_ratio, log_rho, solve_equilibrium
+from .errors import RateOutOfRange
 from .model import AuctionParams
-from .numerics import log_binom_pmf
-
-_PMF_TRUNCATION = 1e-15  # drop binomial terms below this fraction of running mass
+from .numerics import adaptive_simpson
 
 
 @dataclass(frozen=True)
@@ -60,35 +58,24 @@ def revenue_report(params: AuctionParams) -> RevenueReport:
     v, g = params.value, params.base_fee
     r1, n = params.revert_rate_base, params.num_agents
     vg = params.breakeven_bid
-    if r1 == 0.0:
-        return RevenueReport(
-            abstain_prob=0.0,
-            participation_prob=1.0,
-            expected_revenue=v,
-            base_revenue=g,
-            priority_revenue=vg,
-            expected_submitted_txs=float(n),
-            limits=RevenueLimits(v, g, vg, math.inf, submitted_unbounded=True),
-        )
     rg = r1 * g
-    # log-space keeps 1 - p accurate for N up to ~1e6
-    log_ratio = math.log(rg) - math.log(vg + rg)
-    p_star = math.exp(log_ratio / (n - 1))
-    one_minus_p = -math.expm1(log_ratio / (n - 1))
-    one_minus_pn = -math.expm1(log_ratio * n / (n - 1))
+    p_star, one_minus_p, one_minus_pn = abstention(log_rho(params), n)
     revenue = one_minus_pn * v
     excess_losers = one_minus_p * n - one_minus_pn
     base = one_minus_pn * g + excess_losers * rg
     priority = one_minus_pn * vg - excess_losers * rg
-    p_inf = vg / (vg + rg)
-    s_inf = math.log1p(vg / rg)
-    limits = RevenueLimits(
-        revenue=v * p_inf,
-        base_revenue=g * p_inf * (1.0 - r1) + rg * s_inf,
-        priority_revenue=vg - rg * s_inf,
-        submitted_txs=s_inf,
-        submitted_unbounded=False,
-    )
+    if r1 == 0.0:
+        limits = RevenueLimits(v, g, vg, math.inf, submitted_unbounded=True)
+    else:
+        p_inf = vg / (vg + rg)
+        s_inf = math.log1p(vg / rg)
+        limits = RevenueLimits(
+            revenue=v * p_inf,
+            base_revenue=g * p_inf * (1.0 - r1) + rg * s_inf,
+            priority_revenue=vg - rg * s_inf,
+            submitted_txs=s_inf,
+            submitted_unbounded=False,
+        )
     return RevenueReport(
         abstain_prob=p_star,
         participation_prob=one_minus_pn,
@@ -105,19 +92,10 @@ def welfare_loss(params: AuctionParams) -> float:
     return params.value - revenue_report(params).expected_revenue
 
 
-def _check_cost(params: AuctionParams, c: float) -> None:
-    if not (math.isfinite(c) and c >= 0.0):
-        raise ValueError(f"cost must be finite and non-negative, got {c}")
-    if c >= params.breakeven_bid:
-        raise CostTooLarge(
-            f"cost {c} must stay below breakeven bid {params.breakeven_bid}"
-        )
-
-
 def scheme1_profit(params: AuctionParams, c: float) -> float:
     """Sequencer profit when it absorbs a processing cost c per submitted
     transaction: (1 - p*^N) V - c (1 - p*) N, at the params' own r1."""
-    _check_cost(params, c)
+    check_entry_cost(params, c)
     rep = revenue_report(params)
     return rep.expected_revenue - c * rep.expected_submitted_txs
 
@@ -125,7 +103,7 @@ def scheme1_profit(params: AuctionParams, c: float) -> float:
 def scheme1_optimal_r1(params: AuctionParams, c: float) -> float:
     """Profit-maximizing base-fee revert rate under internalized costs:
     r1* = c(V-g) / ((V-c) g), capped at 1 (the cap binds exactly when c > g)."""
-    _check_cost(params, c)
+    check_entry_cost(params, c)
     v, g = params.value, params.base_fee
     return min(c * (v - g) / ((v - c) * g), 1.0)
 
@@ -134,14 +112,13 @@ def scheme1_profit_curve(
     params: AuctionParams, c: float, grid_points: int = 10_001
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scheme-1 profit over an r1 grid on [0, 1] (vectorized, for scans)."""
-    _check_cost(params, c)
-    v, g, n = params.value, params.base_fee, params.num_agents
-    vg = params.breakeven_bid
+    check_entry_cost(params, c)
+    n = params.num_agents
     r1 = np.linspace(0.0, 1.0, grid_points)
-    ratio = r1 * g / (vg + r1 * g)
-    p = ratio ** (1.0 / (n - 1))
-    profit = (1.0 - p**n) * v - c * (1.0 - p) * n
-    return r1, profit
+    with np.errstate(divide="ignore"):
+        lr = log_ratio(r1 * params.base_fee, params.breakeven_bid, log=np.log)
+    _, one_minus_p, one_minus_pn = abstention(lr, n, np)
+    return r1, one_minus_pn * params.value - c * one_minus_p * n
 
 
 def scheme1_optimal_r1_scan(
@@ -161,11 +138,8 @@ def scheme2_revenue(params: AuctionParams, c: float) -> float:
     charges exactly cover the sequencer's own per-transaction cost, and rent
     dissipation makes the gross inflow equal the extracted value.
     """
-    _check_cost(params, c)
-    rg = params.revert_rate_base * params.base_fee
-    ratio = (rg + c) / (params.breakeven_bid + rg)
-    p_star = ratio ** (1.0 / (params.num_agents - 1))
-    return (1.0 - p_star**params.num_agents) * params.value
+    check_entry_cost(params, c)
+    return abstention(log_rho(params, c), params.num_agents)[2] * params.value
 
 
 class Winner(enum.Enum):
@@ -186,7 +160,7 @@ class SchemeComparison:
 def compare_schemes(params: AuctionParams, c: float, tol: float = 1e-9) -> SchemeComparison:
     """Scheme 1 (sequencer internalizes cost c, at its profit-optimal r1)
     versus scheme 2 (participants pay c, full revert protection r1 = 0)."""
-    _check_cost(params, c)
+    check_entry_cost(params, c)
     r1_opt = scheme1_optimal_r1(params, c)
     profit1 = scheme1_profit(replace(params, revert_rate_base=r1_opt), c)
     revenue2 = scheme2_revenue(replace(params, revert_rate_base=0.0), c)
@@ -220,9 +194,11 @@ class MevTaxParams:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.raw_revert_rate) and 0.0 <= self.raw_revert_rate <= 1.0):
-            raise ValueError(f"raw revert rate must lie in [0, 1], got {self.raw_revert_rate}")
+            raise RateOutOfRange(
+                f"raw revert rate must lie in [0, 1], got {self.raw_revert_rate}"
+            )
         if not (math.isfinite(self.tax_rate) and self.tax_rate >= 0.0):
-            raise ValueError(f"tax rate must be non-negative, got {self.tax_rate}")
+            raise RateOutOfRange(f"tax rate must be finite and non-negative, got {self.tax_rate}")
 
     @property
     def r1(self) -> float:
@@ -243,23 +219,17 @@ def mev_tax_reparameterize(raw_revert_rate: float, tax_rate: float) -> MevTaxPar
 
 
 def expected_winning_bid(params: AuctionParams, entry_cost: float = 0.0) -> float:
-    """E[winning bid], counting 0 when everyone abstains:
-    sum over k of P(participants = k) * E[max of k draws from F*]."""
+    """E[winning bid], counting 0 when everyone abstains.
+
+    The winning bid has CDF (p* + (1 - p*) F*(b))^N = z(b)^(N/(N-1)) on the
+    support [0, V - g - c], so its mean is the tail integral of
+    1 - z^(N/(N-1)).
+    """
     eq = solve_equilibrium(params, entry_cost)
     n = params.num_agents
-    succ = 1.0 - eq.abstain_prob
-    log_pmf = np.array([log_binom_pmf(k, n, succ) for k in range(1, n + 1)])
-    pmf = np.exp(log_pmf)
-    order = np.argsort(pmf, kind="stable")[::-1]
-    total = 0.0
-    mass = 0.0
-    for idx in order:
-        w = pmf[idx]
-        if mass > 0.0 and w < _PMF_TRUNCATION * mass:
-            break
-        total += w * eq.expected_max_bid(int(idx) + 1)
-        mass += w
-    return total
+    return adaptive_simpson(
+        lambda b: -math.expm1(eq.log_z(b) * n / (n - 1)), 0.0, eq.support_max
+    )
 
 
 def expected_mev_tax(params: AuctionParams, tax_rate: float) -> float:
@@ -269,11 +239,9 @@ def expected_mev_tax(params: AuctionParams, tax_rate: float) -> float:
     The raw rate r is taken from params.revert_rate_base; the priority-fee
     rate is overridden by the reparameterization.
     """
-    if not (math.isfinite(tax_rate) and tax_rate >= 0.0):
-        raise ValueError(f"tax rate must be non-negative, got {tax_rate}")
+    reparam = mev_tax_reparameterize(params.revert_rate_base, tax_rate)
     if tax_rate == 0.0:
         return 0.0
-    reparam = mev_tax_reparameterize(params.revert_rate_base, tax_rate)
     taxed = replace(params, revert_rate_priority=reparam.r2)
     return tax_rate / (1.0 + tax_rate) * expected_winning_bid(taxed)
 

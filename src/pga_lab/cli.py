@@ -21,7 +21,7 @@ report carries config, summary metrics, the per-event revenue series and
 histogram, and the full event list, all under a schema_version field.
 
 Exit codes: 0 success, 1 validation error, 2 usage error, 3 verification
-failure. PGA_LAB_THREADS caps sweep/battery worker threads.
+failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, replace
 from typing import Optional, Sequence
 
@@ -152,21 +151,26 @@ def _parse_axis(spec: str) -> tuple[str, list[float]]:
     if name not in _AXES or not raw:
         raise PgaLabError(f"cannot parse sweep axis {spec!r}")
     raw = raw.strip()
-    if ":" in raw:
-        parts = raw.split(":")
-        if name in _INT_AXES:
-            lo, hi = int(parts[0]), int(parts[1])
-            step = int(parts[2]) if len(parts) > 2 else 1
-            values = [float(x) for x in range(lo, hi + 1, step)]
+    try:
+        if ":" in raw:
+            parts = raw.split(":")
+            if name in _INT_AXES:
+                lo, hi = int(parts[0]), int(parts[1])
+                step = int(parts[2]) if len(parts) > 2 else 1
+                if step < 1:
+                    raise PgaLabError(f"sweep axis step must be >= 1, got {step}")
+                values = [float(x) for x in range(lo, hi + 1, step)]
+            else:  # lo:hi:count
+                lo, hi, count = parts
+                values = [float(x) for x in np.linspace(float(lo), float(hi), int(count))]
         else:
-            if len(parts) != 3:
-                raise PgaLabError(f"float axis needs lo:hi:count, got {raw!r}")
-            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-            values = [float(x) for x in np.linspace(lo, hi, count)]
-    else:
-        values = [float(x) for x in raw.split(",")]
-    if name in _INT_AXES:
-        values = [float(int(v)) for v in values]
+            values = [float(x) for x in raw.split(",")]
+        if name in _INT_AXES:
+            values = [float(int(v)) for v in values]
+    except (ValueError, OverflowError):
+        raise PgaLabError(f"cannot parse sweep axis {spec!r}; see pga-lab sweep --help") from None
+    if not values:
+        raise PgaLabError(f"sweep axis {spec!r} has no values")
     return name, values
 
 
@@ -228,6 +232,8 @@ _SWEEP_COLUMNS = {
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.grid < 1:
+        raise PgaLabError(f"--grid must be >= 1, got {args.grid}")
     keys = ["V", "g", "r1", "r2", "N", "c", "tau"]
     merged = _merge_config(args, keys, defaults={"c": None, "tau": None})
     axes: list[tuple[str, list[float]]] = []
@@ -254,15 +260,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for name, values in axes:
         combos = [dict(c, **{name: v}) for c in combos for v in values]
 
-    def compute(combo: dict) -> list[tuple]:
-        return _sweep_rows(args.target, merged, combo, args.grid)
-
-    if len(combos) > 1:
-        with ThreadPoolExecutor(max_workers=verify.worker_count(len(combos))) as pool:
-            chunks = list(pool.map(compute, combos))
-    else:
-        chunks = [compute(c) for c in combos]
-    rows = [row for chunk in chunks for row in chunk]  # combo order is axis order
+    rows = [row for combo in combos for row in _sweep_rows(args.target, merged, combo, args.grid)]
     header = axis_names + _SWEEP_COLUMNS[args.target]
     write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -16,6 +16,10 @@ the abstention payoff of zero. F* reaches 1 at b = V - g - c, so the support
 is [0, V - g - c]; with c = 0 this is the full [0, V - g]. (For c > 0 the
 breakeven-bid endpoint V - g carries z > 1; see boundary_gap.)
 
+All of it is evaluated from log rho = log z(0), rho = p*^(N-1), through
+log1p/expm1, so 1 - p*, F* and the quantile do not cancel as p* -> 1 at
+large N.
+
 With r1 = r2 = 0 and c = 0 losing is free and the game instead has the pure
 equilibria characterized by pure_equilibrium: the top two bids both equal the
 breakeven bid V - g.
@@ -25,10 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    CostOutOfRange,
     CostTooLarge,
     DegenerateNoRevertCost,
     NotApplicable,
@@ -41,9 +47,54 @@ from .numerics import adaptive_simpson
 _NEG_CLAMP = 1e-12  # residue window treated as float noise, not a formula bug
 
 
+def _log(x: float) -> float:
+    """math.log with log(0) = -inf, as np.log gives."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def log_ratio(rg, vg, c=0.0, r2=0.0, b=0.0, log=_log):
+    """log z(b) = log(r1 g + r2 b + c) - log(V - g - b + r1 g + r2 b).
+
+    rg = r1 g and vg = V - g. At b = 0 this is log rho, the one input of the
+    closed form; p* and F* both take it from this expression, so F*(0) = 0
+    holds exactly. Scalars go through math; pass log=np.log for arrays.
+    """
+    r2b = r2 * b
+    return log(rg + r2b + c) - log(vg - b + rg + r2b)
+
+
+def log_rho(params: AuctionParams, entry_cost: float = 0.0) -> float:
+    """log rho = log((r1 g + c) / (V - g + r1 g)); -inf when r1 = c = 0."""
+    return log_ratio(params.revert_rate_base * params.base_fee, params.breakeven_bid, entry_cost)
+
+
+def abstention(lr, num_agents, xp=math):
+    """(p*, 1 - p*, 1 - p*^N) from lr = log rho, with p* = rho^(1/(N-1)).
+
+    The complements come from expm1, so they keep full relative accuracy as
+    p* -> 1 at large N. xp is math for scalars or numpy for arrays.
+    """
+    x = lr / (num_agents - 1)
+    return xp.exp(x), -xp.expm1(x), -xp.expm1(lr * num_agents / (num_agents - 1))
+
+
+def check_entry_cost(params: AuctionParams, entry_cost: float) -> None:
+    """A flat entry cost must be finite and lie in [0, V - g)."""
+    if not (math.isfinite(entry_cost) and entry_cost >= 0.0):
+        raise CostOutOfRange(f"entry cost must be finite and non-negative, got {entry_cost}")
+    if entry_cost >= params.breakeven_bid:
+        raise CostTooLarge(
+            f"entry cost {entry_cost} must stay below breakeven bid {params.breakeven_bid}"
+        )
+
+
 @dataclass(frozen=True)
 class Equilibrium:
-    """Symmetric mixed equilibrium for given params and flat entry cost."""
+    """Symmetric mixed equilibrium for given params and flat entry cost.
+
+    abstain_prob is what sample_action draws against; the CDF and quantile
+    derive p* and 1 - p* from params and entry_cost.
+    """
 
     params: AuctionParams
     entry_cost: float
@@ -58,6 +109,12 @@ class Equilibrium:
         """Upper end of the bid support: V - g - c, where the CDF hits 1."""
         return self.params.breakeven_bid - self.entry_cost
 
+    @cached_property
+    def _abstention(self) -> tuple[float, float, float]:
+        """(log rho, p*, 1 - p*)."""
+        lr = log_rho(self.params, self.entry_cost)
+        return (lr, *abstention(lr, self.params.num_agents)[:2])
+
     @property
     def boundary_gap(self) -> float:
         """Raw CDF value at the breakeven bid V - g, minus one.
@@ -66,30 +123,28 @@ class Equilibrium:
         [0, V - g - c], so the raw formula exceeds 1 on (V - g - c, V - g];
         the gap is reported rather than renormalized away.
         """
-        b = self.params.breakeven_bid
-        rg = self.params.revert_rate_base * self.params.base_fee
-        den = rg + self.params.revert_rate_priority * b
-        if den == 0.0:
-            return math.inf if self.entry_cost > 0.0 else 0.0
-        z = (den + self.entry_cost) / den
-        raw = (z ** (1.0 / (self.params.num_agents - 1)) - self.abstain_prob) / (
-            1.0 - self.abstain_prob
-        )
-        return raw - 1.0
+        # z(V - g) is unbounded as r1 g + r2 (V - g) -> 0; numpy overflows to inf
+        with np.errstate(over="ignore", divide="ignore"):
+            return float(self._f_star(self.params.breakeven_bid, np.log, np.expm1)) - 1.0
 
-    def _ratio(self, b):
-        """Indifference ratio z(b); accepts scalars or numpy arrays."""
+    def log_z(self, b, log=_log):
+        """log of the indifference ratio z(b); see log_ratio."""
         p = self.params
         rg = p.revert_rate_base * p.base_fee
-        num = rg + p.revert_rate_priority * b + self.entry_cost
-        den = p.breakeven_bid - b + rg + p.revert_rate_priority * b
-        return num / den
+        return log_ratio(rg, p.breakeven_bid, self.entry_cost, p.revert_rate_priority, b, log)
+
+    def _f_star(self, b, log, expm1):
+        """Raw F*(b) = (z^(1/(N-1)) - p*) / (1 - p*), written as
+        (expm1(log z / (N-1)) + 1 - p*) / (1 - p*) so that it does not cancel
+        as p* -> 1. Scalars pass (_log, math.expm1), arrays (np.log, np.expm1)."""
+        one_minus_p = self._abstention[2]
+        root = expm1(self.log_z(b, log) / (self.params.num_agents - 1))  # z^(1/(N-1)) - 1
+        return (root + one_minus_p) / one_minus_p
 
     def _cdf_arr(self, b: np.ndarray) -> np.ndarray:
-        p = self.abstain_prob
-        inv = 1.0 / (self.params.num_agents - 1)
         b = np.minimum(b, self.support_max)
-        raw = (self._ratio(b) ** inv - p) / (1.0 - p)
+        with np.errstate(divide="ignore"):
+            raw = self._f_star(b, np.log, np.expm1)
         bad = raw < -_NEG_CLAMP
         if np.any(bad):
             raise NumericsError(
@@ -104,8 +159,7 @@ class Equilibrium:
         b = min(max(b, 0.0), self.breakeven_bid)
         if b >= self.support_max:
             return 1.0
-        p = self.abstain_prob
-        raw = (self._ratio(b) ** (1.0 / (self.params.num_agents - 1)) - p) / (1.0 - p)
+        raw = self._f_star(b, _log, math.expm1)
         if raw < 0.0:
             if raw < -_NEG_CLAMP:
                 raise NumericsError(f"CDF residue below clamp window at b={b}: {raw:.3e}")
@@ -113,21 +167,34 @@ class Equilibrium:
         return min(raw, 1.0)
 
     def _quantile_arr(self, u: np.ndarray) -> np.ndarray:
+        """Q(u) for an array of u in [0, 1], on one working copy of u."""
         p = self.params
-        rg = p.revert_rate_base * p.base_fee
         r2 = p.revert_rate_priority
-        q = (self.abstain_prob + (1.0 - self.abstain_prob) * u) ** (p.num_agents - 1)
-        den = r2 * (1.0 - q) + q
-        num = q * (p.breakeven_bid + rg) - rg - self.entry_cost
-        with np.errstate(invalid="ignore", divide="ignore"):
-            b = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-        return np.clip(b, 0.0, self.support_max)
+        lr, p_star, one_minus_p = self._abstention
+        rho = math.exp(lr)
+        x = np.array(u, dtype=float)
+        if p_star > 0.0:
+            # log(q / rho) = (N-1) log1p(u (1-p*)/p*), then x = q - rho
+            x *= one_minus_p / p_star
+            np.log1p(x, out=x)
+            x *= p.num_agents - 1
+            np.expm1(x, out=x)
+            x *= rho
+        else:  # r1 = c = 0, so rho = 0 and x = q = u^(N-1)
+            np.power(x, p.num_agents - 1, out=x)
+        den = x * (1.0 - r2)
+        den += r2 + (1.0 - r2) * rho
+        x *= p.breakeven_bid + p.revert_rate_base * p.base_fee
+        x /= den
+        return np.clip(x, 0.0, self.support_max, out=x)
 
     def quantile(self, u: float) -> float:
         """Exact algebraic inverse of the CDF.
 
         With q = (p* + (1-p*)u)^(N-1), the supported bid solving F*(b) = u is
-        b = (q (V-g+r1 g) - r1 g - c) / (r2 (1-q) + q).
+        b = (q (V-g+r1 g) - r1 g - c) / (r2 (1-q) + q)
+          = (V-g+r1 g)(q - rho) / (r2 + (1-r2) q),
+        the second form free of cancellation.
         """
         if not 0.0 <= u <= 1.0:
             raise OutOfSupport(f"quantile argument {u} outside [0, 1]")
@@ -144,10 +211,8 @@ class Equilibrium:
         return self._quantile_arr(rng.random(size))
 
     def expected_bid(self) -> float:
-        """E[B*] for B* ~ F*, via the tail integral of 1 - F*."""
-        return adaptive_simpson(
-            lambda x: 1.0 - self.cdf(x), 0.0, self.support_max, tol=1e-8, max_depth=20
-        )
+        """E[B*] for B* ~ F*."""
+        return self.expected_max_bid(1)
 
     def expected_max_bid(self, k: int) -> float:
         """E[max of k i.i.d. draws from F*], via the tail integral of 1 - F^k."""
@@ -177,12 +242,7 @@ def solve_equilibrium(
     strict=True raises if the CDF does not reach 1 at the breakeven bid V - g,
     i.e. whenever entry_cost > 0 truncates the support to [0, V - g - c].
     """
-    if not (math.isfinite(entry_cost) and entry_cost >= 0.0):
-        raise ValueError(f"entry_cost must be finite and non-negative, got {entry_cost}")
-    if entry_cost >= params.breakeven_bid:
-        raise CostTooLarge(
-            f"entry_cost {entry_cost} must stay below breakeven bid {params.breakeven_bid}"
-        )
+    check_entry_cost(params, entry_cost)
     if (
         params.revert_rate_base == 0.0
         and params.revert_rate_priority == 0.0
@@ -191,9 +251,7 @@ def solve_equilibrium(
         raise DegenerateNoRevertCost(
             "losing is free (r1 = r2 = 0, no entry cost); use pure_equilibrium"
         )
-    rg = params.revert_rate_base * params.base_fee
-    ratio = (rg + entry_cost) / (params.breakeven_bid + rg)
-    p_star = ratio ** (1.0 / (params.num_agents - 1))
+    p_star = abstention(log_rho(params, entry_cost), params.num_agents)[0]
     eq = Equilibrium(params=params, entry_cost=float(entry_cost), abstain_prob=p_star)
     if strict and not eq.boundary_gap <= _NEG_CLAMP:
         raise NumericsError(
@@ -232,12 +290,7 @@ def pure_equilibrium(params: AuctionParams, entry_cost: float = 0.0) -> PureEqui
         raise NotApplicable(
             "no pure-strategy equilibrium exists when a revert rate is nonzero"
         )
-    if not (math.isfinite(entry_cost) and entry_cost >= 0.0):
-        raise ValueError(f"entry_cost must be finite and non-negative, got {entry_cost}")
-    if entry_cost >= params.breakeven_bid:
-        raise CostTooLarge(
-            f"entry_cost {entry_cost} must stay below breakeven bid {params.breakeven_bid}"
-        )
+    check_entry_cost(params, entry_cost)
     return PureEquilibrium(
         params=params,
         entry_cost=float(entry_cost),

@@ -18,7 +18,7 @@ class NonPositiveFee(PgaLabError, ValueError):
 
 
 class RateOutOfRange(PgaLabError, ValueError):
-    """A revert penalty rate lies outside [0, 1]."""
+    """A revert penalty rate lies outside [0, 1], or a tax rate is negative."""
 
 
 class TooFewAgents(PgaLabError, ValueError):
@@ -44,7 +44,11 @@ class DegenerateNoRevertCost(PgaLabError):
     """
 
 
-class CostTooLarge(PgaLabError, ValueError):
+class CostOutOfRange(PgaLabError, ValueError):
+    """Entry cost negative, not finite, or at or above the breakeven bid."""
+
+
+class CostTooLarge(CostOutOfRange):
     """Entry cost at or above the breakeven bid V - g."""
 
 

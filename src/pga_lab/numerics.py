@@ -1,10 +1,9 @@
-"""Small numerical kernels: adaptive quadrature, log-space binomial pmf,
-and a bisection inverse used as an independent check on algebraic inverses.
+"""Small numerical kernels: adaptive quadrature, and a bisection inverse
+used as an independent check on algebraic inverses.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 
@@ -42,18 +41,6 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
     return _simpson_rec(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _simpson_rec(
         f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
     )
-
-
-def log_binom_pmf(k: int, n: int, p: float) -> float:
-    """log P(X = k) for X ~ Binomial(n, p), stable for n up to ~1e6."""
-    if p <= 0.0:
-        return 0.0 if k == 0 else -math.inf
-    if p >= 1.0:
-        return 0.0 if k == n else -math.inf
-    if k < 0 or k > n:
-        return -math.inf
-    log_comb = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    return log_comb + k * math.log(p) + (n - k) * math.log1p(-p)
 
 
 def bisection_inverse(

@@ -65,9 +65,6 @@ class ReplayReport:
     seed: int
 
 
-OracleReport = ReplayReport
-
-
 class _Acc:
     """Streaming mean/variance accumulator (sum and sum of squares)."""
 

@@ -23,17 +23,6 @@ from .equilibrium import solve_equilibrium
 from .market import MarketSimConfig, simulate
 from .model import AuctionParams, PureProfile
 
-THREADS_ENV = "PGA_LAB_THREADS"
-
-
-def worker_count(n_tasks: int) -> int:
-    raw = os.environ.get(THREADS_ENV)
-    try:
-        cap = int(raw) if raw else (os.cpu_count() or 1)
-    except ValueError:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_tasks))
-
 
 def random_params(
     rng: np.random.Generator,
@@ -286,6 +275,7 @@ def run_battery(name: str = "default", seed: int = 42) -> list[CheckResult]:
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
         return CheckResult(check_name, passed, detail, time.perf_counter() - start)
 
-    with ThreadPoolExecutor(max_workers=worker_count(len(checks))) as pool:
-        results = list(pool.map(run_one, checks))
-    return results
+    # the replay and simulation checks spend most of their time in numpy,
+    # which releases the GIL, so the checks overlap on a thread pool
+    with ThreadPoolExecutor(max_workers=max(1, min(os.cpu_count() or 1, len(checks)))) as pool:
+        return list(pool.map(run_one, checks))

@@ -42,6 +42,45 @@ def test_validation_error_is_exit_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+AUCTION = ["--V", "10", "--g", "1", "--r1", "0.1", "--r2", "0.1", "--N", "5"]
+
+
+def _assert_one_line_error(capsys):
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibrium", *AUCTION, "--c", "-1"],
+        ["compare-schemes", *AUCTION, "--c", "-0.5"],
+        ["sweep", "--target", "mev_tax", *AUCTION, "--vary", "tau=-1,1"],
+    ],
+    ids=["negative-entry-cost", "negative-processing-cost", "negative-tax-rate"],
+)
+def test_out_of_range_cost_or_tax_is_exit_1(argv, tmp_path, capsys):
+    if argv[0] == "sweep":
+        argv = argv + ["--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 1
+    _assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--vary", "N=a:5"], ["--vary", "N=2:5:0"], ["--grid", "-1"], ["--grid", "0"]],
+    ids=["non-integer-bound", "zero-step", "negative-grid", "zero-grid"],
+)
+def test_malformed_sweep_is_exit_1(extra, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--target", "cdf", *AUCTION, *extra, "--out", str(out)]
+    assert run(argv) == 1
+    _assert_one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_cdf_sweep_reproduces_fixed_point(tmp_path, capsys):
     out = tmp_path / "cdf.csv"
     argv = [

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -201,6 +203,12 @@ class TestEntryCostSupport:
         assert eq.boundary_gap > 1e-3
         with pytest.raises(NumericsError):
             solve_equilibrium(params, entry_cost=0.5, strict=True)
+
+    def test_boundary_gap_unbounded_without_penalty_at_breakeven(self):
+        # r1 g + r2 (V - g) vanishes or nearly so: z(V - g) is infinite or beyond float range
+        for r1 in (0.0, 1e-310):
+            eq = solve_equilibrium(AuctionParams(10, 1, r1, 0.0, 2), entry_cost=1.0)
+            assert eq.boundary_gap == math.inf
 
     def test_indifference_holds_on_truncated_support(self):
         params = AuctionParams(10, 1, 0.2, 0.3, 6)

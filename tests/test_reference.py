@@ -1,0 +1,138 @@
+"""The closed forms against an independent mpmath reference, N = 2 to 1e12.
+
+The reference evaluates the textbook expressions (p* = rho^(1/(N-1)),
+F* = (z^(1/(N-1)) - p*)/(1 - p*), the algebraic quantile, the tail
+integrals) at 40 significant digits, so their cancellation at large N costs
+it nothing. The grid reaches r1 -> 0 and c -> V - g.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from mpmath import mp, mpf
+
+from pga_lab import AuctionParams, expected_winning_bid, revenue_report, scheme2_revenue
+from pga_lab.equilibrium import abstention, log_rho, solve_equilibrium
+
+V, G, R2 = 10.0, 1.0, 0.1
+NS = (2, 20, 10**6, 10**9, 10**12)
+R1S = (1e-6, 0.1, 1.0)
+CS = (0.0, 0.999 * (V - G))
+GRID = list(itertools.product(NS, R1S, CS))
+IDS = [f"N={n:g}-r1={r1:g}-c={c:g}" for n, r1, c in GRID]
+
+CLOSED_REL = 1e-12
+PROB_ABS = 1e-12  # on F* and on Q
+INTEGRAL_REL = 1e-7
+BID_FRACTIONS = (0.0, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999)
+QUANTILE_POINTS = (0.0, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0)
+
+
+class Reference:
+    """Textbook closed forms in mpmath, at the float inputs of the model."""
+
+    def __init__(self, n: int, r1: float, c: float):
+        self.n = n
+        self.rg = mpf(r1) * G
+        self.vg = mpf(V) - G
+        self.c = mpf(c)
+        self.r2 = mpf(R2)
+        self.rho = (self.rg + self.c) / (self.vg + self.rg)
+        self.p = self.rho ** (mpf(1) / (n - 1))
+
+    def z(self, b):
+        return (self.rg + self.r2 * b + self.c) / (self.vg - b + self.rg + self.r2 * b)
+
+    def cdf(self, b):
+        return (self.z(b) ** (mpf(1) / (self.n - 1)) - self.p) / (1 - self.p)
+
+    def quantile(self, u):
+        q = (self.p + (1 - self.p) * u) ** (self.n - 1)
+        return (q * (self.vg + self.rg) - self.rg - self.c) / (self.r2 * (1 - q) + q)
+
+    def tail_integral(self, f):
+        smax = self.vg - self.c
+        # breakpoints resolve the log-scale rise of F* near b = 0 when r1 -> 0
+        points = [mpf(0)] + [mpf(x) for x in (1e-6, 1e-4, 1e-2, 1.0) if x < smax] + [smax]
+        with mp.workdps(30):
+            return mp.quad(f, points)
+
+
+def _rel(actual: float, expected) -> float:
+    return abs(mpf(actual) - expected) / abs(expected)
+
+
+@pytest.fixture(autouse=True)
+def _precision():
+    with mp.workdps(40):
+        yield
+
+
+@pytest.mark.parametrize("n, r1, c", GRID, ids=IDS)
+def test_abstention_probabilities(n, r1, c):
+    params = AuctionParams(V, G, r1, R2, n)
+    ref = Reference(n, r1, c)
+    p_star, one_minus_p, one_minus_pn = abstention(log_rho(params, c), n)
+    assert _rel(solve_equilibrium(params, c).abstain_prob, ref.p) <= CLOSED_REL
+    assert _rel(p_star, ref.p) <= CLOSED_REL
+    assert _rel(one_minus_p, 1 - ref.p) <= CLOSED_REL
+    assert _rel(one_minus_pn, 1 - ref.p**n) <= CLOSED_REL
+    assert _rel(scheme2_revenue(params, c), (1 - ref.p**n) * V) <= CLOSED_REL
+
+
+@pytest.mark.parametrize("n, r1, c", GRID, ids=IDS)
+def test_cdf_and_quantile(n, r1, c):
+    eq = solve_equilibrium(AuctionParams(V, G, r1, R2, n), c)
+    ref = Reference(n, r1, c)
+    bids = np.array([f * eq.support_max for f in BID_FRACTIONS])
+    from_array = eq._cdf_arr(bids)
+    for b, f_arr in zip(bids, from_array):
+        expected = ref.cdf(mpf(float(b)))
+        assert abs(mpf(eq.cdf(float(b))) - expected) <= PROB_ABS
+        assert abs(mpf(float(f_arr)) - expected) <= PROB_ABS
+    assert eq.cdf(0.0) == 0.0
+    from_array = eq._quantile_arr(np.array(QUANTILE_POINTS))
+    for u, b_arr in zip(QUANTILE_POINTS, from_array):
+        expected = ref.quantile(mpf(u))
+        assert abs(mpf(eq.quantile(u)) - expected) <= PROB_ABS
+        assert abs(mpf(float(b_arr)) - expected) <= PROB_ABS
+    assert eq.quantile(0.0) == 0.0
+
+
+@pytest.mark.parametrize("n, r1, c", GRID, ids=IDS)
+def test_expected_bids(n, r1, c):
+    params = AuctionParams(V, G, r1, R2, n)
+    ref = Reference(n, r1, c)
+    expected_bid = ref.tail_integral(lambda b: 1 - ref.cdf(b))
+    winning_bid = ref.tail_integral(lambda b: 1 - ref.z(b) ** (mpf(n) / (n - 1)))
+    assert _rel(solve_equilibrium(params, c).expected_bid(), expected_bid) <= INTEGRAL_REL
+    assert _rel(expected_winning_bid(params, c), winning_bid) <= INTEGRAL_REL
+
+
+@pytest.mark.parametrize("n, r1", list(itertools.product(NS, R1S)))
+def test_revenue_report(n, r1):
+    rep = revenue_report(AuctionParams(V, G, r1, R2, n))
+    ref = Reference(n, r1, 0.0)
+    participation = 1 - ref.p**n
+    excess_losers = (1 - ref.p) * n - participation
+    expected = {
+        "abstain_prob": ref.p,
+        "participation_prob": participation,
+        "expected_revenue": participation * V,
+        "base_revenue": participation * G + excess_losers * ref.rg,
+        "priority_revenue": participation * ref.vg - excess_losers * ref.rg,
+        "expected_submitted_txs": (1 - ref.p) * n,
+    }
+    for field, value in expected.items():
+        assert _rel(getattr(rep, field), value) <= CLOSED_REL, field
+    s_inf = mp.log(1 + ref.vg / ref.rg)
+    p_inf = ref.vg / (ref.vg + ref.rg)
+    limits = {
+        "revenue": V * p_inf,
+        "base_revenue": G * p_inf * (1 - mpf(r1)) + ref.rg * s_inf,
+        "priority_revenue": ref.vg - ref.rg * s_inf,
+        "submitted_txs": s_inf,
+    }
+    for field, value in limits.items():
+        assert _rel(getattr(rep.limits, field), value) <= CLOSED_REL, field
