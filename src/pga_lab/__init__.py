@@ -31,6 +31,7 @@ from .equilibrium import (
     solve_equilibrium,
 )
 from .errors import (
+    ArgumentOutOfRange,
     ConfigInvalid,
     CostOutOfRange,
     CostTooLarge,

@@ -209,6 +209,11 @@ class MevTaxParams:
         return self.raw_revert_rate / (1.0 + self.tax_rate)
 
     @property
+    def tax_share(self) -> float:
+        """tau / (1 + tau): the tax's share of the winning bid."""
+        return self.tax_rate / (1.0 + self.tax_rate)
+
+    @property
     def bid_scale(self) -> float:
         """Effective bid per unit of pre-tax priority fee: b = (1+tau) b_tilde."""
         return 1.0 + self.tax_rate
@@ -243,7 +248,7 @@ def expected_mev_tax(params: AuctionParams, tax_rate: float) -> float:
     if tax_rate == 0.0:
         return 0.0
     taxed = replace(params, revert_rate_priority=reparam.r2)
-    return tax_rate / (1.0 + tax_rate) * expected_winning_bid(taxed)
+    return reparam.tax_share * expected_winning_bid(taxed)
 
 
 def mev_tax_asymptote(params: AuctionParams) -> float:

@@ -8,9 +8,13 @@ Subcommands:
   simulate         CEX-DEX market simulation with CSV/JSON output
   compare-schemes  cost-internalization versus cost-pass-through
 
-Flag values override config-file values (--config, a flat JSON object keyed
-by flag name), which override defaults. All emitted floats carry 17
-significant digits, so identical invocations are byte-identical.
+Each model parameter is declared once, in PARAMETERS, with its converter and
+help text. Flags, --config values and every --vary/--vary2 axis value are read
+by that converter: reals take numbers or numeric strings, integers (N, seed)
+take whole numbers only. Flag values override config-file values (--config, a
+flat JSON object keyed by flag name, where null means unset), which override
+defaults. Ranges are checked by the library validators. All emitted floats
+carry 17 significant digits, so identical invocations are byte-identical.
 
 Sweep CSVs prepend any --vary2/--vary axis columns to the target's columns:
 b,F (cdf); p_star (abstention); p_star,revenue,submitted (revenue/submitted);
@@ -20,8 +24,9 @@ row per block with the columns in market.EVENT_CSV_HEADER; the simulate JSON
 report carries config, summary metrics, the per-event revenue series and
 histogram, and the full event list, all under a schema_version field.
 
-Exit codes: 0 success, 1 validation error, 2 usage error, 3 verification
-failure.
+Exit codes: 0 success, 1 validation error (a malformed config file or axis
+value, or a value out of range), 2 usage error (a malformed flag or a missing
+parameter), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,38 +46,84 @@ from .market import EVENT_CSV_HEADER, MarketSimConfig, event_csv_rows, simulate
 from .model import AuctionParams
 from .serialize import SCHEMA_VERSION, fmt_float, write_csv, write_json
 
-SWEEP_TARGETS = ("cdf", "abstention", "revenue", "submitted", "scheme_compare", "mev_tax")
 
-_INT_AXES = {"N"}
-_AXES = {"V", "g", "r1", "r2", "N", "c", "tau"}
+def real(value) -> float:
+    """A number or a numeric string, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"not a real: {value!r}")
+    return float(value)
+
+
+def integer(value) -> int:
+    """A whole number or a string of one, as an int; 2.5, "2.5" and booleans fail."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"not an integer: {value!r}")
+    return int(value)
+
+
+# The one place that knows each parameter: its converter and its help text.
+# Converters check the type only; the library validators check the range.
+PARAMETERS = {
+    "V": (real, "opportunity value"),
+    "g": (real, "base fee"),
+    "r1": (real, "base-fee revert rate"),
+    "r2": (real, "priority-fee revert rate"),
+    "N": (integer, "number of agents (arbitrageurs in simulate)"),
+    "c": (real, "flat entry or processing cost"),
+    "tau": (real, "tax rate (mev_tax sweeps)"),
+    "mu": (real, "price drift"),
+    "sigma": (real, "price volatility"),
+    "T": (real, "horizon"),
+    "block-time": (real, "block interval"),
+    "p0": (real, "initial price"),
+    "f": (real, "DEX fee rate"),
+    "L": (real, "liquidity depth"),
+    "seed": (integer, "random seed"),
+}
+
+# parameter name -> keyword of the library constructor it feeds
+AUCTION = {"V": "value", "g": "base_fee", "r1": "revert_rate_base",
+           "r2": "revert_rate_priority", "N": "num_agents"}
+MARKET = {"mu": "drift", "sigma": "volatility", "T": "horizon", "block-time": "block_time",
+          "p0": "initial_price", "f": "fee_rate", "L": "liquidity_depth", "g": "base_fee",
+          "r1": "revert_rate_base", "r2": "revert_rate_priority", "N": "num_arbitrageurs",
+          "seed": "seed"}
+
+
+class MissingParameters(Exception):
+    """Required parameters left unset: a usage error (exit 2)."""
+
+    def __init__(self, names: Sequence[str]) -> None:
+        super().__init__("missing required parameters: " + ", ".join("--" + k for k in names))
+
+
+def _add_parameter(p: argparse.ArgumentParser, name: str, default=None) -> None:
+    convert, text = PARAMETERS[name]
+    p.add_argument(f"--{name}", type=convert, default=default, help=text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pga-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_auction_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--V", type=float, default=None, help="opportunity value")
-        p.add_argument("--g", type=float, default=None, help="base fee")
-        p.add_argument("--r1", type=float, default=None, help="base-fee revert rate")
-        p.add_argument("--r2", type=float, default=None, help="priority-fee revert rate")
-        p.add_argument("--N", type=int, default=None, help="number of agents")
-        p.add_argument("--config", default=None, help="flat JSON file of flag defaults")
+    def command(name: str, text: str, handler, parameters: Sequence[str]):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler, parameters=tuple(parameters))
+        for key in parameters:
+            _add_parameter(p, key)
+        p.add_argument("--config", default=None, help="flat JSON object of parameter values")
+        return p
 
-    p_eq = sub.add_parser("equilibrium", help="solve one auction instance")
-    add_auction_flags(p_eq)
-    p_eq.add_argument("--c", type=float, default=None, help="flat entry cost (default 0)")
+    p_eq = command("equilibrium", "solve one auction instance", _cmd_equilibrium, [*AUCTION, "c"])
     p_eq.add_argument("--json", default=None, help="write the result as JSON")
 
-    p_rev = sub.add_parser("revenue", help="closed-form revenue report")
-    add_auction_flags(p_rev)
+    p_rev = command("revenue", "closed-form revenue report", _cmd_revenue, AUCTION)
     p_rev.add_argument("--json", default=None)
 
-    p_sweep = sub.add_parser("sweep", help="emit sweep data as CSV")
-    add_auction_flags(p_sweep)
-    p_sweep.add_argument("--target", choices=SWEEP_TARGETS, required=True)
-    p_sweep.add_argument("--c", type=float, default=None, help="entry cost (scheme sweeps)")
-    p_sweep.add_argument("--tau", type=float, default=None, help="tax rate (mev_tax sweeps)")
+    p_sweep = command("sweep", "emit sweep data as CSV", _cmd_sweep, [*AUCTION, "c", "tau"])
+    p_sweep.add_argument("--target", choices=SWEEPS, required=True)
     p_sweep.add_argument(
         "--vary",
         default=None,
@@ -83,206 +134,176 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--out", required=True, help="output CSV path")
 
     p_verify = sub.add_parser("verify", help="run a verification battery")
+    p_verify.set_defaults(handler=_cmd_verify)
     p_verify.add_argument("--battery", default="default", choices=sorted(verify.BATTERIES))
-    p_verify.add_argument("--seed", type=int, default=42)
+    _add_parameter(p_verify, "seed", default=42)
     p_verify.add_argument("--json", default=None)
 
-    p_sim = sub.add_parser("simulate", help="CEX-DEX market simulation")
-    p_sim.add_argument("--config", default=None)
-    p_sim.add_argument("--mu", type=float, default=None, help="price drift")
-    p_sim.add_argument("--sigma", type=float, default=None, help="price volatility")
-    p_sim.add_argument("--T", type=float, default=None, help="horizon")
-    p_sim.add_argument("--block-time", type=float, default=None)
-    p_sim.add_argument("--p0", type=float, default=None, help="initial price")
-    p_sim.add_argument("--f", type=float, default=None, help="DEX fee rate")
-    p_sim.add_argument("--L", type=float, default=None, help="liquidity depth")
-    p_sim.add_argument("--g", type=float, default=None, help="base fee")
-    p_sim.add_argument("--r1", type=float, default=None)
-    p_sim.add_argument("--r2", type=float, default=None)
-    p_sim.add_argument("--N", type=int, default=None, help="number of arbitrageurs")
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim = command("simulate", "CEX-DEX market simulation", _cmd_simulate, MARKET)
     p_sim.add_argument("--out-events", default=None, help="per-block CSV path")
     p_sim.add_argument("--out-report", default=None, help="full JSON report path")
 
-    p_cmp = sub.add_parser("compare-schemes", help="cost handling comparison")
-    add_auction_flags(p_cmp)
-    p_cmp.add_argument("--c", type=float, default=None, help="processing cost (required)")
+    p_cmp = command(
+        "compare-schemes", "cost handling comparison", _cmd_compare_schemes, [*AUCTION, "c"]
+    )
     p_cmp.add_argument("--json", default=None)
     return parser
 
 
-def _merge_config(args: argparse.Namespace, keys: Sequence[str], defaults: dict) -> dict:
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            file_values = json.load(fh)
-        unknown = set(file_values) - set(keys)
-        if unknown:
-            raise PgaLabError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_values)
-    for key in keys:
-        flag = getattr(args, key.replace("-", "_"), None)
-        if flag is not None:
-            merged[key] = flag
-    return merged
-
-
-def _require(merged: dict, keys: Sequence[str]) -> Optional[str]:
-    missing = [k for k in keys if merged.get(k) is None]
-    if missing:
-        return f"missing required parameters: {', '.join('--' + k for k in missing)}"
-    return None
-
-
-def _params_from(merged: dict) -> AuctionParams:
-    return AuctionParams(
-        value=float(merged["V"]),
-        base_fee=float(merged["g"]),
-        revert_rate_base=float(merged["r1"]),
-        revert_rate_priority=float(merged["r2"]),
-        num_agents=int(merged["N"]),
-    )
-
-
-def _parse_axis(spec: str) -> tuple[str, list[float]]:
-    name, _, raw = spec.partition("=")
-    name = name.strip()
-    if name not in _AXES or not raw:
-        raise PgaLabError(f"cannot parse sweep axis {spec!r}")
-    raw = raw.strip()
+def _convert(name: str, raw):
+    convert = PARAMETERS[name][0]
     try:
-        if ":" in raw:
-            parts = raw.split(":")
-            if name in _INT_AXES:
-                lo, hi = int(parts[0]), int(parts[1])
-                step = int(parts[2]) if len(parts) > 2 else 1
-                if step < 1:
-                    raise PgaLabError(f"sweep axis step must be >= 1, got {step}")
-                values = [float(x) for x in range(lo, hi + 1, step)]
-            else:  # lo:hi:count
-                lo, hi, count = parts
-                values = [float(x) for x in np.linspace(float(lo), float(hi), int(count))]
-        else:
-            values = [float(x) for x in raw.split(",")]
-        if name in _INT_AXES:
-            values = [float(int(v)) for v in values]
-    except (ValueError, OverflowError):
+        return convert(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise PgaLabError(f"invalid {convert.__name__} value for {name}: {raw!r}") from None
+
+
+def _read_config(path: str, names: Sequence[str]) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # malformed JSON or bad UTF-8
+            raise PgaLabError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise PgaLabError(f"config file {path} must hold a JSON object")
+    unknown = set(doc) - set(names)
+    if unknown:
+        raise PgaLabError(f"unknown config keys: {sorted(unknown)}")
+    return doc
+
+
+def _values(args: argparse.Namespace, defaults=None, optional=()) -> dict:
+    """The command's parameters: defaults, then the --config file, then flags.
+
+    Config values go through the same converters as flags; null means unset.
+    Raises MissingParameters for unset names that are not optional.
+    """
+    values = dict.fromkeys(args.parameters)
+    values.update(defaults or {})
+    if args.config:
+        for key, raw in _read_config(args.config, args.parameters).items():
+            if raw is not None:
+                values[key] = _convert(key, raw)
+    for key in args.parameters:
+        flag = getattr(args, key.replace("-", "_"))
+        if flag is not None:
+            values[key] = flag
+    missing = [k for k, v in values.items() if v is None and k not in optional]
+    if missing:
+        raise MissingParameters(missing)
+    return values
+
+
+def _build(cls, fields: dict, values: dict):
+    """cls called by keyword with the values of the parameters in fields."""
+    return cls(**{field: values[name] for name, field in fields.items()})
+
+
+def _parse_axis(spec: str, names: Sequence[str]) -> tuple[str, list]:
+    name, _, raw = spec.partition("=")
+    name, raw = name.strip(), raw.strip()
+    if name not in names or not raw:
+        raise PgaLabError(f"cannot parse sweep axis {spec!r}")
+    convert = PARAMETERS[name][0]
+    parts = raw.split(":")
+    try:
+        if len(parts) == 1:
+            values = [convert(x) for x in raw.split(",")]
+        elif convert is integer:  # lo:hi[:step], hi included
+            lo, hi, step = map(integer, parts if len(parts) == 3 else parts + ["1"])
+            if step < 1:
+                raise PgaLabError(f"sweep axis step must be >= 1, got {step}")
+            values = list(range(lo, hi + 1, step))
+        else:  # lo:hi:count, as np.linspace
+            lo, hi, count = parts
+            values = np.linspace(real(lo), real(hi), integer(count)).tolist()
+    except (TypeError, ValueError, OverflowError):
         raise PgaLabError(f"cannot parse sweep axis {spec!r}; see pga-lab sweep --help") from None
     if not values:
         raise PgaLabError(f"sweep axis {spec!r} has no values")
     return name, values
 
 
-def _axis_cell(name: str, value: float):
-    return int(value) if name in _INT_AXES else value
+def _cdf_rows(params: AuctionParams, point: dict, grid: int):
+    eq = solve_equilibrium(params, point["c"] or 0.0)
+    bids = np.linspace(0.0, eq.support_max, grid)
+    return zip(bids.tolist(), eq._cdf_arr(bids).tolist())
 
 
-def _sweep_rows(target: str, merged: dict, axis_values: dict, grid: int) -> list[tuple]:
-    """Rows for one sweep point (one combination of axis values)."""
-    point = dict(merged)
-    point.update(axis_values)
-    prefix = tuple(_axis_cell(k, v) for k, v in axis_values.items())
-    if target == "cdf":
-        params = _params_from(point)
-        eq = solve_equilibrium(params, float(point.get("c") or 0.0))
-        bids = np.linspace(0.0, eq.support_max, grid)
-        values = eq._cdf_arr(bids)
-        return [prefix + (float(b), float(f)) for b, f in zip(bids, values)]
-    if target == "abstention":
-        eq = solve_equilibrium(_params_from(point), float(point.get("c") or 0.0))
-        return [prefix + (eq.abstain_prob,)]
-    if target in ("revenue", "submitted"):
-        rep = analytics.revenue_report(_params_from(point))
-        return [
-            prefix
-            + (rep.abstain_prob, rep.expected_revenue, rep.expected_submitted_txs)
-        ]
-    if target == "scheme_compare":
-        params = _params_from(point)
-        comparison = analytics.compare_schemes(params, float(point["c"]))
-        return [
-            prefix
-            + (
-                comparison.optimal_r1,
-                comparison.scheme1_profit_at_optimum,
-                comparison.scheme2_revenue_at_r1_zero,
-                comparison.winner.value,
-            )
-        ]
-    if target == "mev_tax":
-        params = _params_from(point)
-        tau = float(point["tau"])
-        reparam = analytics.mev_tax_reparameterize(params.revert_rate_base, tau)
-        taxed = replace(params, revert_rate_priority=reparam.r2)
-        tax = analytics.expected_mev_tax(params, tau)
-        bound = analytics.expected_winning_bid(taxed) if tau > 0 else float("nan")
-        return [prefix + (reparam.r1, reparam.r2, tax, bound)]
-    raise PgaLabError(f"unknown sweep target {target!r}")
+def _abstention_rows(params: AuctionParams, point: dict, grid: int):
+    return [(solve_equilibrium(params, point["c"] or 0.0).abstain_prob,)]
 
 
-_SWEEP_COLUMNS = {
-    "cdf": ["b", "F"],
-    "abstention": ["p_star"],
-    "revenue": ["p_star", "revenue", "submitted"],
-    "submitted": ["p_star", "revenue", "submitted"],
-    "scheme_compare": ["optimal_r1", "scheme1_profit", "scheme2_revenue", "winner"],
-    "mev_tax": ["r1", "r2", "mev_tax", "winning_bid_bound"],
+def _revenue_rows(params: AuctionParams, point: dict, grid: int):
+    rep = analytics.revenue_report(params)
+    return [(rep.abstain_prob, rep.expected_revenue, rep.expected_submitted_txs)]
+
+
+def _scheme_rows(params: AuctionParams, point: dict, grid: int):
+    cmp = analytics.compare_schemes(params, point["c"])
+    return [(cmp.optimal_r1, cmp.scheme1_profit_at_optimum, cmp.scheme2_revenue_at_r1_zero,
+             cmp.winner.value)]
+
+
+def _mev_tax_rows(params: AuctionParams, point: dict, grid: int):
+    tau = point["tau"]
+    reparam = analytics.mev_tax_reparameterize(params.revert_rate_base, tau)
+    if tau == 0.0:
+        return [(reparam.r1, reparam.r2, 0.0, float("nan"))]
+    # the bound is the taxed game's winning bid; the tax is its tau/(1+tau) share
+    bound = analytics.expected_winning_bid(replace(params, revert_rate_priority=reparam.r2))
+    return [(reparam.r1, reparam.r2, reparam.tax_share * bound, bound)]
+
+
+# target -> (columns, parameters it needs beyond the auction, rows for one point)
+_REVENUE_SWEEP = (["p_star", "revenue", "submitted"], (), _revenue_rows)
+SWEEPS = {
+    "cdf": (["b", "F"], (), _cdf_rows),
+    "abstention": (["p_star"], (), _abstention_rows),
+    "revenue": _REVENUE_SWEEP,
+    "submitted": _REVENUE_SWEEP,
+    "scheme_compare": (
+        ["optimal_r1", "scheme1_profit", "scheme2_revenue", "winner"], ("c",), _scheme_rows
+    ),
+    "mev_tax": (["r1", "r2", "mev_tax", "winning_bid_bound"], ("tau",), _mev_tax_rows),
 }
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.grid < 1:
         raise PgaLabError(f"--grid must be >= 1, got {args.grid}")
-    keys = ["V", "g", "r1", "r2", "N", "c", "tau"]
-    merged = _merge_config(args, keys, defaults={"c": None, "tau": None})
-    axes: list[tuple[str, list[float]]] = []
-    if args.vary2:
-        axes.append(_parse_axis(args.vary2))
-    if args.vary:
-        axes.append(_parse_axis(args.vary))
+    columns, needs, row_fn = SWEEPS[args.target]
+    axes = [_parse_axis(spec, args.parameters) for spec in (args.vary2, args.vary) if spec]
     axis_names = [name for name, _ in axes]
-
-    required = {"V", "g", "N", "r1", "r2"}
-    if args.target == "scheme_compare":
-        required = {"V", "g", "N", "r1", "r2", "c"}
-    if args.target == "mev_tax":
-        required = {"V", "g", "N", "r1", "r2", "tau"}
-    missing = _require(merged, sorted(required - set(axis_names)))
-    if missing:
-        print(missing, file=sys.stderr)
-        return 2
-    # a varied parameter still needs a placeholder for validation
-    for name in axis_names:
-        merged.setdefault(name, None)
+    if len(set(axis_names)) < len(axis_names):
+        raise PgaLabError(f"--vary and --vary2 both vary {axis_names[0]}")
+    unneeded = set(args.parameters) - set(AUCTION) - set(needs)
+    values = _values(args, optional=unneeded | set(axis_names))
 
     combos: list[dict] = [{}]
-    for name, values in axes:
-        combos = [dict(c, **{name: v}) for c in combos for v in values]
+    for name, axis in axes:
+        combos = [dict(c, **{name: v}) for c in combos for v in axis]
 
-    rows = [row for combo in combos for row in _sweep_rows(args.target, merged, combo, args.grid)]
-    header = axis_names + _SWEEP_COLUMNS[args.target]
-    write_csv(args.out, header, rows)
+    rows = []
+    for combo in combos:
+        point = {**values, **combo}
+        prefix = tuple(combo.values())
+        params = _build(AuctionParams, AUCTION, point)
+        rows.extend(prefix + row for row in row_fn(params, point, args.grid))
+    write_csv(args.out, axis_names + columns, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def _cmd_equilibrium(args: argparse.Namespace) -> int:
-    merged = _merge_config(args, ["V", "g", "r1", "r2", "N", "c"], defaults={"c": 0.0})
-    missing = _require(merged, ["V", "g", "r1", "r2"])
-    if missing:
-        print(missing, file=sys.stderr)
-        return 2
-    entry_cost = float(merged["c"] or 0.0)
-    pure_case = (
-        float(merged["r1"]) == 0.0 and float(merged["r2"]) == 0.0 and entry_cost == 0.0
-    )
-    if merged.get("N") is None:
+    values = _values(args, defaults={"c": 0.0}, optional=("N",))
+    entry_cost = values["c"]
+    pure_case = values["r1"] == 0.0 and values["r2"] == 0.0 and entry_cost == 0.0
+    if values["N"] is None:
         if not pure_case:
-            print(_require(merged, ["N"]), file=sys.stderr)
-            return 2
-        merged["N"] = 2  # the pure characterization does not depend on N
-    params = _params_from(merged)
+            raise MissingParameters(["N"])
+        values["N"] = 2  # the pure characterization does not depend on N
+    params = _build(AuctionParams, AUCTION, values)
     if pure_case:
         pure = pure_equilibrium(params)
         print(
@@ -318,12 +339,7 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
 
 
 def _cmd_revenue(args: argparse.Namespace) -> int:
-    merged = _merge_config(args, ["V", "g", "r1", "r2", "N"], defaults={})
-    missing = _require(merged, ["V", "g", "r1", "r2", "N"])
-    if missing:
-        print(missing, file=sys.stderr)
-        return 2
-    params = _params_from(merged)
+    params = _build(AuctionParams, AUCTION, _values(args))
     rep = analytics.revenue_report(params)
     print(f"participation probability = {fmt_float(rep.participation_prob)}")
     print(f"expected revenue          = {fmt_float(rep.expected_revenue)}")
@@ -359,27 +375,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 3 if failed else 0
 
 
+_SUMMARY_FIELDS = ("opportunities", "executed", "abstained", "mad", "dbf", "max_deviation",
+                   "cfe", "casl", "casl_gross", "nlp", "csr")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    keys = ["mu", "sigma", "T", "block-time", "p0", "f", "L", "g", "r1", "r2", "N", "seed"]
-    merged = _merge_config(args, keys, defaults={"mu": 0.0, "seed": 0})
-    missing = _require(merged, ["sigma", "T", "block-time", "p0", "f", "L", "g", "r1", "r2", "N"])
-    if missing:
-        print(missing, file=sys.stderr)
-        return 2
-    config = MarketSimConfig(
-        drift=float(merged["mu"]),
-        volatility=float(merged["sigma"]),
-        horizon=float(merged["T"]),
-        block_time=float(merged["block-time"]),
-        initial_price=float(merged["p0"]),
-        fee_rate=float(merged["f"]),
-        liquidity_depth=float(merged["L"]),
-        base_fee=float(merged["g"]),
-        revert_rate_base=float(merged["r1"]),
-        revert_rate_priority=float(merged["r2"]),
-        num_arbitrageurs=int(merged["N"]),
-        seed=int(merged["seed"]),
-    )
+    config = _build(MarketSimConfig, MARKET, _values(args, defaults={"mu": 0.0, "seed": 0}))
     report = simulate(config)
     print(
         f"{config.num_blocks} blocks: {report.opportunities} opportunities, "
@@ -396,19 +397,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "config": asdict(config),
-            "summary": {
-                "opportunities": report.opportunities,
-                "executed": report.executed,
-                "abstained": report.abstained,
-                "mad": report.mad,
-                "dbf": report.dbf,
-                "max_deviation": report.max_deviation,
-                "cfe": report.cfe,
-                "casl": report.casl,
-                "casl_gross": report.casl_gross,
-                "nlp": report.nlp,
-                "csr": report.csr,
-            },
+            "summary": {k: getattr(report, k) for k in _SUMMARY_FIELDS},
             "era_series": list(report.era_series),
             "revenue_histogram": {
                 "counts": list(report.revenue_histogram[0]),
@@ -422,13 +411,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare_schemes(args: argparse.Namespace) -> int:
-    merged = _merge_config(args, ["V", "g", "r1", "r2", "N", "c"], defaults={})
-    missing = _require(merged, ["V", "g", "r1", "r2", "N", "c"])
-    if missing:
-        print(missing, file=sys.stderr)
-        return 2
-    params = _params_from(merged)
-    comparison = analytics.compare_schemes(params, float(merged["c"]))
+    values = _values(args)
+    params = _build(AuctionParams, AUCTION, values)
+    comparison = analytics.compare_schemes(params, values["c"])
     print(f"optimal r1 under internalized costs = {fmt_float(comparison.optimal_r1)}")
     print(f"scheme 1 profit at optimum          = {fmt_float(comparison.scheme1_profit_at_optimum)}")
     print(f"scheme 2 revenue at r1 = 0          = {fmt_float(comparison.scheme2_revenue_at_r1_zero)}")
@@ -437,26 +422,10 @@ def _cmd_compare_schemes(args: argparse.Namespace) -> int:
         doc = {
             "schema_version": SCHEMA_VERSION,
             "params": asdict(params),
-            "comparison": {
-                "c": comparison.c,
-                "optimal_r1": comparison.optimal_r1,
-                "scheme1_profit_at_optimum": comparison.scheme1_profit_at_optimum,
-                "scheme2_revenue_at_r1_zero": comparison.scheme2_revenue_at_r1_zero,
-                "winner": comparison.winner.value,
-            },
+            "comparison": asdict(comparison),
         }
         write_json(args.json, doc)
     return 0
-
-
-_COMMANDS = {
-    "equilibrium": _cmd_equilibrium,
-    "revenue": _cmd_revenue,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
-    "simulate": _cmd_simulate,
-    "compare-schemes": _cmd_compare_schemes,
-}
 
 
 def run(argv: Sequence[str]) -> int:
@@ -466,11 +435,11 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
-    except PgaLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        return args.handler(args)
+    except MissingParameters as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    except (PgaLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -34,6 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ArgumentOutOfRange,
     CostOutOfRange,
     CostTooLarge,
     DegenerateNoRevertCost,
@@ -217,7 +218,7 @@ class Equilibrium:
     def expected_max_bid(self, k: int) -> float:
         """E[max of k i.i.d. draws from F*], via the tail integral of 1 - F^k."""
         if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+            raise ArgumentOutOfRange(f"k must be >= 1, got {k}")
         return adaptive_simpson(
             lambda x: 1.0 - self.cdf(x) ** k, 0.0, self.support_max, tol=1e-8, max_depth=20
         )
@@ -226,6 +227,7 @@ class Equilibrium:
     def strategy(self) -> MixedStrategy:
         return MixedStrategy(
             abstain_prob=self.abstain_prob,
+            participation=self._abstention[2],
             cdf=self.cdf,
             quantile=self.quantile,
             support=(0.0, self.support_max),

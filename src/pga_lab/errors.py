@@ -37,6 +37,10 @@ class OutOfSupport(PgaLabError, ValueError):
     """A bid or probability outside the domain of the distribution."""
 
 
+class ArgumentOutOfRange(PgaLabError, ValueError):
+    """A count, step, seed or bound argument outside its domain."""
+
+
 class DegenerateNoRevertCost(PgaLabError):
     """r1 = r2 = 0 with zero entry cost: the mixed closed form is undefined.
 

@@ -54,6 +54,10 @@ class MarketSimConfig:
             (0.0 <= self.revert_rate_base <= 1.0, "revert_rate_base must lie in [0, 1]"),
             (0.0 <= self.revert_rate_priority <= 1.0, "revert_rate_priority must lie in [0, 1]"),
             (self.num_arbitrageurs >= 2, "num_arbitrageurs must be >= 2"),
+            (
+                isinstance(self.seed, (int, np.integer)) and self.seed >= 0,
+                "seed must be a non-negative integer",
+            ),
         ]
         for ok, msg in checks:
             if not ok:

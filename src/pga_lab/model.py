@@ -16,6 +16,7 @@ from typing import Callable, Sequence, Union
 from .errors import (
     IndexOutOfRange,
     NonPositiveFee,
+    OutOfSupport,
     RateOutOfRange,
     TooFewAgents,
     UnknownPreset,
@@ -82,7 +83,7 @@ class Bid:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.amount) and self.amount >= 0.0):
-            raise ValueError(f"bid amount must be finite and non-negative, got {self.amount}")
+            raise OutOfSupport(f"bid amount must be finite and non-negative, got {self.amount}")
 
 
 Action = Union[Abstain, Bid]
@@ -116,24 +117,22 @@ class MixedStrategy:
     otherwise draw the bid from the distribution described by cdf/quantile.
 
     cdf is defined on [support[0], support[1]] and quantile on [0, 1]; the two
-    are inverse to each other on the support.
+    are inverse to each other on the support. participation is 1 -
+    abstain_prob, passed separately when the caller holds it to full relative
+    accuracy (abstain_prob -> 1 at large N).
     """
 
     abstain_prob: float
     cdf: Callable[[float], float]
     quantile: Callable[[float], float]
     support: tuple[float, float]
+    participation: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.abstain_prob <= 1.0:
             raise RateOutOfRange(f"abstain_prob must lie in [0, 1], got {self.abstain_prob}")
-
-    def win_weight(self, bid: float) -> float:
-        """p + (1 - p) F(bid), extended by 1 above the support."""
-        if bid >= self.support[1]:
-            return 1.0
-        p = self.abstain_prob
-        return p + (1.0 - p) * self.cdf(bid)
+        if self.participation is None:
+            object.__setattr__(self, "participation", 1.0 - self.abstain_prob)
 
 
 def pure_payoff(params: AuctionParams, profile: PureProfile, agent: int) -> float:
@@ -180,18 +179,25 @@ def expected_payoff_vs_symmetric(
     """Expected payoff of bidding own_bid against N-1 opponents all playing
     the given symmetric mixed strategy.
 
-    The win probability is (p + (1-p) F(b))^(N-1); abstaining is worth exactly
-    0 and is the caller's alternative. entry_cost is subtracted when bidding
-    carries a flat participation charge.
+    The win probability is w = (p + (1-p) F(b))^(N-1) = (1 - (1-p)(1-F(b)))^(N-1),
+    formed with log1p/expm1 so that w and 1 - w keep their digits as p -> 1
+    at large N. Abstaining is worth exactly 0 and is the caller's
+    alternative. entry_cost is subtracted when bidding carries a flat
+    participation charge.
     """
     if not (math.isfinite(own_bid) and own_bid >= 0.0):
-        raise ValueError(f"own_bid must be finite and non-negative, got {own_bid}")
-    w = opponents.win_weight(own_bid) ** (params.num_agents - 1)
+        raise OutOfSupport(f"own_bid must be finite and non-negative, got {own_bid}")
+    if own_bid >= opponents.support[1]:
+        log_w = 0.0
+    else:
+        beaten = opponents.participation * (1.0 - opponents.cdf(own_bid))
+        log_w = (params.num_agents - 1) * math.log1p(-beaten) if beaten < 1.0 else -math.inf
+    w, one_minus_w = math.exp(log_w), -math.expm1(log_w)
     gain = (params.value - params.base_fee - own_bid) * w
     revert = (
         params.revert_rate_base * params.base_fee
         + params.revert_rate_priority * own_bid
-    ) * (1.0 - w)
+    ) * one_minus_w
     return gain - revert - entry_cost
 
 

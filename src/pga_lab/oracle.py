@@ -30,7 +30,7 @@ from .model import (
     expected_payoff_vs_symmetric,
     pure_payoff,
 )
-from .errors import NumericsError
+from .errors import ArgumentOutOfRange, IndexOutOfRange, NumericsError
 from .numerics import bisection_inverse
 
 _CHUNK = 1 << 16
@@ -100,7 +100,7 @@ def monte_carlo_replay(
     for agent 0; by symmetry its mean estimates every agent's payoff.
     """
     if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+        raise ArgumentOutOfRange(f"trials must be >= 1, got {trials}")
     p = params
     n = p.num_agents
     rg = p.revert_rate_base * p.base_fee
@@ -169,7 +169,7 @@ def best_response_scan(
     abstention probability is off shows a strictly positive value here.
     """
     if grid_points < 100:
-        raise ValueError(f"grid_points must be >= 100, got {grid_points}")
+        raise ArgumentOutOfRange(f"grid_points must be >= 100, got {grid_points}")
     if isinstance(strategy, Equilibrium):
         if entry_cost is None:
             entry_cost = strategy.entry_cost
@@ -268,7 +268,7 @@ def find_pure_deviation(
         (a.amount, i) for i, a in enumerate(profile.actions) if isinstance(a, Bid)
     ]
     if len(profile.actions) != n:
-        raise ValueError(f"profile has {len(profile.actions)} actions, expected {n}")
+        raise IndexOutOfRange(f"profile has {len(profile.actions)} actions, expected {n}")
 
     if not bids:
         # empty auction: any agent wins for sure at half the breakeven bid
@@ -344,7 +344,7 @@ def comparative_statics_check(base: AuctionParams, step: float = 1e-5) -> list[S
     way.
     """
     if not 0.0 < step <= 1e-3:
-        raise ValueError(f"step must lie in (0, 1e-3], got {step}")
+        raise ArgumentOutOfRange(f"step must lie in (0, 1e-3], got {step}")
 
     def central(fn, field: str) -> float:
         hi = fn(replace(base, **{field: getattr(base, field) + step}))
@@ -431,7 +431,7 @@ def hillman_samet_check(
     between our effective-bid CDF and that closed form over the grid.
     """
     if not 0.0 < min_outlay < value:
-        raise ValueError("need 0 < min_outlay < value")
+        raise ArgumentOutOfRange("need 0 < min_outlay < value")
     params = AuctionParams(value, min_outlay, 1.0, 1.0, num_agents)
     eq = solve_equilibrium(params)
     p = eq.abstain_prob

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import analytics, oracle
 from .equilibrium import solve_equilibrium
+from .errors import ArgumentOutOfRange
 from .market import MarketSimConfig, simulate
 from .model import AuctionParams, PureProfile
 
@@ -264,6 +265,8 @@ BATTERIES = {"default": _CHECKS}
 
 
 def run_battery(name: str = "default", seed: int = 42) -> list[CheckResult]:
+    if seed < 0:
+        raise ArgumentOutOfRange(f"seed must be non-negative, got {seed}")
     checks = BATTERIES[name]
 
     def run_one(item: tuple[str, Callable[[int], tuple[bool, str]]]) -> CheckResult:

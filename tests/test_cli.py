@@ -1,7 +1,13 @@
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pga_lab import verify
 from pga_lab.cli import run
@@ -249,3 +255,94 @@ class TestFloatSerialization:
     def test_infinities(self):
         assert fmt_float(math.inf) == "Infinity"
         assert json.loads(json_text({"x": math.inf}))["x"] == math.inf
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "conf.json"
+    path.write_text(text)
+    return ["revenue", "--config", str(path)]
+
+
+SIMULATE = [
+    "simulate", "--sigma", "0.05", "--T", "1", "--block-time", "0.01", "--p0", "100",
+    "--f", "0.003", "--L", "10", "--g", "0.1", "--r1", "1", "--r2", "1", "--N", "10",
+]
+CONFIG_BASE = {"V": 10, "g": 1, "r1": 0.1, "r2": 0.1, "N": 5}
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda t: _config(t, json.dumps({**CONFIG_BASE, "N": "abc"})),
+        lambda t: _config(t, json.dumps({**CONFIG_BASE, "V": "ten"})),
+        lambda t: _config(t, json.dumps({**CONFIG_BASE, "N": 2.5})),
+        lambda t: _config(t, '{"V": 10, "g": 1,'),
+        lambda t: _config(t, json.dumps([CONFIG_BASE])),
+        lambda t: ["sweep", "--target", "revenue", *AUCTION[:-2], "--vary", "N=2,3.5",
+                   "--out", str(t / "x.csv")],
+        lambda t: ["sweep", "--target", "revenue", *AUCTION[:-2], "--vary", "N=2:4",
+                   "--vary2", "N=5,6", "--out", str(t / "x.csv")],
+        lambda t: [*SIMULATE, "--seed", "-1"],
+        lambda t: ["verify", "--seed", "-1"],
+    ],
+    ids=["config-N-text", "config-V-text", "config-N-fraction", "config-malformed-json",
+         "config-list", "axis-N-fraction", "axis-varied-twice", "simulate-negative-seed",
+         "verify-negative-seed"],
+)
+def test_malformed_parameter_is_exit_1(make_argv, tmp_path, capsys):
+    assert run(make_argv(tmp_path)) == 1
+    _assert_one_line_error(capsys)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_fractional_agent_flag_is_usage_error(capsys):
+    assert run(["revenue", *AUCTION[:-1], "2.5"]) == 2
+    assert "invalid integer value: '2.5'" in capsys.readouterr().err
+
+
+def test_config_null_means_unset(tmp_path, capsys):
+    assert run(_config(tmp_path, json.dumps({**CONFIG_BASE, "N": None}))) == 2
+    assert capsys.readouterr().err.strip() == "missing required parameters: --N"
+
+
+def test_config_values_read_like_flags(tmp_path, capsys):
+    conf = {"V": "10", "g": 1, "r1": "0.1", "r2": 0.1, "N": 5.0}
+    out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run([*_config(tmp_path, json.dumps(conf)), "--json", str(out_a)]) == 0
+    assert run(["revenue", *AUCTION, "--json", str(out_b)]) == 0
+    assert out_a.read_bytes() == out_b.read_bytes()
+    capsys.readouterr()
+
+
+def test_mev_tax_sweep_integrates_once_per_taxed_row(monkeypatch, tmp_path, capsys):
+    from pga_lab import analytics
+
+    calls = []
+    original = analytics.expected_winning_bid
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(analytics, "expected_winning_bid", counted)
+    argv = ["sweep", "--target", "mev_tax", *AUCTION, "--vary", "tau=0,0.5,1,2,5,10",
+            "--out", str(tmp_path / "tax.csv")]
+    assert run(argv) == 0
+    assert len(calls) == 5  # tau = 0 needs no integral
+    capsys.readouterr()
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+)
+_JSON_VALUES = _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.sampled_from(sorted(CONFIG_BASE)), _JSON_VALUES))
+def test_arbitrary_config_values_never_raise(overrides):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "conf.json"
+        path.write_text(json.dumps({**CONFIG_BASE, **overrides}))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert run(["revenue", "--config", str(path)]) in (0, 1, 2)

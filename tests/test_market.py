@@ -48,6 +48,11 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             replace(BASE, horizon=0.001)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigInvalid):
+            replace(BASE, seed=seed)
+
     def test_block_count_rounds_up(self):
         assert replace(BASE, horizon=0.025).num_blocks == 3
 

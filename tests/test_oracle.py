@@ -76,6 +76,14 @@ class TestBestResponseScan:
             assert cert.max_payoff <= 1e-9
             assert cert.max_overbid_payoff < 0.0
 
+    @pytest.mark.parametrize("n", [10**9, 10**12])
+    def test_certificate_holds_at_large_n(self, n):
+        # w = (p* + (1-p*)F)^(N-1) and 1 - w must not cancel as p* -> 1
+        params = AuctionParams(10, 1, 0.1, 0.1, n)
+        cert = certify_equilibrium(params, solve_equilibrium(params))
+        assert cert.passed
+        assert cert.max_payoff <= 1e-14 and cert.min_support_payoff >= -1e-14
+
     def test_grid_size_enforced(self):
         with pytest.raises(ValueError):
             best_response_scan(REF, solve_equilibrium(REF), grid_points=10)
