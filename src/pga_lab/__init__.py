@@ -44,6 +44,7 @@ from .errors import (
     PgaLabError,
     RateOutOfRange,
     TooFewAgents,
+    TooManyAgents,
     UnknownPreset,
     ValueNotAboveBaseFee,
 )

@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +44,7 @@ from .equilibrium import pure_equilibrium, solve_equilibrium
 from .errors import PgaLabError
 from .market import EVENT_CSV_HEADER, MarketSimConfig, event_csv_rows, simulate
 from .model import AuctionParams
-from .serialize import SCHEMA_VERSION, fmt_float, write_csv, write_json
+from .serialize import fmt_float, write_csv, write_json
 
 
 def real(value) -> float:
@@ -310,12 +310,7 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
             f"pure-strategy equilibrium: top two bids = {fmt_float(pure.top_bid)}"
             " (remaining bids arbitrary at or below)"
         )
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "type": "pure",
-            "top_bid": pure.top_bid,
-            "params": asdict(params),
-        }
+        doc = {"type": "pure", "top_bid": pure.top_bid, "params": params}
     else:
         eq = solve_equilibrium(params, entry_cost)
         expected_bid = eq.expected_bid()
@@ -324,14 +319,13 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
         print(f"expected bid E[B*]     = {fmt_float(expected_bid)}")
         print(f"cdf boundary gap at V-g = {fmt_float(eq.boundary_gap)}")
         doc = {
-            "schema_version": SCHEMA_VERSION,
             "type": "mixed",
             "abstain_prob": eq.abstain_prob,
             "support": [0.0, eq.support_max],
             "expected_bid": expected_bid,
             "boundary_gap": eq.boundary_gap,
             "entry_cost": entry_cost,
-            "params": asdict(params),
+            "params": params,
         }
     if args.json:
         write_json(args.json, doc)
@@ -352,8 +346,7 @@ def _cmd_revenue(args: argparse.Namespace) -> int:
         + ("unbounded" if rep.limits.submitted_unbounded else fmt_float(rep.limits.submitted_txs))
     )
     if args.json:
-        doc = {"schema_version": SCHEMA_VERSION, "params": asdict(params), "report": asdict(rep)}
-        write_json(args.json, doc)
+        write_json(args.json, {"params": params, "report": rep})
     return 0
 
 
@@ -365,13 +358,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     if args.json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "battery": args.battery,
-            "seed": args.seed,
-            "results": [asdict(r) for r in results],
-        }
-        write_json(args.json, doc)
+        write_json(args.json, {"battery": args.battery, "seed": args.seed, "results": results})
     return 3 if failed else 0
 
 
@@ -394,16 +381,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         write_csv(args.out_events, EVENT_CSV_HEADER, event_csv_rows(report))
         print(f"wrote events to {args.out_events}")
     if args.out_report:
+        counts, bin_edges = report.revenue_histogram
         doc = {
-            "schema_version": SCHEMA_VERSION,
-            "config": asdict(config),
+            "config": config,
             "summary": {k: getattr(report, k) for k in _SUMMARY_FIELDS},
-            "era_series": list(report.era_series),
-            "revenue_histogram": {
-                "counts": list(report.revenue_histogram[0]),
-                "bin_edges": list(report.revenue_histogram[1]),
-            },
-            "events": [asdict(e) for e in report.events],
+            "era_series": report.era_series,
+            "revenue_histogram": {"counts": counts, "bin_edges": bin_edges},
+            "events": report.events,
         }
         write_json(args.out_report, doc)
         print(f"wrote report to {args.out_report}")
@@ -419,12 +403,7 @@ def _cmd_compare_schemes(args: argparse.Namespace) -> int:
     print(f"scheme 2 revenue at r1 = 0          = {fmt_float(comparison.scheme2_revenue_at_r1_zero)}")
     print(f"winner: {comparison.winner.value}")
     if args.json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "params": asdict(params),
-            "comparison": asdict(comparison),
-        }
-        write_json(args.json, doc)
+        write_json(args.json, {"params": params, "comparison": comparison})
     return 0
 
 

@@ -25,6 +25,10 @@ class TooFewAgents(PgaLabError, ValueError):
     """Fewer than two agents."""
 
 
+class TooManyAgents(PgaLabError, ValueError):
+    """More agents than the closed forms are checked for (model.MAX_AGENTS)."""
+
+
 class UnknownPreset(PgaLabError, ValueError):
     """No setting preset with the requested name."""
 

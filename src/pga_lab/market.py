@@ -15,14 +15,15 @@ versus adverse-selection loss), and sequencer revenue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Literal, Optional
 
 import numpy as np
 
 from .equilibrium import solve_equilibrium
-from .errors import ConfigInvalid
-from .model import AuctionParams
+from .errors import ConfigInvalid, TooManyAgents
+from .model import MAX_AGENTS, AuctionParams
 
 Outcome = Literal["no_opportunity", "all_abstained", "executed"]
 
@@ -43,6 +44,10 @@ class MarketSimConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        if self.num_arbitrageurs > MAX_AGENTS:
+            raise TooManyAgents(
+                f"num_arbitrageurs must be <= {MAX_AGENTS}, got {self.num_arbitrageurs}"
+            )
         checks = [
             (self.block_time > 0.0, "block_time must be positive"),
             (self.horizon >= self.block_time, "horizon must cover at least one block"),
@@ -156,42 +161,13 @@ class MarketSimReport:
     revenue_histogram: tuple[tuple[int, ...], tuple[float, ...]]
 
 
-EVENT_CSV_HEADER = [
-    "block_index",
-    "true_price",
-    "onchain_price_before",
-    "onchain_price_after",
-    "outcome",
-    "opportunity_value",
-    "discrepancy",
-    "participants",
-    "winning_bid",
-    "sequencer_fees",
-    "lp_fees",
-    "lp_adverse_loss",
-    "lp_adverse_loss_gross",
-]
+EVENT_CSV_HEADER = [f.name for f in fields(BlockEvent)]
+_event_row = attrgetter(*EVENT_CSV_HEADER)
 
 
 def event_csv_rows(report: MarketSimReport) -> list[tuple]:
-    return [
-        (
-            e.block_index,
-            e.true_price,
-            e.onchain_price_before,
-            e.onchain_price_after,
-            e.outcome,
-            e.opportunity_value,
-            e.discrepancy,
-            e.participants,
-            "" if e.winning_bid is None else e.winning_bid,
-            e.sequencer_fees,
-            e.lp_fees,
-            e.lp_adverse_loss,
-            e.lp_adverse_loss_gross,
-        )
-        for e in report.events
-    ]
+    """One row per event in EVENT_CSV_HEADER order; a missing winning bid is ""."""
+    return [tuple("" if v is None else v for v in _event_row(e)) for e in report.events]
 
 
 def simulate(config: MarketSimConfig) -> MarketSimReport:

@@ -19,9 +19,13 @@ from .errors import (
     OutOfSupport,
     RateOutOfRange,
     TooFewAgents,
+    TooManyAgents,
     UnknownPreset,
     ValueNotAboveBaseFee,
 )
+
+# the largest N at which tests/test_reference.py checks the closed forms
+MAX_AGENTS = 10**12
 
 
 @dataclass(frozen=True)
@@ -32,7 +36,7 @@ class AuctionParams:
     base_fee: flat fee g every included transaction pays.
     revert_rate_base: fraction r1 of g paid by a losing participant.
     revert_rate_priority: fraction r2 of the bid paid by a losing participant.
-    num_agents: number of competing agents, N >= 2.
+    num_agents: number of competing agents, 2 <= N <= MAX_AGENTS.
     """
 
     value: float
@@ -52,6 +56,8 @@ class AuctionParams:
             r = getattr(self, name)
             if not (math.isfinite(r) and 0.0 <= r <= 1.0):
                 raise RateOutOfRange(f"{name} must lie in [0, 1], got {r}")
+        if self.num_agents > MAX_AGENTS:
+            raise TooManyAgents(f"num_agents must be <= {MAX_AGENTS}, got {self.num_agents}")
         if int(self.num_agents) != self.num_agents or self.num_agents < 2:
             raise TooFewAgents(f"num_agents must be an integer >= 2, got {self.num_agents}")
 

@@ -7,8 +7,9 @@ deviation construction, comparative statics by finite differences, and the
 quantile by bisection against the CDF.
 
 Randomness comes from numpy's Philox counter-based generator. Work is split
-into fixed-size chunks, each driven by a SeedSequence-spawned child stream, so
-results are reproducible bit for bit regardless of how chunks are scheduled.
+into chunks whose size depends only on N, each driven by a SeedSequence-spawned
+child stream, so results are reproducible bit for bit regardless of how chunks
+are scheduled.
 """
 
 from __future__ import annotations
@@ -33,7 +34,16 @@ from .model import (
 from .errors import ArgumentOutOfRange, IndexOutOfRange, NumericsError
 from .numerics import bisection_inverse
 
-_CHUNK = 1 << 16
+_CHUNK = 1 << 16  # replay rows per chunk, at most
+_CHUNK_DRAWS = 1 << 22  # agent-draws per chunk array
+
+
+def _chunk_rows(num_agents: int) -> int:
+    """Replay rows per chunk: 2^16, fewer above N = 64 so a chunk array holds
+    at most 2^22 draws (32 MiB of float64)."""
+    if num_agents > _CHUNK_DRAWS:
+        raise ArgumentOutOfRange(f"replay needs num_agents <= {_CHUNK_DRAWS}, got {num_agents}")
+    return min(_CHUNK, _CHUNK_DRAWS // num_agents)
 
 
 def _chunk_rngs(seed: int, n_chunks: int) -> list[np.random.Generator]:
@@ -98,20 +108,26 @@ def monte_carlo_replay(
     from every losing participant, and the flat entry charge from every
     participant when the equilibrium carries one. Per-agent payoff is tracked
     for agent 0; by symmetry its mean estimates every agent's payoff.
+
+    Trials run in chunks of min(2^16, 2^22 // N) rows, each on its own child
+    stream, so one chunk array holds at most 2^22 agent-draws (32 MiB) and
+    memory stays bounded in N and trials. N above 2^22 raises
+    ArgumentOutOfRange before any draw.
     """
     if trials < 1:
         raise ArgumentOutOfRange(f"trials must be >= 1, got {trials}")
     p = params
     n = p.num_agents
+    rows = _chunk_rows(n)
     rg = p.revert_rate_base * p.base_fee
     r2 = p.revert_rate_priority
     c = eq.entry_cost
     p_star = eq.abstain_prob
 
     acc = {k: _Acc() for k in ("rev", "base", "prio", "sub", "pay")}
-    n_chunks = (trials + _CHUNK - 1) // _CHUNK
+    n_chunks = (trials + rows - 1) // rows
     for i, rng in enumerate(_chunk_rngs(seed, n_chunks)):
-        m = min(_CHUNK, trials - i * _CHUNK)
+        m = min(rows, trials - i * rows)
         part = rng.random((m, n)) >= p_star
         bids = eq._quantile_arr(rng.random((m, n)))
         masked = np.where(part, bids, -1.0)

@@ -1,18 +1,25 @@
 """Deterministic text output.
 
-Floats are rendered with 17 significant digits, which round-trips IEEE
-doubles exactly, so repeated runs with identical seeds produce byte-identical
-CSV and JSON files.
+This module alone decides how a result becomes bytes: callers hand it dicts,
+lists, tuples and dataclasses as they are. Floats are rendered with 17
+significant digits, which round-trips IEEE doubles exactly, so repeated runs
+with identical seeds produce byte-identical CSV and JSON files. JSON strings
+and keys are escaped per RFC 8259 by the stdlib encoder, and every JSON
+document starts with schema_version.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 import math
-from dataclasses import asdict, is_dataclass
-from typing import Any, Iterable, Sequence
+from dataclasses import fields, is_dataclass
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 SCHEMA_VERSION = "1"
+
+# a JSON string literal; non-ASCII text stays UTF-8, as in the files written so far
+_quote = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def fmt_float(x: float) -> str:
@@ -27,20 +34,31 @@ def fmt_float(x: float) -> str:
     return s
 
 
-def _fmt_cell(v: Any) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
+def _scalar(v: Any, text: Callable[[str], str]) -> Optional[str]:
+    """A CSV cell or JSON leaf as text, or None when v is not a scalar.
+
+    text renders strings: as they are in CSV, quoted in JSON.
+    """
     if isinstance(v, float):
         return fmt_float(v)
     if isinstance(v, enum.Enum):
-        return str(v.value)
-    return str(v)
+        return _scalar(v.value, text)
+    if isinstance(v, str):
+        return text(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return str(v)
+    if v is None:
+        return "null"
+    return None
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
+        # a non-scalar cell leaves None, which join rejects with a TypeError
+        lines.append(",".join([_scalar(v, str) for v in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -50,56 +68,38 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -
 
 
 def _json_fragment(obj: Any, indent: int, level: int, out: list[str]) -> None:
+    leaf = _scalar(obj, _quote)
+    if leaf is not None:
+        out.append(leaf)
+        return
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, float):
-        out.append(fmt_float(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, str):
-        out.append(_escape(obj))
-    elif isinstance(obj, enum.Enum):
-        _json_fragment(obj.value, indent, level, out)
-    elif is_dataclass(obj) and not isinstance(obj, type):
-        _json_fragment(asdict(obj), indent, level, out)
-    elif isinstance(obj, dict):
+    if isinstance(obj, (list, tuple)):
         if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(f"{pad_in}{_escape(str(k))}: ")
-            _json_fragment(v, indent, level + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
             out.append("[]")
             return
         out.append("[\n")
-        for i, v in enumerate(seq):
+        for v in obj:
             out.append(pad_in)
             _json_fragment(v, indent, level + 1, out)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
+            out.append(",\n")
+        out[-1] = "\n" + pad + "]"
+        return
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        items = [(f.name, getattr(obj, f.name)) for f in fields(obj)]
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _escape(s: str) -> str:
-    escaped = (
-        s.replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-        .replace("\t", "\\t")
-    )
-    return f'"{escaped}"'
+    if not items:
+        out.append("{}")
+        return
+    out.append("{\n")
+    for k, v in items:
+        out.append(f"{pad_in}{_quote(str(k))}: ")
+        _json_fragment(v, indent, level + 1, out)
+        out.append(",\n")
+    out[-1] = "\n" + pad + "}"
 
 
 def json_text(obj: Any, indent: int = 2) -> str:
@@ -108,6 +108,7 @@ def json_text(obj: Any, indent: int = 2) -> str:
     return "".join(out) + "\n"
 
 
-def write_json(path: str, obj: Any) -> None:
+def write_json(path: str, obj: dict) -> None:
+    """obj as a JSON document whose first key is schema_version."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text(obj))
+        fh.write(json_text({"schema_version": SCHEMA_VERSION, **obj}))

@@ -284,15 +284,36 @@ CONFIG_BASE = {"V": 10, "g": 1, "r1": 0.1, "r2": 0.1, "N": 5}
                    "--vary2", "N=5,6", "--out", str(t / "x.csv")],
         lambda t: [*SIMULATE, "--seed", "-1"],
         lambda t: ["verify", "--seed", "-1"],
+        lambda t: ["revenue", *AUCTION[:-1], "1" + "0" * 400],
+        lambda t: [*SIMULATE, "--r1", "0.5", "--r2", "0.5", "--N", "100000000000000000000"],
     ],
     ids=["config-N-text", "config-V-text", "config-N-fraction", "config-malformed-json",
          "config-list", "axis-N-fraction", "axis-varied-twice", "simulate-negative-seed",
-         "verify-negative-seed"],
+         "verify-negative-seed", "N-400-digits", "simulate-N-1e20"],
 )
 def test_malformed_parameter_is_exit_1(make_argv, tmp_path, capsys):
     assert run(make_argv(tmp_path)) == 1
     _assert_one_line_error(capsys)
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibrium", *AUCTION, "--json"],
+        ["revenue", *AUCTION, "--json"],
+        ["compare-schemes", *AUCTION, "--c", "0.5", "--json"],
+        ["verify", "--json"],
+        [*SIMULATE, "--out-report"],
+    ],
+    ids=["equilibrium", "revenue", "compare-schemes", "verify", "simulate"],
+)
+def test_every_json_document_starts_with_schema_version(argv, tmp_path, capsys):
+    out = tmp_path / "doc.json"
+    assert run([*argv, str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert next(iter(doc.items())) == ("schema_version", "1")
+    capsys.readouterr()
 
 
 def test_fractional_agent_flag_is_usage_error(capsys):

@@ -24,6 +24,10 @@ from pga_lab import (
     solve_equilibrium,
 )
 
+from pga_lab import oracle
+from pga_lab.errors import ArgumentOutOfRange
+from pga_lab.oracle import _chunk_rows
+
 from _util import philox, random_params
 
 REF = AuctionParams(10, 1, 0.1, 0.1, 20)
@@ -64,6 +68,28 @@ class TestMonteCarloReplay:
         small = monte_carlo_replay(REF, eq, trials=10_000, seed=5)
         large = monte_carlo_replay(REF, eq, trials=160_000, seed=5)
         assert large.revenue.std_error < small.revenue.std_error / 3
+
+    def test_chunks_hold_at_most_2_22_draws(self):
+        assert _chunk_rows(2) == _chunk_rows(64) == 1 << 16
+        assert _chunk_rows(65) == (1 << 22) // 65
+        assert _chunk_rows(1 << 22) == 1
+        assert all(_chunk_rows(n) * n <= 1 << 22 for n in (65, 1000, 12_345, 1 << 21))
+
+    def test_large_field_replays_in_bounded_chunks(self, monkeypatch):
+        spawned = []
+        original = oracle._chunk_rngs
+        monkeypatch.setattr(oracle, "_chunk_rngs", lambda seed, n: spawned.append(n) or
+                            original(seed, n))
+        params = replace(REF, num_agents=1000)
+        rep = monte_carlo_replay(params, solve_equilibrium(params), trials=5000, seed=3)
+        assert spawned == [2]  # 4194 rows per chunk
+        assert rep.revenue.within(revenue_report(params).expected_revenue)
+
+    def test_too_many_agents_raise_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_chunk_rngs", None)
+        params = replace(REF, num_agents=(1 << 22) + 1)
+        with pytest.raises(ArgumentOutOfRange):
+            monte_carlo_replay(params, solve_equilibrium(params), trials=1, seed=0)
 
 
 class TestBestResponseScan:

@@ -1,0 +1,125 @@
+"""Property tests over the validated parameter box (V, g, r1, r2, N, c)."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from pga_lab import AuctionParams, solve_equilibrium
+from pga_lab.equilibrium import check_entry_cost, log_rho
+from pga_lab.errors import (
+    CostOutOfRange,
+    NonPositiveFee,
+    NumericsError,
+    OutOfSupport,
+    RateOutOfRange,
+    TooFewAgents,
+    TooManyAgents,
+    ValueNotAboveBaseFee,
+)
+from pga_lab.model import MAX_AGENTS
+
+BOX = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+# zero or at least 1e-200, so that r1 g, r2 b and c stay normal
+_rate = st.just(0.0) | st.floats(1e-200, 1.0)
+_cost_fraction = st.just(0.0) | st.floats(1e-200, 1.0, exclude_max=True)
+
+
+@st.composite
+def points(draw):
+    """(params, c) the validators accept, bar the pure regime r1 = r2 = c = 0
+    and the corners that test_known_breakdowns pins."""
+    g = draw(st.floats(1e-3, 1e3))
+    params = AuctionParams(g + draw(st.floats(1e-3, 1e3)), g, draw(_rate), draw(_rate),
+                           draw(st.integers(2, MAX_AGENTS)))
+    c = draw(_cost_fraction) * params.breakeven_bid
+    assume(params.revert_rate_base + params.revert_rate_priority + c > 0.0)
+    # rho = (r1 g + c)/(V - g + r1 g) neither within 1e-5 of 1 nor subnormal
+    lr = log_rho(params, c)
+    assume(lr == -math.inf or -690.0 < lr < -1e-5)
+    return params, c
+
+
+def _grid(eq):
+    return np.linspace(0.0, eq.support_max, 33).tolist()
+
+
+def _check_cdf(point):
+    eq = solve_equilibrium(*point)
+    f = np.array([eq.cdf(b) for b in _grid(eq)])
+    assert f[0] == 0.0 and f[-1] == 1.0
+    assert np.all((f >= 0.0) & (f <= 1.0))
+    assert np.all(np.diff(f) >= 0.0)
+
+
+def _check_round_trip(point):
+    """Q(F*(b)) is b within 1e-9 (V - g), or, where F* is flat to rounding
+    (near 0 or 1 at extreme N or tiny penalties), a bid F* cannot tell from b."""
+    eq = solve_equilibrium(*point)
+    tol = 1e-9 * eq.params.breakeven_bid
+    for b in _grid(eq):
+        u = eq.cdf(b)
+        back = eq.quantile(u)
+        assert abs(back - b) <= tol or abs(eq.cdf(back) - u) <= 1e-15
+
+
+@BOX
+@given(points())
+def test_cdf_is_a_distribution_function_on_the_support(point):
+    _check_cdf(point)
+
+
+@BOX
+@given(points())
+def test_quantile_inverts_cdf_on_the_support(point):
+    _check_round_trip(point)
+
+
+@BOX
+@given(points())
+def test_validators_accept_the_box_and_reject_its_edges(point):
+    params, c = point
+    check_entry_cost(params, c)
+    g = params.base_fee
+    outside = [
+        (NonPositiveFee, dict(base_fee=0.0)),
+        (NonPositiveFee, dict(base_fee=-g)),
+        (ValueNotAboveBaseFee, dict(value=g)),
+        (RateOutOfRange, dict(revert_rate_base=math.nextafter(1.0, 2.0))),
+        (RateOutOfRange, dict(revert_rate_priority=-5e-324)),
+        (TooFewAgents, dict(num_agents=1)),
+        (TooManyAgents, dict(num_agents=MAX_AGENTS + 1)),
+    ]
+    for error, change in outside:
+        with pytest.raises(error):
+            replace(params, **change)
+    for cost in (-5e-324, params.breakeven_bid, math.inf):
+        with pytest.raises(CostOutOfRange):
+            check_entry_cost(params, cost)
+
+
+# Where the properties fail today. F* and Q work from log rho, which cancels
+# as rho -> 1 (c -> V - g, or r1 g far above V - g) and loses digits or turns
+# to NaN when r1 g, r2 b or c is subnormal; points() keeps its draws clear.
+@pytest.mark.xfail(strict=True,
+                   raises=(ZeroDivisionError, NumericsError, AssertionError, OutOfSupport))
+@pytest.mark.parametrize(
+    "point",
+    [
+        (AuctionParams(5.0, 1.0, 1.0, 0.0, 2), math.nextafter(4.0, 0.0)),  # 1 - p* = 0
+        (AuctionParams(9.379066628408737, 8.395585068594423, 1.0, 1.0, 2), 0.9834815598143035),
+        (AuctionParams(770.4385, 770.4375, 1.0, 0.5, 2), 0.0),
+        (AuctionParams(1.0078125, 0.0078125, 2.2250738585e-313, 0.0, 76), 0.0),
+        (AuctionParams(1.001, 1.0, 0.0, 2.2250738585e-313, 58), 0.0),
+        (AuctionParams(2.0, 1.0, 0.0, 0.0, 2), 5e-324),  # (1 - p*)/p* = inf: Q is NaN
+        (AuctionParams(1.5, 0.5, 5e-324, 0.0, 2), 0.0),  # r1 g = 0: Q(0) = 0/0
+    ],
+    ids=["c-one-ulp-below", "c-1e-14-below", "rho-1e-6-below-1", "subnormal-r1",
+         "subnormal-r2", "subnormal-c", "r1-g-underflows"],
+)
+def test_known_breakdowns(point):
+    _check_cdf(point)
+    _check_round_trip(point)
