@@ -139,6 +139,11 @@ class Equilibrium:
         (expm1(log z / (N-1)) + 1 - p*) / (1 - p*) so that it does not cancel
         as p* -> 1. Scalars pass (_log, math.expm1), arrays (np.log, np.expm1)."""
         one_minus_p = self._abstention[2]
+        if one_minus_p == 0.0:
+            raise NumericsError(
+                f"F* is undefined at {self.params} with c = {self.entry_cost!r}: "
+                "rho = (r1 g + c)/(V - g + r1 g) rounds to 1, so 1 - p* = 0"
+            )
         root = expm1(self.log_z(b, log) / (self.params.num_agents - 1))  # z^(1/(N-1)) - 1
         return (root + one_minus_p) / one_minus_p
 

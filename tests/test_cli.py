@@ -268,6 +268,9 @@ SIMULATE = [
     "--f", "0.003", "--L", "10", "--g", "0.1", "--r1", "1", "--r2", "1", "--N", "10",
 ]
 CONFIG_BASE = {"V": 10, "g": 1, "r1": 0.1, "r2": 0.1, "N": 5}
+# c one ulp below V - g: rho rounds to 1, so 1 - p* = 0 and F* is undefined
+C_ONE_ULP_BELOW = ["--V", "5", "--g", "1", "--r1", "1", "--r2", "0", "--c", "3.9999999999999996",
+                   "--N", "2"]
 
 
 @pytest.mark.parametrize(
@@ -286,10 +289,14 @@ CONFIG_BASE = {"V": 10, "g": 1, "r1": 0.1, "r2": 0.1, "N": 5}
         lambda t: ["verify", "--seed", "-1"],
         lambda t: ["revenue", *AUCTION[:-1], "1" + "0" * 400],
         lambda t: [*SIMULATE, "--r1", "0.5", "--r2", "0.5", "--N", "100000000000000000000"],
+        lambda t: ["equilibrium", *C_ONE_ULP_BELOW],
+        lambda t: ["sweep", "--target", "cdf", *C_ONE_ULP_BELOW[:-2], "--vary", "N=2,3",
+                   "--out", str(t / "x.csv")],
     ],
     ids=["config-N-text", "config-V-text", "config-N-fraction", "config-malformed-json",
          "config-list", "axis-N-fraction", "axis-varied-twice", "simulate-negative-seed",
-         "verify-negative-seed", "N-400-digits", "simulate-N-1e20"],
+         "verify-negative-seed", "N-400-digits", "simulate-N-1e20", "equilibrium-c-one-ulp-below",
+         "cdf-sweep-c-one-ulp-below"],
 )
 def test_malformed_parameter_is_exit_1(make_argv, tmp_path, capsys):
     assert run(make_argv(tmp_path)) == 1

@@ -1,10 +1,13 @@
 import enum
 import json
+import math
 from dataclasses import dataclass
+from typing import Optional
 
+import numpy as np
 import pytest
 
-from pga_lab.serialize import csv_text, json_text
+from pga_lab.serialize import _BLOCK_ROWS, _quote, _scalar, csv_text, fmt_float, json_text, write_csv
 
 AWKWARD = ["a\x01b", "back\bspace", "form\ffeed", "unit\x1fsep", 'say "hi"', "C:\\dir",
            "caf\u00e9 \u2264 \U0001F600", "tab\tnew\nline\r"]
@@ -54,3 +57,85 @@ def test_unsupported_values_raise_type_error():
         json_text({"k": object()})
     with pytest.raises(TypeError):
         csv_text(["h"], [[object()]])
+
+
+def _reference_float(x: float) -> str:
+    """The float rule spelled out with isnan/isinf and format(x, ".17g"), as
+    reference for the one-"%" column path and fmt_float."""
+    if math.isnan(x):
+        return "NaN"
+    if math.isinf(x):
+        return "Infinity" if x > 0 else "-Infinity"
+    s = format(x, ".17g")
+    return s if any(ch in s for ch in ".eE") else s + ".0"
+
+
+# 100k doubles from random 64-bit patterns (NaN payloads and subnormals
+# included), plus the values whose text needs fixing up
+FLOATS = (
+    np.random.default_rng(20240805).integers(0, 2**64, 100_000, dtype=np.uint64, endpoint=False)
+    .view(np.float64).tolist()
+    + [0.0, -0.0, 1e16, -1e16, 1e17, 2.0**53, 5e-324, math.nan, -math.nan, math.inf, -math.inf]
+)
+
+
+def test_fmt_float_is_the_old_rule():
+    assert [fmt_float(x) for x in FLOATS] == [_reference_float(x) for x in FLOATS]
+    assert [fmt_float(x) for x in (-0.0, 1e16, 1e17)] == ["-0.0", "10000000000000000.0", "1e+17"]
+
+
+def test_float_columns_match_fmt_float_cell_by_cell():
+    cells = [fmt_float(x) for x in FLOATS]
+    rows = [(x, -x) for x in FLOATS]
+    assert csv_text(["x", "y"], rows) == "x,y\n" + "".join(
+        f"{fmt_float(x)},{fmt_float(y)}\n" for x, y in rows)
+    assert json_text(FLOATS) == "[\n  " + ",\n  ".join(cells) + "\n]\n"
+    assert json_text(tuple(FLOATS)) == json_text(FLOATS)
+
+
+@dataclass(frozen=True)
+class Event:
+    index: int
+    price: float
+    bid: Optional[float]
+    colour: Colour
+
+
+def test_dataclass_lists_match_their_fields_cell_by_cell():
+    events = [Event(i, x, None if i % 3 else x / 3, Colour.RED) for i, x in enumerate(FLOATS)]
+    as_dicts = [{"index": e.index, "price": e.price, "bid": e.bid, "colour": e.colour}
+                for e in events]
+    # a list of dicts is written element by element and leaf by leaf
+    assert json_text({"events": events}) == json_text({"events": as_dicts})
+
+
+def test_mixed_columns_go_cell_by_cell():
+    bids = [x if i % 2 else "" for i, x in enumerate(FLOATS[:1000])]
+    assert csv_text(["winning_bid"], [[b] for b in bids]) == "winning_bid\n" + "".join(
+        _scalar(b, str) + "\n" for b in bids)
+    assert json_text(bids) == "[\n  " + ",\n  ".join(_scalar(b, _quote) for b in bids) + "\n]\n"
+
+
+def test_lists_with_nested_values_recurse():
+    obj = Outer(Inner(0.1, ("a", "b")), Colour.RED)
+    as_dict = {"inner": {"x": 0.1, "tags": ["a", "b"]}, "colour": "red", "missing": None}
+    assert json_text([obj, obj]) == json_text([as_dict, as_dict])
+    assert json_text([1.5, [2.5], {"k": 3}]) == "[\n  1.5,\n  [\n    2.5\n  ],\n  {\n    \"k\": 3\n  }\n]\n"
+
+
+def test_csv_blocks_join_seamlessly():
+    n = 2 * _BLOCK_ROWS + 1
+    rows = [(i, i / 7, "x" if i % 5 else 1e16, Colour.RED) for i in range(n)]
+    expected = "h\n" + "".join(",".join(_scalar(v, str) for v in row) + "\n" for row in rows)
+    assert csv_text(["h"], rows) == expected
+    assert csv_text(["h"], iter(rows)) == expected
+    assert csv_text(["h"], [[]] * n) == "h\n" + "\n" * n
+
+
+@pytest.mark.parametrize("bad", [[1.0], [1.0, 2.0, 3.0]], ids=["short", "long"])
+def test_ragged_rows_raise_value_error(bad, tmp_path):
+    rows = [[0.5, 1.5]] * (_BLOCK_ROWS + 3) + [bad]
+    with pytest.raises(ValueError, match=f"row {_BLOCK_ROWS + 3} has {len(bad)} cells"):
+        csv_text(["a", "b"], rows)
+    with pytest.raises(ValueError):
+        write_csv(str(tmp_path / "x.csv"), ["a", "b"], [[1, 2], bad])
