@@ -22,7 +22,6 @@ import numpy as np
 from .equilibrium import abstention, check_entry_cost, log_ratio, log_rho, solve_equilibrium
 from .errors import RateOutOfRange
 from .model import AuctionParams
-from .numerics import adaptive_simpson
 
 
 @dataclass(frozen=True)
@@ -227,13 +226,14 @@ def expected_winning_bid(params: AuctionParams, entry_cost: float = 0.0) -> floa
     """E[winning bid], counting 0 when everyone abstains.
 
     The winning bid has CDF (p* + (1 - p*) F*(b))^N = z(b)^(N/(N-1)) on the
-    support [0, V - g - c], so its mean is the tail integral of
-    1 - z^(N/(N-1)).
+    support [0, V - g - c], with an atom rho^(N/(N-1)) at 0. In t = log z its
+    density on [log rho, 0] is N/(N-1) e^(t N/(N-1)), and its mean is the
+    integral of the inverse bid b(e^t) against that density
+    (Equilibrium._tail_integral).
     """
-    eq = solve_equilibrium(params, entry_cost)
-    n = params.num_agents
-    return adaptive_simpson(
-        lambda b: -math.expm1(eq.log_z(b) * n / (n - 1)), 0.0, eq.support_max
+    power = params.num_agents / (params.num_agents - 1)
+    return solve_equilibrium(params, entry_cost)._tail_integral(
+        lambda t: power * np.exp(power * t)
     )
 
 

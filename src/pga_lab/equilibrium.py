@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -43,9 +43,11 @@ from .errors import (
     OutOfSupport,
 )
 from .model import ABSTAIN, Action, AuctionParams, Bid, MixedStrategy, PureProfile
-from .numerics import adaptive_simpson
 
 _NEG_CLAMP = 1e-12  # residue window treated as float noise, not a formula bug
+# with rho = 0 the integrand of a tail integral falls like e^t below t = log r2,
+# so cutting it off this far below leaves out a share e^-45 < 3e-20
+_TAIL_CUTOFF = 45.0
 
 
 def _log(x: float) -> float:
@@ -77,6 +79,31 @@ def abstention(lr, num_agents, xp=math):
     """
     x = lr / (num_agents - 1)
     return xp.exp(x), -xp.expm1(x), -xp.expm1(lr * num_agents / (num_agents - 1))
+
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The 48-node Gauss-Legendre rule on [-1, 1], built on first use so that
+    importing pga_lab does not load numpy.polynomial."""
+    from numpy.polynomial.legendre import leggauss
+
+    return leggauss(48)
+
+
+def _panel_ends(t_min: float, kink: float, finest: float) -> np.ndarray:
+    """Panel ends on [t_min, 0]: t_min, 0, the kink t* when it lies inside,
+    and the points finest, 2 finest, 4 finest, ... away from 0 and from t*.
+
+    The weights peak at t = 0 and b(e^t) bends at t* = log(r2/(1 - r2)), so
+    panels that double in width away from these two points keep each panel
+    resolved. At log rho, where b(e^t) falls to 0, the Gauss-Legendre nodes
+    crowd toward the panel end by themselves.
+    """
+    centres = [0.0] + ([kink] if t_min < kink < 0.0 else [])
+    doublings = max(math.ceil(math.log2(-t_min / finest)), 0) + 1
+    offsets = [0.0] + [side * finest * 2.0**j for j in range(doublings) for side in (1.0, -1.0)]
+    ends = {t_min} | {c + d for c in centres for d in offsets}
+    return np.array(sorted(e for e in ends if t_min <= e <= 0.0))
 
 
 def check_entry_cost(params: AuctionParams, entry_cost: float) -> None:
@@ -134,16 +161,21 @@ class Equilibrium:
         rg = p.revert_rate_base * p.base_fee
         return log_ratio(rg, p.breakeven_bid, self.entry_cost, p.revert_rate_priority, b, log)
 
-    def _f_star(self, b, log, expm1):
-        """Raw F*(b) = (z^(1/(N-1)) - p*) / (1 - p*), written as
-        (expm1(log z / (N-1)) + 1 - p*) / (1 - p*) so that it does not cancel
-        as p* -> 1. Scalars pass (_log, math.expm1), arrays (np.log, np.expm1)."""
+    def _one_minus_p(self) -> float:
+        """1 - p*, or NumericsError where it rounds to 0 and F* is undefined."""
         one_minus_p = self._abstention[2]
         if one_minus_p == 0.0:
             raise NumericsError(
                 f"F* is undefined at {self.params} with c = {self.entry_cost!r}: "
                 "rho = (r1 g + c)/(V - g + r1 g) rounds to 1, so 1 - p* = 0"
             )
+        return one_minus_p
+
+    def _f_star(self, b, log, expm1):
+        """Raw F*(b) = (z^(1/(N-1)) - p*) / (1 - p*), written as
+        (expm1(log z / (N-1)) + 1 - p*) / (1 - p*) so that it does not cancel
+        as p* -> 1. Scalars pass (_log, math.expm1), arrays (np.log, np.expm1)."""
+        one_minus_p = self._one_minus_p()
         root = expm1(self.log_z(b, log) / (self.params.num_agents - 1))  # z^(1/(N-1)) - 1
         return (root + one_minus_p) / one_minus_p
 
@@ -216,17 +248,58 @@ class Equilibrium:
         """Vectorized bid draws conditional on participation."""
         return self._quantile_arr(rng.random(size))
 
+    def _tail_integral(self, weight, finest: float = 1.0) -> float:
+        """The integral of b(e^t) weight(t) dt over t = log z in [log rho, 0].
+
+        b(z) = K (z - rho) / (r2 + (1 - r2) z), K = V - g + r1 g, is the
+        algebraic inverse of z(b), written as K e^t (-expm1(log rho - t)) /
+        (r2 + (1 - r2) e^t) so that it needs no branch at rho = 0 and does
+        not cancel as rho -> 1. A bid whose CDF is G(z(b)) has mean
+        E = integral of b dG, which is this integral with weight dG/dt.
+
+        The rule is 48-node Gauss-Legendre on the panels of _panel_ends;
+        finest is the narrowest panel next to t = 0, for weights that peak
+        more sharply there than e^t. With rho = 0 the range starts at
+        log r2 - _TAIL_CUTOFF; solve_equilibrium rejects rho = r2 = 0.
+        """
+        self._one_minus_p()  # the bid law is undefined where 1 - p* = 0, as F* is
+        p = self.params
+        r2 = p.revert_rate_priority
+        lr = self._abstention[0]
+        t_min = lr if lr > -math.inf else math.log(r2) - _TAIL_CUTOFF
+        ends = _panel_ends(t_min, _log(r2) - _log(1.0 - r2), finest)
+        x, w = _gauss_legendre()
+        half = np.diff(ends)[:, None] / 2.0
+        t = (ends[:-1, None] + half) + half * x
+        et = np.exp(t)
+        big_k = p.breakeven_bid + p.revert_rate_base * p.base_fee
+        b = big_k * et * -np.expm1(lr - t) / (r2 + (1.0 - r2) * et)
+        return float(np.sum(b * weight(t) * (half * w)))
+
     def expected_bid(self) -> float:
         """E[B*] for B* ~ F*."""
         return self.expected_max_bid(1)
 
     def expected_max_bid(self, k: int) -> float:
-        """E[max of k i.i.d. draws from F*], via the tail integral of 1 - F^k."""
+        """E[max of k i.i.d. draws from F*].
+
+        In t = log z, F = (e^(t/(N-1)) - p*)/(1 - p*), so the max of k has
+        density k F^(k-1) e^(t/(N-1)) / ((N-1)(1 - p*)) on [log rho, 0], and
+        its mean is the integral of b(e^t) against it (see _tail_integral).
+        F^(k-1) rises over the last (N-1)(1 - p*)/k of the range, which sets
+        the finest panel.
+        """
         if k < 1:
             raise ArgumentOutOfRange(f"k must be >= 1, got {k}")
-        return adaptive_simpson(
-            lambda x: 1.0 - self.cdf(x) ** k, 0.0, self.support_max, tol=1e-8, max_depth=20
-        )
+        one_minus_p = self._one_minus_p()
+        m = self.params.num_agents - 1
+        scale = k / (m * one_minus_p)
+
+        def density(t):
+            x = t / m
+            return scale * ((np.expm1(x) + one_minus_p) / one_minus_p) ** (k - 1) * np.exp(x)
+
+        return self._tail_integral(density, min(1.0, m * one_minus_p / k))
 
     @property
     def strategy(self) -> MixedStrategy:
@@ -250,11 +323,9 @@ def solve_equilibrium(
     i.e. whenever entry_cost > 0 truncates the support to [0, V - g - c].
     """
     check_entry_cost(params, entry_cost)
-    if (
-        params.revert_rate_base == 0.0
-        and params.revert_rate_priority == 0.0
-        and entry_cost == 0.0
-    ):
+    # r1 g, not r1: a subnormal r1 times g can round to 0, leaving rho = 0
+    rg = params.revert_rate_base * params.base_fee
+    if rg + entry_cost == 0.0 and params.revert_rate_priority == 0.0:
         raise DegenerateNoRevertCost(
             "losing is free (r1 = r2 = 0, no entry cost); use pure_equilibrium"
         )

@@ -1,5 +1,9 @@
-"""Small numerical kernels: adaptive quadrature, and a bisection inverse
-used as an independent check on algebraic inverses.
+"""Small numerical kernels that serve as independent routes for checks.
+
+No library code integrates with adaptive_simpson: the bid expectations are
+Gauss-Legendre sums in t = log z (Equilibrium._tail_integral). It is kept
+only as an independent quadrature for tests. bisection_inverse checks the
+algebraic inverses.
 """
 
 from __future__ import annotations

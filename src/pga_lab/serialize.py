@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import json
+import os
 from dataclasses import fields, is_dataclass
 from itertools import islice
 from operator import attrgetter
@@ -111,9 +112,23 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     return "".join(_csv_blocks(header, rows))
 
 
+def _write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to a temporary file beside path, then move it onto
+    path, so a failure part way leaves no file, or the one already there."""
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_csv_blocks(header, rows))
+    _write_atomic(path, _csv_blocks(header, rows))
 
 
 def _records(obj: Sequence[Any], indent: int, level: int) -> Optional[list[str]]:
@@ -183,5 +198,4 @@ def json_text(obj: Any, indent: int = 2) -> str:
 
 def write_json(path: str, obj: dict) -> None:
     """obj as a JSON document whose first key is schema_version."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json_text({"schema_version": SCHEMA_VERSION, **obj}))
+    _write_atomic(path, [json_text({"schema_version": SCHEMA_VERSION, **obj})])

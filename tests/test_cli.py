@@ -271,6 +271,8 @@ CONFIG_BASE = {"V": 10, "g": 1, "r1": 0.1, "r2": 0.1, "N": 5}
 # c one ulp below V - g: rho rounds to 1, so 1 - p* = 0 and F* is undefined
 C_ONE_ULP_BELOW = ["--V", "5", "--g", "1", "--r1", "1", "--r2", "0", "--c", "3.9999999999999996",
                    "--N", "2"]
+# r1 passes the validators but r1 g rounds to 0: losing is free, as with r1 = 0
+R1_G_UNDERFLOWS = ["--V", "1.5", "--g", "0.5", "--r1", "5e-324", "--r2", "0", "--N", "2"]
 
 
 @pytest.mark.parametrize(
@@ -292,16 +294,30 @@ C_ONE_ULP_BELOW = ["--V", "5", "--g", "1", "--r1", "1", "--r2", "0", "--c", "3.9
         lambda t: ["equilibrium", *C_ONE_ULP_BELOW],
         lambda t: ["sweep", "--target", "cdf", *C_ONE_ULP_BELOW[:-2], "--vary", "N=2,3",
                    "--out", str(t / "x.csv")],
+        lambda t: ["equilibrium", *R1_G_UNDERFLOWS],
     ],
     ids=["config-N-text", "config-V-text", "config-N-fraction", "config-malformed-json",
          "config-list", "axis-N-fraction", "axis-varied-twice", "simulate-negative-seed",
          "verify-negative-seed", "N-400-digits", "simulate-N-1e20", "equilibrium-c-one-ulp-below",
-         "cdf-sweep-c-one-ulp-below"],
+         "cdf-sweep-c-one-ulp-below", "equilibrium-r1-g-underflows"],
 )
 def test_malformed_parameter_is_exit_1(make_argv, tmp_path, capsys):
     assert run(make_argv(tmp_path)) == 1
     _assert_one_line_error(capsys)
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_expected_bid_at_r1_zero_and_large_n(tmp_path, capsys):
+    """With r1 = 0, E[B*] is about (V - g) ln(1/r2) / ((1 - r2) N): here
+    1.2e-5, so an absolute error of 1e-8 would be visible. The reference is
+    mpmath at 30 digits."""
+    out = tmp_path / "eq.json"
+    argv = ["equilibrium", "--V", "10", "--g", "1", "--r1", "0", "--r2", "0.5",
+            "--N", "1000000", "--json", str(out)]
+    assert run(argv) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["expected_bid"] == pytest.approx(1.24766469223208e-05, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(

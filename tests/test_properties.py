@@ -8,10 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pga_lab import AuctionParams, solve_equilibrium
+from pga_lab import AuctionParams, expected_winning_bid, solve_equilibrium
 from pga_lab.equilibrium import check_entry_cost, log_rho
 from pga_lab.errors import (
     CostOutOfRange,
+    DegenerateNoRevertCost,
     NonPositiveFee,
     NumericsError,
     OutOfSupport,
@@ -80,6 +81,22 @@ def test_quantile_inverts_cdf_on_the_support(point):
 
 @BOX
 @given(points())
+def test_expected_bids_lie_in_the_support(point):
+    """0 <= E[B*] <= E[max of 2] <= V - g - c and 0 <= E[winning bid] <= V - g - c,
+    up to the rounding of a sum: where F* puts nearly all its mass at V - g - c
+    (r1 = r2 = 0, tiny c) the three means agree to a few ulps."""
+    eq = solve_equilibrium(*point)
+    mean, mean_of_max2 = eq.expected_bid(), eq.expected_max_bid(2)
+    winning = expected_winning_bid(*point)
+    rounding = 1.0 + 1e-14
+    assert all(map(math.isfinite, (mean, mean_of_max2, winning)))
+    assert 0.0 <= mean <= mean_of_max2 * rounding
+    assert mean_of_max2 <= eq.support_max * rounding
+    assert 0.0 <= winning <= eq.support_max * rounding
+
+
+@BOX
+@given(points())
 def test_validators_accept_the_box_and_reject_its_edges(point):
     params, c = point
     check_entry_cost(params, c)
@@ -115,11 +132,16 @@ def test_validators_accept_the_box_and_reject_its_edges(point):
         (AuctionParams(1.0078125, 0.0078125, 2.2250738585e-313, 0.0, 76), 0.0),
         (AuctionParams(1.001, 1.0, 0.0, 2.2250738585e-313, 58), 0.0),
         (AuctionParams(2.0, 1.0, 0.0, 0.0, 2), 5e-324),  # (1 - p*)/p* = inf: Q is NaN
-        (AuctionParams(1.5, 0.5, 5e-324, 0.0, 2), 0.0),  # r1 g = 0: Q(0) = 0/0
     ],
     ids=["c-one-ulp-below", "c-1e-14-below", "rho-1e-6-below-1", "subnormal-r1",
-         "subnormal-r2", "subnormal-c", "r1-g-underflows"],
+         "subnormal-r2", "subnormal-c"],
 )
 def test_known_breakdowns(point):
     _check_cdf(point)
     _check_round_trip(point)
+
+
+def test_r1_g_that_rounds_to_zero_is_the_degenerate_game():
+    """r1 = 5e-324 passes the validators, but r1 g rounds to 0: losing is free."""
+    with pytest.raises(DegenerateNoRevertCost):
+        solve_equilibrium(AuctionParams(1.5, 0.5, 5e-324, 0.0, 2))

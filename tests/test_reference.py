@@ -2,8 +2,9 @@
 
 The reference evaluates the textbook expressions (p* = rho^(1/(N-1)),
 F* = (z^(1/(N-1)) - p*)/(1 - p*), the algebraic quantile, the tail
-integrals) at 40 significant digits, so their cancellation at large N costs
-it nothing. The grid reaches r1 -> 0 and c -> V - g.
+integrals over b) at 40 significant digits, so their cancellation at large N
+costs it nothing. The grid reaches r1 -> 0 and c -> V - g; the expected bids
+also r1 = 0, r2 in {0, 1} and r2 = 1e-300.
 """
 
 import itertools
@@ -21,10 +22,19 @@ R1S = (1e-6, 0.1, 1.0)
 CS = (0.0, 0.999 * (V - G))
 GRID = list(itertools.product(NS, R1S, CS))
 IDS = [f"N={n:g}-r1={r1:g}-c={c:g}" for n, r1, c in GRID]
+# the expected bids also at r1 = 0 and r2 at its ends, bar the pure game r1 = r2 = c = 0
+INTEGRAL_GRID = [
+    pytest.param(n, r1, r2, c, id=f"N={n:g}-r1={r1:g}" + (f"-r2={r2:g}" if r2 != R2 else "")
+                 + f"-c={c:g}")
+    for n, r1, r2, c in itertools.product(NS, (0.0, *R1S), (R2, 0.0, 1.0), CS)
+    if r1 + r2 + c > 0.0
+] + [pytest.param(n, 0.0, 1e-300, c, id=f"N={n:g}-r1=0-r2=1e-300-c={c:g}")
+     for n, c in itertools.product(NS, CS)]
+MAX_OF_K_GRID = list(itertools.product((2, 10**6, 10**12), (0.0, 0.1), (2, 5)))
 
 CLOSED_REL = 1e-12
 PROB_ABS = 1e-12  # on F* and on Q
-INTEGRAL_REL = 1e-7
+INTEGRAL_REL = 1e-12
 BID_FRACTIONS = (0.0, 1e-6, 1e-3, 0.1, 0.5, 0.9, 0.999)
 QUANTILE_POINTS = (0.0, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0)
 
@@ -32,12 +42,12 @@ QUANTILE_POINTS = (0.0, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0)
 class Reference:
     """Textbook closed forms in mpmath, at the float inputs of the model."""
 
-    def __init__(self, n: int, r1: float, c: float):
+    def __init__(self, n: int, r1: float, c: float, r2: float = R2):
         self.n = n
         self.rg = mpf(r1) * G
         self.vg = mpf(V) - G
         self.c = mpf(c)
-        self.r2 = mpf(R2)
+        self.r2 = mpf(r2)
         self.rho = (self.rg + self.c) / (self.vg + self.rg)
         self.p = self.rho ** (mpf(1) / (n - 1))
 
@@ -54,7 +64,8 @@ class Reference:
     def tail_integral(self, f):
         smax = self.vg - self.c
         # breakpoints resolve the log-scale rise of F* near b = 0 when r1 -> 0
-        points = [mpf(0)] + [mpf(x) for x in (1e-6, 1e-4, 1e-2, 1.0) if x < smax] + [smax]
+        points = [mpf(0)] + [mpf(x) for x in (1e-12, 1e-9, 1e-6, 1e-4, 1e-2, 1.0)
+                             if x < smax] + [smax]
         with mp.workdps(30):
             return mp.quad(f, points)
 
@@ -100,14 +111,22 @@ def test_cdf_and_quantile(n, r1, c):
     assert eq.quantile(0.0) == 0.0
 
 
-@pytest.mark.parametrize("n, r1, c", GRID, ids=IDS)
-def test_expected_bids(n, r1, c):
-    params = AuctionParams(V, G, r1, R2, n)
-    ref = Reference(n, r1, c)
+@pytest.mark.parametrize("n, r1, r2, c", INTEGRAL_GRID)
+def test_expected_bids(n, r1, r2, c):
+    params = AuctionParams(V, G, r1, r2, n)
+    ref = Reference(n, r1, c, r2)
     expected_bid = ref.tail_integral(lambda b: 1 - ref.cdf(b))
     winning_bid = ref.tail_integral(lambda b: 1 - ref.z(b) ** (mpf(n) / (n - 1)))
     assert _rel(solve_equilibrium(params, c).expected_bid(), expected_bid) <= INTEGRAL_REL
     assert _rel(expected_winning_bid(params, c), winning_bid) <= INTEGRAL_REL
+
+
+@pytest.mark.parametrize("n, r1, k", MAX_OF_K_GRID)
+def test_expected_max_of_k_bids(n, r1, k):
+    eq = solve_equilibrium(AuctionParams(V, G, r1, R2, n))
+    ref = Reference(n, r1, 0.0)
+    expected = ref.tail_integral(lambda b: 1 - ref.cdf(b) ** k)
+    assert _rel(eq.expected_max_bid(k), expected) <= INTEGRAL_REL
 
 
 @pytest.mark.parametrize("n, r1", list(itertools.product(NS, R1S)))

@@ -7,7 +7,16 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from pga_lab.serialize import _BLOCK_ROWS, _quote, _scalar, csv_text, fmt_float, json_text, write_csv
+from pga_lab.serialize import (
+    _BLOCK_ROWS,
+    _quote,
+    _scalar,
+    csv_text,
+    fmt_float,
+    json_text,
+    write_csv,
+    write_json,
+)
 
 AWKWARD = ["a\x01b", "back\bspace", "form\ffeed", "unit\x1fsep", 'say "hi"', "C:\\dir",
            "caf\u00e9 \u2264 \U0001F600", "tab\tnew\nline\r"]
@@ -137,5 +146,26 @@ def test_ragged_rows_raise_value_error(bad, tmp_path):
     rows = [[0.5, 1.5]] * (_BLOCK_ROWS + 3) + [bad]
     with pytest.raises(ValueError, match=f"row {_BLOCK_ROWS + 3} has {len(bad)} cells"):
         csv_text(["a", "b"], rows)
+    path = tmp_path / "x.csv"
+    for table in ([[1, 2], bad], rows):
+        with pytest.raises(ValueError):
+            write_csv(str(path), ["a", "b"], table)
+        assert list(tmp_path.iterdir()) == []
+    write_csv(str(path), ["a", "b"], [[1, 2]])
     with pytest.raises(ValueError):
-        write_csv(str(tmp_path / "x.csv"), ["a", "b"], [[1, 2], bad])
+        write_csv(str(path), ["a", "b"], rows)
+    assert path.read_text(encoding="utf-8") == "a,b\n1,2\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_json_write_leaves_the_previous_file(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(TypeError):
+        write_json(str(path), {"k": object()})
+    assert list(tmp_path.iterdir()) == []
+    write_json(str(path), {"k": 1})
+    good = path.read_text(encoding="utf-8")
+    with pytest.raises(TypeError):
+        write_json(str(path), {"k": [1.0, object()]})
+    assert path.read_text(encoding="utf-8") == good
+    assert list(tmp_path.iterdir()) == [path]
