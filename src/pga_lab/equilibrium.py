@@ -92,14 +92,14 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 def _panel_ends(t_min: float, kink: float, finest: float) -> np.ndarray:
     """Panel ends on [t_min, 0]: t_min, 0, the kink t* when it lies inside,
-    and the points finest, 2 finest, 4 finest, ... away from 0 and from t*.
+    and the points finest, 2 finest, 4 finest, ... away from 0, from t_min
+    and from t*.
 
-    The weights peak at t = 0 and b(e^t) bends at t* = log(r2/(1 - r2)), so
-    panels that double in width away from these two points keep each panel
-    resolved. At log rho, where b(e^t) falls to 0, the Gauss-Legendre nodes
-    crowd toward the panel end by themselves.
+    The weights peak at t = 0, b(e^t) rises from 0 over a unit of t above
+    t_min = log rho, and it bends at t* = log(r2/(1 - r2)), so panels that
+    double in width away from these three points keep each panel resolved.
     """
-    centres = [0.0] + ([kink] if t_min < kink < 0.0 else [])
+    centres = [0.0, t_min] + ([kink] if t_min < kink < 0.0 else [])
     doublings = max(math.ceil(math.log2(-t_min / finest)), 0) + 1
     offsets = [0.0] + [side * finest * 2.0**j for j in range(doublings) for side in (1.0, -1.0)]
     ends = {t_min} | {c + d for c in centres for d in offsets}
@@ -220,11 +220,23 @@ class Equilibrium:
             x *= rho
         else:  # r1 = c = 0, so rho = 0 and x = q = u^(N-1)
             np.power(x, p.num_agents - 1, out=x)
-        den = x * (1.0 - r2)
-        den += r2 + (1.0 - r2) * rho
+        self._bid(x, r2 + (1.0 - r2) * rho)
+        return np.clip(x, 0.0, self.support_max, out=x)
+
+    def _bid(self, x: np.ndarray, offset) -> np.ndarray:
+        """K x / ((1 - r2) x + offset), in place on x, K = V - g + r1 g.
+
+        The supported bid at z is b(z) = K (z - rho) / (r2 + (1 - r2) z), the
+        algebraic inverse of z(b). With x = z - rho this is the offset
+        r2 + (1 - r2) rho; divided through by z it is x = 1 - rho/z and the
+        offset (r2 + (1 - r2) rho)/z.
+        """
+        p = self.params
+        den = x * (1.0 - p.revert_rate_priority)
+        den += offset
         x *= p.breakeven_bid + p.revert_rate_base * p.base_fee
         x /= den
-        return np.clip(x, 0.0, self.support_max, out=x)
+        return x
 
     def quantile(self, u: float) -> float:
         """Exact algebraic inverse of the CDF.
@@ -251,11 +263,13 @@ class Equilibrium:
     def _tail_integral(self, weight, finest: float = 1.0) -> float:
         """The integral of b(e^t) weight(t) dt over t = log z in [log rho, 0].
 
-        b(z) = K (z - rho) / (r2 + (1 - r2) z), K = V - g + r1 g, is the
-        algebraic inverse of z(b), written as K e^t (-expm1(log rho - t)) /
-        (r2 + (1 - r2) e^t) so that it needs no branch at rho = 0 and does
-        not cancel as rho -> 1. A bid whose CDF is G(z(b)) has mean
-        E = integral of b dG, which is this integral with weight dG/dt.
+        b(e^t) is _bid divided through by z = e^t: K x / ((1 - r2) x + offset)
+        with x = -expm1(log rho - t) and offset = r2 e^-t + (1 - r2) e^(log rho - t).
+        It needs no branch at rho = 0 or r2 = 0, does not cancel as rho -> 1,
+        and holds where e^t underflows (log rho < -745); where r2 e^-t
+        overflows it gives b = 0, against a true b below K e^-709. A bid whose
+        CDF is G(z(b)) has mean E = integral of b dG, which is this integral
+        with weight dG/dt.
 
         The rule is 48-node Gauss-Legendre on the panels of _panel_ends;
         finest is the narrowest panel next to t = 0, for weights that peak
@@ -271,9 +285,11 @@ class Equilibrium:
         x, w = _gauss_legendre()
         half = np.diff(ends)[:, None] / 2.0
         t = (ends[:-1, None] + half) + half * x
-        et = np.exp(t)
-        big_k = p.breakeven_bid + p.revert_rate_base * p.base_fee
-        b = big_k * et * -np.expm1(lr - t) / (r2 + (1.0 - r2) * et)
+        s = lr - t  # log(rho/z)
+        with np.errstate(over="ignore"):  # r2/z = inf far below log r2, where b = 0
+            offset = np.exp(_log(r2) - t)
+        offset += (1.0 - r2) * np.exp(s)
+        b = self._bid(-np.expm1(s), offset)
         return float(np.sum(b * weight(t) * (half * w)))
 
     def expected_bid(self) -> float:

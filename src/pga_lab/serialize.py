@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import os
+import stat
 from dataclasses import fields, is_dataclass
 from itertools import islice
 from operator import attrgetter
@@ -113,18 +114,39 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
 
 
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write the chunks to a temporary file beside path, then move it onto
-    path, so a failure part way leaves no file, or the one already there."""
-    path = os.path.realpath(path)
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    """Write the chunks to path.
+
+    A new file, or a regular file with one link, is written to a temporary
+    file beside it that then replaces it, with the old file's mode, so a
+    write that fails part way leaves no file, or the one already there.
+    Anything else (a device such as /dev/null, a FIFO such as /dev/stdout in
+    a pipe, a file with more links) is opened and written in place, as is a
+    file in a directory that takes no new file.
+    """
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    if old is None or (stat.S_ISREG(old.st_mode) and old.st_nlink == 1):
+        target = os.path.realpath(path)
+        tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+        try:
+            fh = open(tmp, "w", encoding="utf-8")
+        except OSError:
+            pass
+        else:
+            try:
+                with fh:
+                    if old is not None:
+                        os.fchmod(fh.fileno(), stat.S_IMODE(old.st_mode))
+                    fh.writelines(chunks)
+                os.replace(tmp, target)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+            return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -318,6 +321,18 @@ def test_expected_bid_at_r1_zero_and_large_n(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert doc["expected_bid"] == pytest.approx(1.24766469223208e-05, rel=1e-12, abs=0.0)
+
+
+def test_json_to_stdout_through_a_pipe():
+    """--json /dev/stdout writes into the pipe, which is no regular file."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from pga_lab.cli import run; sys.exit(run(sys.argv[1:]))",
+         "equilibrium", *AUCTION, "--json", "/dev/stdout"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert '"schema_version": "1"' in proc.stdout
 
 
 @pytest.mark.parametrize(

@@ -129,6 +129,33 @@ def test_expected_max_of_k_bids(n, r1, k):
     assert _rel(eq.expected_max_bid(k), expected) <= INTEGRAL_REL
 
 
+@pytest.mark.parametrize("n", (2, 20, 10**6))
+def test_expected_bids_where_e_to_the_log_rho_underflows(n):
+    """V = 1e300, r1 = 1e-100, r2 = 0: log rho = -921, so e^t underflows over
+    the low end of t = log z. With r2 = c = 0, z(b) = rho / x for
+    x = 1 - b/K, K = V - g + r1 g, so the reference integrates over x in
+    [rho, 1], where 40 digits hold b = K (1 - x) near the top of the support."""
+    params = AuctionParams(1e300, G, 1e-100, 0.0, n)
+    eq = solve_equilibrium(params)
+    rg = mpf(params.revert_rate_base) * G
+    big_k = mpf(params.value) - G + rg
+    rho = rg / big_k
+    p = rho ** (mpf(1) / (n - 1))
+
+    def mean(survival):
+        points = [rho] + [mpf(10) ** -j for j in (12, 6, 3, 2, 1)] + [mpf(1)]
+        with mp.workdps(30):
+            return big_k * mp.quad(lambda x: survival(rho / x), points)
+
+    def cdf(z):
+        return (z ** (mpf(1) / (n - 1)) - p) / (1 - p)
+
+    assert _rel(eq.expected_bid(), mean(lambda z: 1 - cdf(z))) <= INTEGRAL_REL
+    assert _rel(eq.expected_max_bid(2), mean(lambda z: 1 - cdf(z) ** 2)) <= INTEGRAL_REL
+    assert _rel(expected_winning_bid(params), mean(lambda z: 1 - z ** (mpf(n) / (n - 1)))) \
+        <= INTEGRAL_REL
+
+
 @pytest.mark.parametrize("n, r1", list(itertools.product(NS, R1S)))
 def test_revenue_report(n, r1):
     rep = revenue_report(AuctionParams(V, G, r1, R2, n))

@@ -1,6 +1,8 @@
 import enum
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 from typing import Optional
 
@@ -169,3 +171,40 @@ def test_failed_json_write_leaves_the_previous_file(tmp_path):
         write_json(str(path), {"k": [1.0, object()]})
     assert path.read_text(encoding="utf-8") == good
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_fifo_is_written_in_place(tmp_path):
+    """A FIFO (as /dev/stdout in a pipe) takes the text as a stream; it is not
+    replaced by a regular file."""
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_csv(str(path), ["a", "b"], [[1, 2]])
+        assert os.read(reader, 1024) == b"a,b\n1,2\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(path).st_mode)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_symlink_is_followed_and_kept(tmp_path):
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("old", encoding="utf-8")
+    link.symlink_to(target)
+    write_json(str(link), {"k": 1})
+    assert link.is_symlink()
+    assert json.loads(target.read_text(encoding="utf-8")) == {"schema_version": "1", "k": 1}
+    assert sorted(tmp_path.iterdir()) == [link, target]
+
+
+def test_a_replaced_file_keeps_its_mode_and_a_linked_file_its_links(tmp_path):
+    path, twin = tmp_path / "x.csv", tmp_path / "twin.csv"
+    path.write_text("old", encoding="utf-8")
+    path.chmod(0o640)
+    write_csv(str(path), ["a"], [[1]])
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
+    os.link(path, twin)
+    write_csv(str(path), ["a"], [[2]])
+    assert twin.read_text(encoding="utf-8") == "a\n2\n"
+    assert path.stat().st_ino == twin.stat().st_ino
