@@ -42,9 +42,9 @@ import numpy as np
 from . import analytics, verify
 from .equilibrium import pure_equilibrium, solve_equilibrium
 from .errors import PgaLabError
-from .market import EVENT_CSV_HEADER, MarketSimConfig, event_csv_rows, simulate
+from .market import EVENT_CSV_HEADER, MarketSimConfig, event_csv_columns, simulate
 from .model import AuctionParams
-from .serialize import fmt_float, write_csv, write_json
+from .serialize import Records, fmt_float, write_csv, write_json
 
 
 def real(value) -> float:
@@ -378,7 +378,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"CFE {fmt_float(report.cfe)}  CASL {fmt_float(report.casl)}  "
           f"NLP {fmt_float(report.nlp)}  CSR {fmt_float(report.csr)}")
     if args.out_events:
-        write_csv(args.out_events, EVENT_CSV_HEADER, event_csv_rows(report))
+        write_csv(args.out_events, EVENT_CSV_HEADER, event_csv_columns(report), by_column=True)
         print(f"wrote events to {args.out_events}")
     if args.out_report:
         counts, bin_edges = report.revenue_histogram
@@ -387,7 +387,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "summary": {k: getattr(report, k) for k in _SUMMARY_FIELDS},
             "era_series": report.era_series,
             "revenue_histogram": {"counts": counts, "bin_edges": bin_edges},
-            "events": report.events,
+            "events": Records(EVENT_CSV_HEADER, report.event_columns),
         }
         write_json(args.out_report, doc)
         print(f"wrote report to {args.out_report}")

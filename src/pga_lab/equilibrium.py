@@ -106,6 +106,56 @@ def _panel_ends(t_min: float, kink: float, finest: float) -> np.ndarray:
     return np.array(sorted(e for e in ends if t_min <= e <= 0.0))
 
 
+def check_losing_cost(rg: float, r2: float, entry_cost: float = 0.0) -> None:
+    """The mixed equilibrium needs a positive losing cost: r1 g + c > 0 or r2 > 0.
+
+    It takes r1 g, not r1: a subnormal r1 times g can round to 0, leaving rho = 0.
+    """
+    if rg + entry_cost == 0.0 and r2 == 0.0:
+        raise DegenerateNoRevertCost(
+            "losing is free (r1 g = r2 = 0, no entry cost), so there is no mixed "
+            "equilibrium; pure_equilibrium describes the game at r1 = r2 = 0"
+        )
+
+
+def _bid(x, offset, scale, r2):
+    """scale x / ((1 - r2) x + offset), in place on x, with scale = K = V - g + r1 g.
+
+    The supported bid at z is b(z) = K (z - rho) / (r2 + (1 - r2) z), the
+    algebraic inverse of z(b). With x = z - rho this is the offset
+    r2 + (1 - r2) rho; divided through by z it is x = 1 - rho/z and the
+    offset (r2 + (1 - r2) rho)/z.
+    """
+    den = x * (1.0 - r2)
+    den += offset
+    x *= scale
+    x /= den
+    return x
+
+
+def bid_quantile(u, p_star, one_minus_p, rho, m, r2, scale, top):
+    """Q(u) on a working copy of u in [0, 1]: the one quantile formula.
+
+    q = (p* + (1-p*)u)^m with m = N - 1, and the bid is b(q) clipped to
+    [0, top], top = V - g - c. p_star, one_minus_p, rho, scale (= K) and top
+    are scalars for one equilibrium, or (n, 1) columns with one auction per
+    row that u's rows broadcast against. p* must be positive on every row or
+    on none (rho = 0).
+    """
+    x = np.array(u, dtype=float)
+    if np.all(p_star > 0.0):
+        # log(q / rho) = m log1p(u (1-p*)/p*), then x = q - rho
+        x *= one_minus_p / p_star
+        np.log1p(x, out=x)
+        x *= m
+        np.expm1(x, out=x)
+        x *= rho
+    else:  # r1 g + c = 0 or p* underflows, so rho = 0 and x = q = u^m
+        np.power(x, m, out=x)
+    _bid(x, r2 + (1.0 - r2) * rho, scale, r2)
+    return np.clip(x, 0.0, top, out=x)
+
+
 def check_entry_cost(params: AuctionParams, entry_cost: float) -> None:
     """A flat entry cost must be finite and lie in [0, V - g)."""
     if not (math.isfinite(entry_cost) and entry_cost >= 0.0):
@@ -204,39 +254,18 @@ class Equilibrium:
             raw = 0.0
         return min(raw, 1.0)
 
+    @property
+    def _scale(self) -> float:
+        """K = V - g + r1 g, the scale of the inverse bid b(z)."""
+        p = self.params
+        return p.breakeven_bid + p.revert_rate_base * p.base_fee
+
     def _quantile_arr(self, u: np.ndarray) -> np.ndarray:
-        """Q(u) for an array of u in [0, 1], on one working copy of u."""
+        """Q(u) for an array of u in [0, 1]; see bid_quantile."""
         p = self.params
-        r2 = p.revert_rate_priority
         lr, p_star, one_minus_p = self._abstention
-        rho = math.exp(lr)
-        x = np.array(u, dtype=float)
-        if p_star > 0.0:
-            # log(q / rho) = (N-1) log1p(u (1-p*)/p*), then x = q - rho
-            x *= one_minus_p / p_star
-            np.log1p(x, out=x)
-            x *= p.num_agents - 1
-            np.expm1(x, out=x)
-            x *= rho
-        else:  # r1 = c = 0, so rho = 0 and x = q = u^(N-1)
-            np.power(x, p.num_agents - 1, out=x)
-        self._bid(x, r2 + (1.0 - r2) * rho)
-        return np.clip(x, 0.0, self.support_max, out=x)
-
-    def _bid(self, x: np.ndarray, offset) -> np.ndarray:
-        """K x / ((1 - r2) x + offset), in place on x, K = V - g + r1 g.
-
-        The supported bid at z is b(z) = K (z - rho) / (r2 + (1 - r2) z), the
-        algebraic inverse of z(b). With x = z - rho this is the offset
-        r2 + (1 - r2) rho; divided through by z it is x = 1 - rho/z and the
-        offset (r2 + (1 - r2) rho)/z.
-        """
-        p = self.params
-        den = x * (1.0 - p.revert_rate_priority)
-        den += offset
-        x *= p.breakeven_bid + p.revert_rate_base * p.base_fee
-        x /= den
-        return x
+        return bid_quantile(u, p_star, one_minus_p, math.exp(lr), p.num_agents - 1,
+                            p.revert_rate_priority, self._scale, self.support_max)
 
     def quantile(self, u: float) -> float:
         """Exact algebraic inverse of the CDF.
@@ -289,7 +318,7 @@ class Equilibrium:
         with np.errstate(over="ignore"):  # r2/z = inf far below log r2, where b = 0
             offset = np.exp(_log(r2) - t)
         offset += (1.0 - r2) * np.exp(s)
-        b = self._bid(-np.expm1(s), offset)
+        b = _bid(-np.expm1(s), offset, self._scale, r2)
         return float(np.sum(b * weight(t) * (half * w)))
 
     def expected_bid(self) -> float:
@@ -339,12 +368,8 @@ def solve_equilibrium(
     i.e. whenever entry_cost > 0 truncates the support to [0, V - g - c].
     """
     check_entry_cost(params, entry_cost)
-    # r1 g, not r1: a subnormal r1 times g can round to 0, leaving rho = 0
-    rg = params.revert_rate_base * params.base_fee
-    if rg + entry_cost == 0.0 and params.revert_rate_priority == 0.0:
-        raise DegenerateNoRevertCost(
-            "losing is free (r1 = r2 = 0, no entry cost); use pure_equilibrium"
-        )
+    check_losing_cost(params.revert_rate_base * params.base_fee, params.revert_rate_priority,
+                      entry_cost)
     p_star = abstention(log_rho(params, entry_cost), params.num_agents)[0]
     eq = Equilibrium(params=params, entry_cost=float(entry_cost), abstain_prob=p_star)
     if strict and not eq.boundary_gap <= _NEG_CLAMP:

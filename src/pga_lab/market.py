@@ -15,15 +15,16 @@ versus adverse-selection loss), and sequencer revenue.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Literal, Optional
+from functools import cached_property
+from typing import Literal, NamedTuple, Optional
 
 import numpy as np
 
-from .equilibrium import solve_equilibrium
-from .errors import ConfigInvalid, TooManyAgents
-from .model import MAX_AGENTS, AuctionParams
+from .equilibrium import abstention, bid_quantile, check_losing_cost, log_ratio
+from .errors import ConfigInvalid, NumericsError, TooManyAgents
+from .model import MAX_AGENTS
 
 Outcome = Literal["no_opportunity", "all_abstained", "executed"]
 
@@ -67,7 +68,8 @@ class MarketSimConfig:
         for ok, msg in checks:
             if not ok:
                 raise ConfigInvalid(msg)
-        for name in ("drift", "volatility", "horizon", "block_time", "initial_price"):
+        for name in ("drift", "volatility", "horizon", "block_time", "initial_price",
+                     "liquidity_depth", "base_fee"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigInvalid(f"{name} must be finite")
 
@@ -88,8 +90,7 @@ def gbm_path(config: MarketSimConfig, rng: np.random.Generator) -> np.ndarray:
     return config.initial_price * np.exp(log_growth)
 
 
-@dataclass(frozen=True)
-class Opportunity:
+class Opportunity(NamedTuple):
     """One block's arbitrage economics against a linear-depth DEX.
 
     value is the arbitrageur's gross profit v*L: trading from the stale DEX
@@ -117,12 +118,12 @@ def opportunity_value(
     stop_high = cex_price / (1.0 - fee_rate)
     if dex_price > stop_high:
         gap = dex_price - stop_high
-        return Opportunity(value=0.5 * gap * gap * depth, volume=gap * depth, direction="sell_dex")
+        return Opportunity(0.5 * gap * gap * depth, gap * depth, "sell_dex")
     stop_low = cex_price / (1.0 + fee_rate)
     if dex_price < stop_low:
         gap = stop_low - dex_price
-        return Opportunity(value=0.5 * gap * gap * depth, volume=gap * depth, direction="buy_dex")
-    return Opportunity(value=0.0, volume=0.0, direction=None)
+        return Opportunity(0.5 * gap * gap * depth, gap * depth, "buy_dex")
+    return Opportunity(0.0, 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,15 @@ class BlockEvent:
 
 @dataclass(frozen=True)
 class MarketSimReport:
+    """The simulation's summary metrics and its per-block events.
+
+    event_columns holds the events column by column: one tuple per
+    EVENT_CSV_HEADER name, one entry per block. events builds the BlockEvent
+    rows from them on first access.
+    """
+
     config: MarketSimConfig
-    events: tuple[BlockEvent, ...]
+    event_columns: tuple[tuple, ...]
     opportunities: int
     executed: int
     abstained: int
@@ -160,14 +168,76 @@ class MarketSimReport:
     era_series: tuple[float, ...]
     revenue_histogram: tuple[tuple[int, ...], tuple[float, ...]]
 
+    @cached_property
+    def events(self) -> tuple[BlockEvent, ...]:
+        return tuple(map(BlockEvent, *self.event_columns))
+
 
 EVENT_CSV_HEADER = [f.name for f in fields(BlockEvent)]
-_event_row = attrgetter(*EVENT_CSV_HEADER)
+_WINNING_BID = EVENT_CSV_HEADER.index("winning_bid")
+
+
+def event_csv_columns(report: MarketSimReport) -> list[tuple]:
+    """The event CSV's columns in EVENT_CSV_HEADER order; a missing winning bid is ""."""
+    columns = list(report.event_columns)
+    columns[_WINNING_BID] = tuple("" if v is None else v for v in columns[_WINNING_BID])
+    return columns
 
 
 def event_csv_rows(report: MarketSimReport) -> list[tuple]:
     """One row per event in EVENT_CSV_HEADER order; a missing winning bid is ""."""
-    return [tuple("" if v is None else v for v in _event_row(e)) for e in report.events]
+    return list(zip(*event_csv_columns(report)))
+
+
+def _running_total(values: np.ndarray) -> float:
+    """0.0 + v[0] + v[1] + ... added in order, as a loop adds them (np.sum
+    adds pairwise, and the builtin sum compensates from Python 3.12 on)."""
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
+def _spread(n: int, at: list[int], values: list, fill=0.0) -> tuple:
+    """A column of n entries: values at the positions at, fill elsewhere."""
+    column = [fill] * n
+    for i, v in zip(at, values):
+        column[i] = v
+    return tuple(column)
+
+
+# uniforms the block loop keeps before it prices them: with r1 = 0 every one of
+# the N arbitrageurs bids, so without a bound memory would grow with N x blocks
+# (2^16 uniforms are 512 KiB; 10,000 blocks at N = 10 take about 9,000)
+_PASS_DRAWS = 1 << 16
+
+
+@np.errstate(all="ignore")  # where the kernel overflows, simulate reports the bid
+def _price_auctions(draws: list, config: MarketSimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Winning bids and sequencer fees of the auctions whose draws the block
+    loop stored, one (V, p*, 1 - p*, rho, uniforms) per auction, in one array
+    pass: auctions with the same participant count k (and the same
+    bid_quantile branch) form one (count, k) array of bids.
+    """
+    g = config.base_fee
+    r1 = config.revert_rate_base
+    r2 = config.revert_rate_priority
+    groups = defaultdict(list)
+    for j, (_, p_star, _, _, u) in enumerate(draws):
+        groups[u.size, p_star > 0.0].append(j)
+    value, p_star, one_minus_p, rho = np.array([d[:4] for d in draws]).reshape(-1, 4).T
+    top = value - g  # V - g, the top of the bid support
+    scale = top + r1 * g  # K = V - g + r1 g
+    winning = np.empty(len(draws))
+    fees = np.empty(len(draws))
+    for (k, _), rows in groups.items():
+        at = np.array(rows)[:, None]
+        bids = bid_quantile(np.stack([draws[j][4] for j in rows]), p_star[at], one_minus_p[at],
+                            rho[at], config.num_arbitrageurs - 1, r2, scale[at], top[at])
+        w = bids.max(axis=1)
+        fee = g + w
+        fee += (k - 1) * r1 * g
+        fee += r2 * (bids.sum(axis=1) - w)
+        winning[at[:, 0]] = w
+        fees[at[:, 0]] = fee
+    return winning, fees
 
 
 def simulate(config: MarketSimConfig) -> MarketSimReport:
@@ -179,6 +249,13 @@ def simulate(config: MarketSimConfig) -> MarketSimReport:
     value exceeds the base fee (otherwise even a zero bid loses money and
     the auction is trivially empty). The reported fee-band frequency (dbf)
     still uses the plain band |onchain - true| > f * true.
+
+    The block loop only draws: whether anyone takes part moves the price,
+    the bids do not. Per opportunity it makes the participation draw
+    binomial(N, 1 - p*) and, if k > 0 take part, k uniforms for their bids,
+    from p* = rho^(1/(N-1)). Bids and fees come from the stored draws in
+    array passes over at most about _PASS_DRAWS uniforms each (one pass at
+    the usual sizes), and totals from the bids and fees.
     """
     path_ss, auction_ss = np.random.SeedSequence(config.seed).spawn(2)
     rng_path = np.random.Generator(np.random.Philox(path_ss))
@@ -187,108 +264,120 @@ def simulate(config: MarketSimConfig) -> MarketSimReport:
     path = gbm_path(config, rng_path)
     f = config.fee_rate
     g = config.base_fee
-    r1 = config.revert_rate_base
-    r2 = config.revert_rate_priority
+    depth = config.liquidity_depth
     n_agents = config.num_arbitrageurs
-    full_rp = r1 == 0.0 and r2 == 0.0
+    rg = config.revert_rate_base * g
+    full_rp = config.revert_rate_base == 0.0 and config.revert_rate_priority == 0.0
+    if not full_rp:
+        check_losing_cost(rg, config.revert_rate_priority)
+
+    true = path[1:]
+    n = true.size
+    before: list[float] = []
+    outcome = ["no_opportunity"] * n
+    participants = [0] * n
+    block_values = [0.0] * n  # opportunity value where it exceeds g
+    executed_at: list[int] = []  # blocks whose auction executed
+    volumes: list[float] = []  # their trade volumes
+    draws: list[tuple] = []  # their (V, p*, 1 - p*, rho, uniforms), unless full_rp
+    pending = 0  # uniforms in draws
+    priced: list[tuple] = []  # (winning bids, fees) of the auctions priced so far
+    opportunities = 0
 
     onchain = float(path[0])
-    events: list[BlockEvent] = []
-    deviations = [0.0]
-    beyond_band = 0  # initial point is inside the band by construction
-    era: list[float] = []
-    fees_per_event: list[float] = []
-    opportunities = executed = abstained = 0
-    cfe = casl = casl_gross = csr = 0.0
+    for t, price in enumerate(true.tolist()):
+        before.append(onchain)
+        opp = opportunity_value(onchain, price, f, depth)
+        if not opp.value > g:
+            continue
+        opportunities += 1
+        block_values[t] = opp.value
+        if full_rp:
+            # losing is free: everyone enters and the top bids hit breakeven
+            k = n_agents
+        else:
+            lr = log_ratio(rg, opp.value - g)
+            p_star, one_minus_p, _ = abstention(lr, n_agents)
+            k = int(rng_auction.binomial(n_agents, 1.0 - p_star))
+            if k:
+                draws.append((opp.value, p_star, one_minus_p, math.exp(lr),
+                               rng_auction.random(k)))
+                pending += k
+                if pending >= _PASS_DRAWS:
+                    priced.append(_price_auctions(draws, config))
+                    draws.clear()
+                    pending = 0
+        if k:
+            participants[t] = k
+            outcome[t] = "executed"
+            executed_at.append(t)
+            volumes.append(opp.volume)
+            onchain = price * (1.0 + f) if opp.direction == "sell_dex" else price * (1.0 - f)
+        else:
+            outcome[t] = "all_abstained"
 
-    for t in range(1, config.num_blocks + 1):
-        true = float(path[t])
-        before = onchain
-        opp = opportunity_value(before, true, f, config.liquidity_depth)
-        outcome: Outcome = "no_opportunity"
-        participants = 0
-        winning_bid: Optional[float] = None
-        seq_fees = lp_fees = lp_loss = lp_loss_gross = 0.0
-
-        if opp.value > g:
-            opportunities += 1
-            if full_rp:
-                # losing is free: everyone enters and the top bids hit breakeven
-                participants = n_agents
-                winning_bid = opp.value - g
-                seq_fees = opp.value
-                outcome = "executed"
-            else:
-                eq = solve_equilibrium(
-                    AuctionParams(opp.value, g, r1, r2, n_agents)
-                )
-                participants = int(rng_auction.binomial(n_agents, 1.0 - eq.abstain_prob))
-                if participants == 0:
-                    outcome = "all_abstained"
-                else:
-                    bids = eq.sample_bids(rng_auction, participants)
-                    b_w = float(bids.max())
-                    winning_bid = b_w
-                    seq_fees = (
-                        g + b_w + (participants - 1) * r1 * g + r2 * (float(bids.sum()) - b_w)
-                    )
-                    outcome = "executed"
-            if outcome == "executed":
-                executed += 1
-                onchain = true * (1.0 + f) if opp.direction == "sell_dex" else true * (1.0 - f)
-                lp_fees = f * opp.volume
-                lp_loss = 0.5 * abs(true - before) * opp.volume
-                lp_loss_gross = opp.value
-                cfe += lp_fees
-                casl += lp_loss
-                casl_gross += lp_loss_gross
-                csr += seq_fees
-                era.append(g + winning_bid)
-                fees_per_event.append(seq_fees)
-            else:
-                abstained += 1
-
-        dev = abs(onchain - true)
-        deviations.append(dev)
-        if dev > f * true:
-            beyond_band += 1
-        events.append(
-            BlockEvent(
-                block_index=t,
-                true_price=true,
-                onchain_price_before=before,
-                onchain_price_after=onchain,
-                outcome=outcome,
-                opportunity_value=opp.value if opp.value > g else 0.0,
-                discrepancy=abs(true - before),
-                participants=participants,
-                winning_bid=winning_bid,
-                sequencer_fees=seq_fees,
-                lp_fees=lp_fees,
-                lp_adverse_loss=lp_loss,
-                lp_adverse_loss_gross=lp_loss_gross,
+    # the array pass overflows to inf without a warning, as the Python floats
+    # of a per-block loop do; a non-finite bid or fee raises NumericsError
+    with np.errstate(all="ignore"):
+        at = np.array(executed_at, dtype=np.intp)
+        value = np.array(block_values)[at]
+        if full_rp:
+            winning, fees = value - g, value
+        else:
+            priced.append(_price_auctions(draws, config))
+            draws.clear()  # before the columns are built, so their peaks do not add up
+            winning, fees = (np.concatenate(c) for c in zip(*priced))
+        bad = ~(np.isfinite(winning) & np.isfinite(fees))
+        if np.any(bad):
+            j = int(np.argmax(bad))
+            raise NumericsError(
+                f"block {executed_at[j] + 1}: the auction at opportunity value {float(value[j])} "
+                f"has a non-finite winning bid ({float(winning[j])}) or sequencer fee "
+                f"({float(fees[j])})"
             )
-        )
 
-    dev_arr = np.array(deviations)
-    if fees_per_event:
-        counts, edges = np.histogram(np.array(fees_per_event), bins=10)
-    else:
-        counts, edges = np.array([], dtype=int), np.array([0.0])
-    return MarketSimReport(
-        config=config,
-        events=tuple(events),
-        opportunities=opportunities,
-        executed=executed,
-        abstained=abstained,
-        mad=float(dev_arr.mean()),
-        dbf=beyond_band / len(deviations),
-        max_deviation=float(dev_arr.max()),
-        cfe=cfe,
-        casl=casl,
-        casl_gross=casl_gross,
-        nlp=cfe - casl,
-        csr=csr,
-        era_series=tuple(era),
-        revenue_histogram=(tuple(int(x) for x in counts), tuple(float(x) for x in edges)),
-    )
+        after = before[1:] + [onchain]
+        discrepancy = np.abs(true - np.array(before))
+        dev = np.abs(np.array(after) - true)
+        deviations = np.concatenate(([0.0], dev))  # the initial point sits on the CEX price
+        volume = np.array(volumes)
+        lp_fees = f * volume
+        lp_loss = 0.5 * discrepancy[at] * volume
+        if executed_at:
+            counts, edges = np.histogram(fees, bins=10)
+        else:
+            counts, edges = np.array([], dtype=int), np.array([0.0])
+        cfe, casl = _running_total(lp_fees), _running_total(lp_loss)
+        executed_columns = [
+            _spread(n, executed_at, column.tolist(), fill)
+            for column, fill in ((winning, None), (fees, 0.0), (lp_fees, 0.0), (lp_loss, 0.0),
+                                 (value, 0.0))
+        ]
+        columns = (
+            tuple(range(1, n + 1)),
+            tuple(true.tolist()),
+            tuple(before),
+            tuple(after),
+            tuple(outcome),
+            tuple(block_values),
+            tuple(discrepancy.tolist()),
+            tuple(participants),
+            *executed_columns,
+        )
+        return MarketSimReport(
+            config=config,
+            event_columns=columns,
+            opportunities=opportunities,
+            executed=len(executed_at),
+            abstained=opportunities - len(executed_at),
+            mad=float(deviations.mean()),
+            dbf=int(np.count_nonzero(dev > f * true)) / deviations.size,
+            max_deviation=float(deviations.max()),
+            cfe=cfe,
+            casl=casl,
+            casl_gross=_running_total(value),
+            nlp=cfe - casl,
+            csr=_running_total(fees),
+            era_series=tuple((g + winning).tolist()),
+            revenue_histogram=(tuple(int(x) for x in counts), tuple(float(x) for x in edges)),
+        )

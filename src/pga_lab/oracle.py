@@ -15,6 +15,7 @@ are scheduled.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -59,7 +60,13 @@ class McEstimate:
     seed: int
 
     def within(self, target: float, n_se: float = 3.0) -> bool:
-        return abs(self.mean - target) <= n_se * self.std_error
+        """|mean - target| is at most n_se standard errors plus four ulps.
+
+        The ulps matter where every trial gives the same x, so the standard
+        error is 0: the mean of the copies of x can be off x in its last bits.
+        """
+        rounding = 4.0 * sys.float_info.epsilon * max(abs(self.mean), abs(target))
+        return abs(self.mean - target) <= n_se * self.std_error + rounding
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import enum
 import json
 import os
 import stat
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from itertools import islice
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
@@ -67,33 +67,59 @@ def _scalar(v: Any, text: Callable[[str], str]) -> Optional[str]:
     return None
 
 
+def _floats(values: Sequence[float]) -> list[str]:
+    """fmt_float of each value, with one "%" over all of them."""
+    cells = (",".join(["%.17g"] * len(values)) % tuple(values)).split(",")
+    return [s if "." in s or "e" in s else _whole(s) for s in cells]
+
+
 def _column(values: Sequence[Any], text: Callable[[str], str]) -> list[str]:
     """One column's cells as text, as _scalar writes them.
 
-    A column of floats is formatted in one pass, with one "%" over all of
-    them; any other column goes cell by cell. A non-scalar cell raises
+    Columns of one common kind take one pass: floats one "%" over all of
+    them, exact ints map(str) (bool and IntEnum are not exact ints), columns
+    without floats one _scalar call per distinct (type, value), and floats
+    mixed with one non-float sentinel (a blank "" or None) one "%" over the
+    floats. Any other column goes cell by cell. A non-scalar cell raises
     TypeError.
     """
-    if set(map(type, values)) == {float}:
-        cells = (",".join(["%.17g"] * len(values)) % tuple(values)).split(",")
-        return [s if "." in s or "e" in s else _whole(s) for s in cells]
-    cells = [_scalar(v, text) for v in values]
-    if None in cells:
-        raise TypeError(f"cannot serialize {type(values[cells.index(None)]).__name__}")
-    return cells
+    kinds = set(map(type, values))
+    if not _scalar_kinds(kinds):
+        odd = next(v for v in values if not isinstance(v, _SCALAR_TYPES))
+        raise TypeError(f"cannot serialize {type(odd).__name__}")
+    if kinds == {float}:
+        return _floats(values)
+    if kinds == {int}:
+        return list(map(str, values))
+    floaty = [t for t in kinds if issubclass(t, float)]
+    if not floaty:
+        # equal values of one type print alike (-0.0 and 0.0 are floats)
+        keys = list(zip(map(type, values), values))
+        memo = {key: _scalar(key[1], text) for key in set(keys)}
+        return list(map(memo.__getitem__, keys))
+    if floaty == [float] and len(kinds) == 2:
+        others = {v for v in values if type(v) is not float}
+        if len(others) == 1:
+            blank = _scalar(others.pop(), text)
+            cells = iter(_floats([v for v in values if type(v) is float]))
+            return [next(cells) if type(v) is float else blank for v in values]
+    return [_scalar(v, text) for v in values]
+
+
+def _scalar_kinds(kinds: Iterable[type]) -> bool:
+    return all(issubclass(t, _SCALAR_TYPES) for t in kinds)
 
 
 def _all_scalar(values: Iterable[Any]) -> bool:
-    return all(issubclass(t, _SCALAR_TYPES) for t in set(map(type, values)))
+    return _scalar_kinds(set(map(type, values)))
 
 
-def _csv_blocks(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Iterator[str]:
-    """The CSV text: the header line, then the rows in blocks of _BLOCK_ROWS.
+def _row_blocks(rows: Iterable[Sequence[Any]]) -> Iterator[tuple[list, int]]:
+    """The rows in blocks of _BLOCK_ROWS, each as (its columns, its row count).
 
     Every row must have as many cells as the first row; a ragged row raises
     ValueError.
     """
-    yield ",".join(header) + "\n"
     rows = iter(rows)
     width, done = None, 0
     while block := list(islice(rows, _BLOCK_ROWS)):
@@ -103,14 +129,37 @@ def _csv_blocks(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> Iterato
             i = next(i for i, row in enumerate(block) if len(row) != width)
             raise ValueError(f"CSV row {done + i} has {len(block[i])} cells, "
                              f"the first row has {width}")
-        columns = [_column(column, str) for column in zip(*block)]
-        lines = map(",".join, zip(*columns)) if width else [""] * len(block)
-        yield "\n".join(lines) + "\n"
+        yield list(zip(*block)), len(block)
         done += len(block)
 
 
+def _column_blocks(columns: Sequence[Sequence[Any]]) -> Iterator[tuple[list, int]]:
+    """The columns cut into blocks of _BLOCK_ROWS rows, each as (its columns,
+    its row count); columns of unequal length raise ValueError."""
+    lengths = set(map(len, columns))
+    if len(lengths) > 1:
+        raise ValueError(f"columns have unequal lengths {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        yield [column[start:stop] for column in columns], stop - start
+
+
+def _csv_blocks(header: Sequence[str], table, by_column: bool) -> Iterator[str]:
+    """The CSV text: the header line, then the table in blocks of _BLOCK_ROWS
+    rows, each formatted column by column before the next is read.
+
+    table is the rows, or with by_column the columns.
+    """
+    yield ",".join(header) + "\n"
+    for columns, count in (_column_blocks if by_column else _row_blocks)(table):
+        cells = [_column(column, str) for column in columns]
+        lines = map(",".join, zip(*cells)) if cells else [""] * count
+        yield "\n".join(lines) + "\n"
+
+
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    return "".join(_csv_blocks(header, rows))
+    return "".join(_csv_blocks(header, rows, False))
 
 
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
@@ -149,16 +198,39 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
-    _write_atomic(path, _csv_blocks(header, rows))
+def write_csv(path: str, header: Sequence[str], table, by_column: bool = False) -> None:
+    """The table as CSV: its rows, or with by_column its columns."""
+    _write_atomic(path, _csv_blocks(header, table, by_column))
+
+
+@dataclass(frozen=True)
+class Records:
+    """A JSON array of objects given column by column: object i maps names[j]
+    to columns[j][i]. Every cell must be a scalar."""
+
+    names: Sequence[str]
+    columns: Sequence[Sequence[Any]]
+
+
+def _record_items(names: Sequence[str], columns: Sequence[Sequence[Any]], indent: int,
+                  level: int) -> list[str]:
+    """The JSON text at level of each object of a Records table.
+
+    The columns are formatted in blocks of _BLOCK_ROWS objects, each column
+    of a block as one, and the columns fill one template.
+    """
+    pad = " " * (indent * level)
+    pad_in = " " * (indent * (level + 1))
+    template = "{\n" + ",\n".join(f"{pad_in}{_quote(name)}: %s" for name in names) + f"\n{pad}}}"
+    items: list[str] = []
+    for block, _ in _column_blocks(columns):
+        items += map(template.__mod__, zip(*[_column(c, _quote) for c in block]))
+    return items
 
 
 def _records(obj: Sequence[Any], indent: int, level: int) -> Optional[list[str]]:
     """The JSON text at level of each element of obj, when the elements are
-    instances of one dataclass whose fields all hold scalars; else None.
-
-    Each field is formatted as one column, and the columns fill one template.
-    """
+    instances of one dataclass whose fields all hold scalars; else None."""
     kinds = set(map(type, obj))
     kind = kinds.pop() if len(kinds) == 1 else None
     names = [f.name for f in fields(kind)] if is_dataclass(kind) else []
@@ -167,10 +239,7 @@ def _records(obj: Sequence[Any], indent: int, level: int) -> Optional[list[str]]
     columns = [list(map(attrgetter(name), obj)) for name in names]
     if not all(map(_all_scalar, columns)):
         return None
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    template = "{\n" + ",\n".join(f"{pad_in}{_quote(name)}: %s" for name in names) + f"\n{pad}}}"
-    return [template % cells for cells in zip(*[_column(c, _quote) for c in columns])]
+    return _record_items(names, columns, indent, level)
 
 
 def _json_fragment(obj: Any, indent: int, level: int, out: list[str]) -> None:
@@ -180,13 +249,15 @@ def _json_fragment(obj: Any, indent: int, level: int, out: list[str]) -> None:
         return
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        items = _column(obj, _quote) if _all_scalar(obj) else _records(obj, indent, level + 1)
+    if isinstance(obj, (list, tuple, Records)):
+        if isinstance(obj, Records):
+            items = _record_items(obj.names, obj.columns, indent, level + 1)
+        elif _all_scalar(obj):
+            items = _column(obj, _quote)
+        else:
+            items = _records(obj, indent, level + 1)
         if items is not None:
-            out.append(f"[\n{pad_in}" + f",\n{pad_in}".join(items) + f"\n{pad}]")
+            out += [f"[\n{pad_in}", f",\n{pad_in}".join(items), f"\n{pad}]"] if items else ["[]"]
             return
         out.append("[\n")
         for v in obj:
@@ -212,12 +283,17 @@ def _json_fragment(obj: Any, indent: int, level: int, out: list[str]) -> None:
     out[-1] = "\n" + pad + "}"
 
 
-def json_text(obj: Any, indent: int = 2) -> str:
+def _json_chunks(obj: Any, indent: int) -> list[str]:
     out: list[str] = []
     _json_fragment(obj, indent, 0, out)
-    return "".join(out) + "\n"
+    out.append("\n")
+    return out
+
+
+def json_text(obj: Any, indent: int = 2) -> str:
+    return "".join(_json_chunks(obj, indent))
 
 
 def write_json(path: str, obj: dict) -> None:
     """obj as a JSON document whose first key is schema_version."""
-    _write_atomic(path, [json_text({"schema_version": SCHEMA_VERSION, **obj})])
+    _write_atomic(path, _json_chunks({"schema_version": SCHEMA_VERSION, **obj}, 2))

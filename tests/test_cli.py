@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -307,6 +308,26 @@ R1_G_UNDERFLOWS = ["--V", "1.5", "--g", "0.5", "--r1", "5e-324", "--r2", "0", "-
 def test_malformed_parameter_is_exit_1(make_argv, tmp_path, capsys):
     assert run(make_argv(tmp_path)) == 1
     _assert_one_line_error(capsys)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--L", "inf"], "liquidity_depth must be finite"),
+        (["--g", "inf"], "base_fee must be finite"),
+        (["--L", "1e308"], "non-finite winning bid"),  # the bid kernel overflows
+        (["--r1", "1e-320", "--r2", "0"], "non-finite winning bid"),  # Q(u) is 0/0
+        (["--r1", "5e-324", "--r2", "0"], "losing is free"),  # r1 g rounds to 0
+    ],
+    ids=["L-inf", "g-inf", "bids-overflow", "r1-g-subnormal", "r1-g-underflows"],
+)
+def test_simulate_bad_inputs_are_exit_1(extra, message, tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print below the error
+        assert run([*SIMULATE, *extra, "--out-events", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -13,7 +13,8 @@ from pga_lab import (
     solve_equilibrium,
     AuctionParams,
 )
-from pga_lab.market import EVENT_CSV_HEADER, event_csv_rows
+from pga_lab import market
+from pga_lab.market import EVENT_CSV_HEADER, BlockEvent, event_csv_rows
 from pga_lab.numerics import adaptive_simpson
 from pga_lab.serialize import csv_text
 
@@ -221,3 +222,142 @@ class TestEventExport:
         # abstained/no-opportunity rows leave the winning bid blank
         blank = [r for r in rows if r[4] != "executed"]
         assert all(r[8] == "" for r in blank)
+
+
+def _reference_simulate(config: MarketSimConfig) -> tuple[tuple[BlockEvent, ...], dict]:
+    """The simulator as a plain per-block loop, kept as the oracle of the
+    columnar one: each opportunity solves its equilibrium, draws the
+    participant count and samples the bids on the spot."""
+    path_ss, auction_ss = np.random.SeedSequence(config.seed).spawn(2)
+    path = gbm_path(config, np.random.Generator(np.random.Philox(path_ss)))
+    rng_auction = np.random.Generator(np.random.Philox(auction_ss))
+    f, g = config.fee_rate, config.base_fee
+    r1, r2 = config.revert_rate_base, config.revert_rate_priority
+    n_agents = config.num_arbitrageurs
+    full_rp = r1 == 0.0 and r2 == 0.0
+    onchain = float(path[0])
+    events, deviations, era, fees_per_event = [], [0.0], [], []
+    beyond_band = opportunities = executed = abstained = 0
+    cfe = casl = casl_gross = csr = 0.0
+    for t in range(1, config.num_blocks + 1):
+        true = float(path[t])
+        before = onchain
+        opp = opportunity_value(before, true, f, config.liquidity_depth)
+        outcome, participants, winning_bid = "no_opportunity", 0, None
+        seq_fees = lp_fees = lp_loss = lp_loss_gross = 0.0
+        if opp.value > g:
+            opportunities += 1
+            if full_rp:
+                participants, winning_bid, seq_fees = n_agents, opp.value - g, opp.value
+                outcome = "executed"
+            else:
+                eq = solve_equilibrium(AuctionParams(opp.value, g, r1, r2, n_agents))
+                participants = int(rng_auction.binomial(n_agents, 1.0 - eq.abstain_prob))
+                if participants == 0:
+                    outcome = "all_abstained"
+                else:
+                    bids = eq.sample_bids(rng_auction, participants)
+                    winning_bid = float(bids.max())
+                    seq_fees = (g + winning_bid + (participants - 1) * r1 * g
+                                + r2 * (float(bids.sum()) - winning_bid))
+                    outcome = "executed"
+            if outcome == "executed":
+                executed += 1
+                onchain = true * (1.0 + f) if opp.direction == "sell_dex" else true * (1.0 - f)
+                lp_fees = f * opp.volume
+                lp_loss = 0.5 * abs(true - before) * opp.volume
+                lp_loss_gross = opp.value
+                cfe += lp_fees
+                casl += lp_loss
+                casl_gross += lp_loss_gross
+                csr += seq_fees
+                era.append(g + winning_bid)
+                fees_per_event.append(seq_fees)
+            else:
+                abstained += 1
+        dev = abs(onchain - true)
+        deviations.append(dev)
+        beyond_band += dev > f * true
+        events.append(BlockEvent(t, true, before, onchain, outcome,
+                                 opp.value if opp.value > g else 0.0, abs(true - before),
+                                 participants, winning_bid, seq_fees, lp_fees, lp_loss,
+                                 lp_loss_gross))
+    if fees_per_event:
+        counts, edges = np.histogram(np.array(fees_per_event), bins=10)
+    else:
+        counts, edges = np.array([], dtype=int), np.array([0.0])
+    dev_arr = np.array(deviations)
+    summary = dict(
+        opportunities=opportunities, executed=executed, abstained=abstained,
+        mad=float(dev_arr.mean()), dbf=beyond_band / len(deviations),
+        max_deviation=float(dev_arr.max()), cfe=cfe, casl=casl, casl_gross=casl_gross,
+        nlp=cfe - casl, csr=csr, era_series=tuple(era),
+        revenue_histogram=(tuple(int(x) for x in counts), tuple(float(x) for x in edges)),
+    )
+    return tuple(events), summary
+
+
+def astuple_event(event: BlockEvent) -> tuple:
+    return tuple(getattr(event, name) for name in EVENT_CSV_HEADER)
+
+
+class TestColumnarSimulator:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_agents", [2, 10, 50])
+    @pytest.mark.parametrize("r1, r2", [(1.0, 1.0), (0.3, 0.7), (0.0, 0.5), (0.0, 0.0)])
+    def test_matches_the_per_block_loop_bit_for_bit(self, r1, r2, n_agents, seed):
+        config = replace(BASE, horizon=20.0, revert_rate_base=r1, revert_rate_priority=r2,
+                         num_arbitrageurs=n_agents, seed=seed)
+        events, summary = _reference_simulate(config)
+        rep = simulate(config)
+        assert rep.executed > 0
+        columns = tuple(zip(*map(astuple_event, events)))
+        for name, column, expected in zip(EVENT_CSV_HEADER, rep.event_columns, columns):
+            assert column == expected, name
+        assert rep.events == events
+        for name, expected in summary.items():
+            assert getattr(rep, name) == expected, name
+
+    @pytest.mark.parametrize("r1, r2, n_agents", [(0.3, 0.7, 10), (0.0, 0.5, 50)])
+    def test_passes_over_bounded_batches_match_the_per_block_loop(
+        self, r1, r2, n_agents, monkeypatch
+    ):
+        # a batch bound of 7 uniforms prices the auctions in small batches
+        monkeypatch.setattr(market, "_PASS_DRAWS", 7)
+        config = replace(BASE, horizon=20.0, revert_rate_base=r1, revert_rate_priority=r2,
+                         num_arbitrageurs=n_agents)
+        events, summary = _reference_simulate(config)
+        rep = simulate(config)
+        assert rep.events == events
+        assert {name: getattr(rep, name) for name in summary} == summary
+
+    def test_zero_opportunity_run_matches_the_per_block_loop(self):
+        config = replace(BASE, volatility=0.0, horizon=5.0)
+        events, summary = _reference_simulate(config)
+        rep = simulate(config)
+        assert rep.opportunities == 0 and rep.events == events
+        assert {name: getattr(rep, name) for name in summary} == summary
+
+
+@pytest.mark.parametrize("r1, r2", [(1.0, 1.0), (0.3, 0.7)])
+def test_execution_compensator_has_mean_zero(r1, r2):
+    """Given the opportunity value V, an auction executes with probability
+    pi = 1 - p*^N, p* = rho^(1/(N-1)), rho = r1 g / (V - g + r1 g). So
+    1{executed} - pi summed over opportunity blocks is a martingale with
+    mean zero and variance sum pi (1 - pi). 20 seeds of 10,000 blocks."""
+    config = replace(BASE, horizon=100.0, revert_rate_base=r1, revert_rate_priority=r2)
+    n, rg = config.num_arbitrageurs, r1 * config.base_fee
+    total = variance = 0.0
+    auctions = 0
+    for seed in range(20):
+        events = dict(zip(EVENT_CSV_HEADER, simulate(replace(config, seed=seed)).event_columns))
+        for outcome, value in zip(events["outcome"], events["opportunity_value"]):
+            if outcome == "no_opportunity":
+                continue
+            rho = rg / (value - config.base_fee + rg)
+            pi = 1.0 - rho ** (n / (n - 1))
+            total += (outcome == "executed") - pi
+            variance += pi * (1.0 - pi)
+            auctions += 1
+    assert auctions > 50_000
+    assert abs(total) <= 4.0 * math.sqrt(variance)

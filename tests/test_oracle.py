@@ -34,6 +34,19 @@ REF = AuctionParams(10, 1, 0.1, 0.1, 20)
 
 
 class TestMonteCarloReplay:
+    def test_zero_standard_error_allows_rounding(self):
+        # verify --seed 7 draws this point: with r1 = 0 every trial's base
+        # revenue is exactly g, and the mean of 50,000 copies of g is one ulp
+        # above g, which an exact match would call a failure
+        params = AuctionParams(30.316751640427526, 0.6752489720550474, 0.0, 0.7721985313419948, 17)
+        mc = monte_carlo_replay(params, solve_equilibrium(params), trials=50_000, seed=9)
+        closed = revenue_report(params)
+        assert mc.base_revenue.std_error == 0.0
+        assert mc.base_revenue.mean != closed.base_revenue
+        assert mc.base_revenue.within(closed.base_revenue)
+        assert mc.priority_revenue.within(closed.priority_revenue)
+        assert not mc.base_revenue.within(closed.base_revenue * (1 + 1e-14))
+
     def test_bit_identical_given_seed(self):
         eq = solve_equilibrium(REF)
         a = monte_carlo_replay(REF, eq, trials=50_000, seed=9)

@@ -11,6 +11,8 @@ import pytest
 
 from pga_lab.serialize import (
     _BLOCK_ROWS,
+    Records,
+    _column,
     _quote,
     _scalar,
     csv_text,
@@ -125,6 +127,65 @@ def test_mixed_columns_go_cell_by_cell():
     assert csv_text(["winning_bid"], [[b] for b in bids]) == "winning_bid\n" + "".join(
         _scalar(b, str) + "\n" for b in bids)
     assert json_text(bids) == "[\n  " + ",\n  ".join(_scalar(b, _quote) for b in bids) + "\n]\n"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class Half(float, enum.Enum):
+    NEG = -0.0
+    ONE = 0.5
+
+
+class Count(int):
+    pass
+
+
+# every column kind _column has a one-pass path for, and the mixtures next to
+# them that must not take it
+COLUMNS = {
+    "ints": [0, -1, 7, 10**20, -(2**63)],
+    "bools": [True, False, True],
+    "int-enums": [Level.LOW, Level.HIGH, Level.LOW],
+    "int-subclass": [Count(3), Count(4)],
+    "ints-and-bools": [1, True, 0, False],
+    "ints-and-int-enums": [1, Level.LOW, 2, Level.HIGH],
+    "strings": ["executed", "all_abstained", "executed", "", *AWKWARD],
+    "enums": [Colour.RED, Colour.RED],
+    "nones": [None, None],
+    "strings-enums-none": ["red", Colour.RED, None, "red", None],
+    "floats-and-blanks": [x if i % 3 else "" for i, x in enumerate(FLOATS[:3000])],
+    "floats-and-nones": [x if i % 3 else None for i, x in enumerate(FLOATS[:3000])],
+    "floats-and-two-sentinels": [1.5, None, "", 2.5],
+    "floats-and-ints": [1.5, 0, -0.0, 2],
+    "floats-and-float-subclass": [0.0, np.float64(-0.0), np.float64(0.0), 1.0],
+    "float-subclass-zeros": [np.float64(-0.0), np.float64(0.0)],
+    "float-enums": [Half.NEG, Half.ONE, 0.0],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("text", [str, _quote], ids=["csv", "json"])
+@pytest.mark.parametrize("values", COLUMNS.values(), ids=COLUMNS.keys())
+def test_column_fast_paths_match_scalar_cell_by_cell(values, text):
+    assert _column(values, text) == [_scalar(v, text) for v in values]
+    assert _column(tuple(values), text) == [_scalar(v, text) for v in values]
+
+
+def test_tables_given_by_column_match_the_rows(tmp_path):
+    n = 2 * _BLOCK_ROWS + 1
+    rows = [(i, i / 7, "" if i % 5 else 1e16, "x" if i % 2 else None) for i in range(n)]
+    columns = [tuple(c) for c in zip(*rows)]
+    path = tmp_path / "x.csv"
+    write_csv(str(path), ["a", "b", "c", "d"], columns, by_column=True)
+    assert path.read_text(encoding="utf-8") == csv_text(["a", "b", "c", "d"], rows)
+    dicts = [dict(zip("abcd", row)) for row in rows]
+    assert json_text({"t": Records("abcd", columns)}) == json_text({"t": dicts})
+    assert json_text({"t": Records("abcd", [(), (), (), ()])}) == json_text({"t": []})
+    with pytest.raises(ValueError, match="unequal lengths"):
+        write_csv(str(path), ["a", "b"], [(1, 2), (3,)], by_column=True)
 
 
 def test_lists_with_nested_values_recurse():
