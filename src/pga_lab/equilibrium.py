@@ -230,7 +230,7 @@ class Equilibrium:
         return (root + one_minus_p) / one_minus_p
 
     def _cdf_arr(self, b: np.ndarray) -> np.ndarray:
-        b = np.minimum(b, self.support_max)
+        b = np.clip(b, 0.0, self.support_max)
         with np.errstate(divide="ignore"):
             raw = self._f_star(b, np.log, np.expm1)
         bad = raw < -_NEG_CLAMP
@@ -240,8 +240,14 @@ class Equilibrium:
             )
         return np.clip(raw, 0.0, 1.0)
 
-    def cdf(self, b: float) -> float:
-        """F*(b) for b in [0, V - g]. Exactly 1 on [V - g - c, V - g]."""
+    def cdf(self, b):
+        """F*(b) for b in [0, V - g]. Exactly 1 on [V - g - c, V - g] for a
+        float b; an array of bids goes through _cdf_arr and its clamps."""
+        if isinstance(b, np.ndarray):
+            outside = b[~((b >= -_NEG_CLAMP) & (b <= self.breakeven_bid + _NEG_CLAMP))]
+            if outside.size:
+                raise OutOfSupport(f"bid {outside[0]} outside [0, {self.breakeven_bid}]")
+            return self._cdf_arr(b)
         if not math.isfinite(b) or b < -_NEG_CLAMP or b > self.breakeven_bid + _NEG_CLAMP:
             raise OutOfSupport(f"bid {b} outside [0, {self.breakeven_bid}]")
         b = min(max(b, 0.0), self.breakeven_bid)

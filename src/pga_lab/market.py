@@ -23,8 +23,8 @@ from typing import Literal, NamedTuple, Optional
 import numpy as np
 
 from .equilibrium import abstention, bid_quantile, check_losing_cost, log_ratio
-from .errors import ConfigInvalid, NumericsError, TooManyAgents
-from .model import MAX_AGENTS
+from .errors import ArgumentOutOfRange, ConfigInvalid, NumericsError, TooManyAgents
+from .model import MAX_AGENTS, MAX_DRAWS
 
 Outcome = Literal["no_opportunity", "all_abstained", "executed"]
 
@@ -253,9 +253,11 @@ def simulate(config: MarketSimConfig) -> MarketSimReport:
     The block loop only draws: whether anyone takes part moves the price,
     the bids do not. Per opportunity it makes the participation draw
     binomial(N, 1 - p*) and, if k > 0 take part, k uniforms for their bids,
-    from p* = rho^(1/(N-1)). Bids and fees come from the stored draws in
-    array passes over at most about _PASS_DRAWS uniforms each (one pass at
-    the usual sizes), and totals from the bids and fees.
+    from p* = rho^(1/(N-1)); more than MAX_DRAWS = 2^22 participants raise
+    ArgumentOutOfRange before their uniforms are drawn. Bids and fees come
+    from the stored draws in array passes over at most about _PASS_DRAWS
+    uniforms each (one pass at the usual sizes), and totals from the bids
+    and fees; a total that is not finite raises NumericsError.
     """
     path_ss, auction_ss = np.random.SeedSequence(config.seed).spawn(2)
     rng_path = np.random.Generator(np.random.Philox(path_ss))
@@ -299,6 +301,11 @@ def simulate(config: MarketSimConfig) -> MarketSimReport:
             lr = log_ratio(rg, opp.value - g)
             p_star, one_minus_p, _ = abstention(lr, n_agents)
             k = int(rng_auction.binomial(n_agents, 1.0 - p_star))
+            if k > MAX_DRAWS:
+                raise ArgumentOutOfRange(
+                    f"block {t + 1}: {k} arbitrageurs take part, more than the {MAX_DRAWS} "
+                    "bid draws one auction may hold"
+                )
             if k:
                 draws.append((opp.value, p_star, one_minus_p, math.exp(lr),
                                rng_auction.random(k)))
@@ -347,7 +354,13 @@ def simulate(config: MarketSimConfig) -> MarketSimReport:
             counts, edges = np.histogram(fees, bins=10)
         else:
             counts, edges = np.array([], dtype=int), np.array([0.0])
-        cfe, casl = _running_total(lp_fees), _running_total(lp_loss)
+        totals = {"cfe": _running_total(lp_fees), "casl": _running_total(lp_loss),
+                  "casl_gross": _running_total(value), "csr": _running_total(fees)}
+        for name, total in totals.items():
+            if not math.isfinite(total):
+                raise NumericsError(
+                    f"the total {name} over {n} blocks is not finite ({total})")
+        cfe, casl = totals["cfe"], totals["casl"]
         executed_columns = [
             _spread(n, executed_at, column.tolist(), fill)
             for column, fill in ((winning, None), (fees, 0.0), (lp_fees, 0.0), (lp_loss, 0.0),
@@ -375,9 +388,9 @@ def simulate(config: MarketSimConfig) -> MarketSimReport:
             max_deviation=float(deviations.max()),
             cfe=cfe,
             casl=casl,
-            casl_gross=_running_total(value),
+            casl_gross=totals["casl_gross"],
             nlp=cfe - casl,
-            csr=_running_total(fees),
+            csr=totals["csr"],
             era_series=tuple((g + winning).tolist()),
             revenue_histogram=(tuple(int(x) for x in counts), tuple(float(x) for x in edges)),
         )

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
+import numpy as np
+
 from .errors import (
     IndexOutOfRange,
     NonPositiveFee,
@@ -26,6 +28,8 @@ from .errors import (
 
 # the largest N at which tests/test_reference.py checks the closed forms
 MAX_AGENTS = 10**12
+# the most uniforms one draw may ask for: 2^22 float64 are 32 MiB
+MAX_DRAWS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -123,13 +127,14 @@ class MixedStrategy:
     otherwise draw the bid from the distribution described by cdf/quantile.
 
     cdf is defined on [support[0], support[1]] and quantile on [0, 1]; the two
-    are inverse to each other on the support. participation is 1 -
-    abstain_prob, passed separately when the caller holds it to full relative
-    accuracy (abstain_prob -> 1 at large N).
+    are inverse to each other on the support, and cdf takes an array of bids
+    as well as a float (expected_payoff_vs_symmetric passes arrays).
+    participation is 1 - abstain_prob, passed separately when the caller
+    holds it to full relative accuracy (abstain_prob -> 1 at large N).
     """
 
     abstain_prob: float
-    cdf: Callable[[float], float]
+    cdf: Callable
     quantile: Callable[[float], float]
     support: tuple[float, float]
     participation: float | None = None
@@ -179,11 +184,16 @@ def pure_payoff(params: AuctionParams, profile: PureProfile, agent: int) -> floa
 def expected_payoff_vs_symmetric(
     params: AuctionParams,
     opponents: MixedStrategy,
-    own_bid: float,
+    own_bid,
     entry_cost: float = 0.0,
-) -> float:
+):
     """Expected payoff of bidding own_bid against N-1 opponents all playing
     the given symmetric mixed strategy.
+
+    own_bid is one bid or an array of bids; a float in gives a float out,
+    an array gives the array of payoffs. opponents.cdf is called once, on
+    the array of bids below support[1] (above it every opponent is beaten),
+    so it must take an array.
 
     The win probability is w = (p + (1-p) F(b))^(N-1) = (1 - (1-p)(1-F(b)))^(N-1),
     formed with log1p/expm1 so that w and 1 - w keep their digits as p -> 1
@@ -191,20 +201,23 @@ def expected_payoff_vs_symmetric(
     alternative. entry_cost is subtracted when bidding carries a flat
     participation charge.
     """
-    if not (math.isfinite(own_bid) and own_bid >= 0.0):
-        raise OutOfSupport(f"own_bid must be finite and non-negative, got {own_bid}")
-    if own_bid >= opponents.support[1]:
-        log_w = 0.0
-    else:
-        beaten = opponents.participation * (1.0 - opponents.cdf(own_bid))
-        log_w = (params.num_agents - 1) * math.log1p(-beaten) if beaten < 1.0 else -math.inf
-    w, one_minus_w = math.exp(log_w), -math.expm1(log_w)
-    gain = (params.value - params.base_fee - own_bid) * w
+    b = np.asarray(own_bid, dtype=float)
+    bad = b[~(np.isfinite(b) & (b >= 0.0))]
+    if bad.size:
+        raise OutOfSupport(f"own_bid must be finite and non-negative, got {bad[0]}")
+    beaten = np.zeros(b.shape)
+    below = b < opponents.support[1]
+    if below.any():
+        beaten[below] = opponents.participation * (1.0 - opponents.cdf(b[below]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_w = np.where(beaten < 1.0, (params.num_agents - 1) * np.log1p(-beaten), -np.inf)
+    gain = (params.value - params.base_fee - b) * np.exp(log_w)
     revert = (
         params.revert_rate_base * params.base_fee
-        + params.revert_rate_priority * own_bid
-    ) * one_minus_w
-    return gain - revert - entry_cost
+        + params.revert_rate_priority * b
+    ) * -np.expm1(log_w)
+    payoff = gain - revert - entry_cost
+    return float(payoff) if payoff.ndim == 0 else payoff
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from .model import (
     Action,
     AuctionParams,
     Bid,
+    MAX_DRAWS,
     MixedStrategy,
     PureProfile,
     expected_payoff_vs_symmetric,
@@ -36,15 +37,14 @@ from .errors import ArgumentOutOfRange, IndexOutOfRange, NumericsError
 from .numerics import bisection_inverse
 
 _CHUNK = 1 << 16  # replay rows per chunk, at most
-_CHUNK_DRAWS = 1 << 22  # agent-draws per chunk array
 
 
 def _chunk_rows(num_agents: int) -> int:
     """Replay rows per chunk: 2^16, fewer above N = 64 so a chunk array holds
-    at most 2^22 draws (32 MiB of float64)."""
-    if num_agents > _CHUNK_DRAWS:
-        raise ArgumentOutOfRange(f"replay needs num_agents <= {_CHUNK_DRAWS}, got {num_agents}")
-    return min(_CHUNK, _CHUNK_DRAWS // num_agents)
+    at most MAX_DRAWS = 2^22 draws (32 MiB of float64)."""
+    if num_agents > MAX_DRAWS:
+        raise ArgumentOutOfRange(f"replay needs num_agents <= {MAX_DRAWS}, got {num_agents}")
+    return min(_CHUNK, MAX_DRAWS // num_agents)
 
 
 def _chunk_rngs(seed: int, n_chunks: int) -> list[np.random.Generator]:
@@ -119,7 +119,9 @@ def monte_carlo_replay(
     Trials run in chunks of min(2^16, 2^22 // N) rows, each on its own child
     stream, so one chunk array holds at most 2^22 agent-draws (32 MiB) and
     memory stays bounded in N and trials. N above 2^22 raises
-    ArgumentOutOfRange before any draw.
+    ArgumentOutOfRange before any draw. A chunk draws its participation
+    uniforms, then its bid uniforms, then one tie draw per tied row; only
+    the participants' bid uniforms go through the quantile.
     """
     if trials < 1:
         raise ArgumentOutOfRange(f"trials must be >= 1, got {trials}")
@@ -136,18 +138,24 @@ def monte_carlo_replay(
     for i, rng in enumerate(_chunk_rngs(seed, n_chunks)):
         m = min(rows, trials - i * rows)
         part = rng.random((m, n)) >= p_star
-        bids = eq._quantile_arr(rng.random((m, n)))
-        masked = np.where(part, bids, -1.0)
+        bids = np.zeros((m, n))  # an abstainer adds nothing to the bid sums
+        # only the participants' bid uniforms go through the quantile; compress
+        # and flat indices cost a fraction of a boolean mask over a random
+        # pattern, and the full uniform array is freed before the quantile runs
+        bids.reshape(-1)[np.flatnonzero(part)] = eq._quantile_arr(
+            rng.random((m, n)).compress(part.reshape(-1)))
         k = part.sum(axis=1)
         any_part = k > 0
-        b_max = masked.max(axis=1)
-        sum_bids = np.where(part, bids, 0.0).sum(axis=1)
+        winner = bids.argmax(axis=1)
+        b_max = bids[np.arange(m), winner]
+        sum_bids = bids.sum(axis=1)
 
-        winner = np.argmax(masked, axis=1)
-        ties = (masked == b_max[:, None]).sum(axis=1)
+        # bids are >= 0, so an abstainer's 0 can tie only a top bid of 0;
+        # the tie draw is among the participants at the top bid
+        ties = (bids == b_max[:, None]).sum(axis=1)
         for row in np.nonzero(any_part & (ties > 1))[0]:
-            idxs = np.nonzero(masked[row] == b_max[row])[0]
-            winner[row] = idxs[rng.integers(len(idxs))]
+            idxs = np.nonzero(part[row] & (bids[row] == b_max[row]))[0]
+            winner[row] = idxs[rng.integers(len(idxs))] if len(idxs) > 1 else idxs[0]
 
         base = np.where(any_part, p.base_fee + (k - 1) * rg, 0.0)
         prio = np.where(any_part, b_max + r2 * (sum_bids - b_max), 0.0)
@@ -200,10 +208,10 @@ def best_response_scan(
     elif entry_cost is None:
         entry_cost = 0.0
     grid = np.linspace(0.0, params.breakeven_bid, grid_points)
-    best = 0.0  # abstaining is always available and pays exactly zero
-    for b in grid:
-        best = max(best, expected_payoff_vs_symmetric(params, strategy, float(b), entry_cost))
-    return best
+    payoffs = expected_payoff_vs_symmetric(params, strategy, grid, entry_cost)
+    # abstaining is always available and pays exactly zero; a NaN payoff
+    # stays NaN, so no certificate passes on it
+    return max(float(payoffs.max()), 0.0)
 
 
 @dataclass(frozen=True)
@@ -229,13 +237,12 @@ def certify_equilibrium(
     max_payoff = best_response_scan(params, eq, grid_points)
     support = np.linspace(0.0, eq.support_max, grid_points)
     strategy = eq.strategy
-    min_support = min(
-        expected_payoff_vs_symmetric(params, strategy, float(b), eq.entry_cost)
-        for b in support
+    min_support = float(
+        expected_payoff_vs_symmetric(params, strategy, support, eq.entry_cost).min()
     )
-    probes = [params.breakeven_bid * (1.0 + eps) for eps in (1e-6, 1e-3, 0.1, 1.0)]
-    overbid = max(
-        expected_payoff_vs_symmetric(params, strategy, b, eq.entry_cost) for b in probes
+    probes = params.breakeven_bid * (1.0 + np.array([1e-6, 1e-3, 0.1, 1.0]))
+    overbid = float(
+        expected_payoff_vs_symmetric(params, strategy, probes, eq.entry_cost).max()
     )
     return EquilibriumCertificate(
         max_payoff=max_payoff,

@@ -21,7 +21,7 @@ import numpy as np
 from . import analytics, oracle
 from .equilibrium import solve_equilibrium
 from .errors import ArgumentOutOfRange
-from .market import MarketSimConfig, simulate
+from .market import EVENT_CSV_HEADER, MarketSimConfig, simulate
 from .model import AuctionParams, PureProfile
 
 
@@ -215,20 +215,20 @@ def _check_market_accounting(seed: int) -> tuple[bool, str]:
         seed=seed,
     )
     rep = simulate(config)
-    fees = sum(e.sequencer_fees for e in rep.events)
-    lp = sum(e.lp_fees for e in rep.events)
-    loss = sum(e.lp_adverse_loss for e in rep.events)
+    column = dict(zip(EVENT_CSV_HEADER, rep.event_columns))
     ok = (
-        rep.csr == fees
+        rep.csr == sum(column["sequencer_fees"])
         and rep.nlp == rep.cfe - rep.casl
-        and rep.cfe == lp
-        and rep.casl == loss
+        and rep.cfe == sum(column["lp_fees"])
+        and rep.casl == sum(column["lp_adverse_loss"])
         and rep.executed > 0
     )
     band_ok = all(
-        abs(abs(e.onchain_price_after - e.true_price) - config.fee_rate * e.true_price) <= 1e-12
-        for e in rep.events
-        if e.outcome == "executed"
+        abs(abs(after - true) - config.fee_rate * true) <= 1e-12
+        for after, true, outcome in zip(
+            column["onchain_price_after"], column["true_price"], column["outcome"]
+        )
+        if outcome == "executed"
     )
     return ok and band_ok, (
         f"{rep.executed} executed, {rep.abstained} abstained; identities exact: {ok}"

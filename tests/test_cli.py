@@ -426,3 +426,14 @@ def test_arbitrary_config_values_never_raise(overrides):
         path.write_text(json.dumps({**CONFIG_BASE, **overrides}))
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             assert run(["revenue", "--config", str(path)]) in (0, 1, 2)
+
+
+def test_simulate_total_overflow_is_exit_1(tmp_path, capsys):
+    # every per-block value is finite, but the LP adverse-selection loss
+    # summed over the blocks overflows
+    argv = [*SIMULATE, "--L", "1e308", "--r1", "0", "--r2", "0", "--N", "10",
+            "--out-events", str(tmp_path / "x.csv")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "total casl" in err
+    assert not (tmp_path / "x.csv").exists()

@@ -14,6 +14,7 @@ from pga_lab import (
     AuctionParams,
 )
 from pga_lab import market
+from pga_lab.errors import ArgumentOutOfRange
 from pga_lab.market import EVENT_CSV_HEADER, BlockEvent, event_csv_rows
 from pga_lab.numerics import adaptive_simpson
 from pga_lab.serialize import csv_text
@@ -361,3 +362,28 @@ def test_execution_compensator_has_mean_zero(r1, r2):
             auctions += 1
     assert auctions > 50_000
     assert abs(total) <= 4.0 * math.sqrt(variance)
+
+
+def test_auction_draw_cap_trips_before_any_uniform(monkeypatch):
+    # r1 = 0 makes p* = 0, so all 2^22 + 1 arbitrageurs bid in the first
+    # auction: one more uniform than an auction may draw
+    calls = []
+    generator = np.random.Generator
+
+    class Recording:
+        def __init__(self, bit_generator):
+            self._rng = generator(bit_generator)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def random(self, *args, **kwargs):
+            calls.append(args)
+            return self._rng.random(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Generator", Recording)
+    config = replace(BASE, horizon=1.0, revert_rate_base=0.0, revert_rate_priority=0.5,
+                     num_arbitrageurs=(1 << 22) + 1)
+    with pytest.raises(ArgumentOutOfRange, match="4194305 arbitrageurs take part"):
+        simulate(config)
+    assert calls == []
