@@ -33,15 +33,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
+from itertools import chain, product, repeat
 from typing import Sequence
 
 import numpy as np
 
 from . import analytics, verify
 from .equilibrium import pure_equilibrium, solve_equilibrium
-from .errors import PgaLabError
+from .errors import ArgumentOutOfRange, PgaLabError
 from .market import EVENT_CSV_HEADER, MarketSimConfig, event_csv_columns, simulate
 from .model import AuctionParams
 from .serialize import Records, fmt_float, write_csv, write_json
@@ -199,7 +201,21 @@ def _build(cls, fields: dict, values: dict):
     return cls(**{field: values[name] for name, field in fields.items()})
 
 
-def _parse_axis(spec: str, names: Sequence[str]) -> tuple[str, list]:
+# The most rows one sweep may write: the product of its axis lengths, times
+# --grid for the cdf target.
+MAX_SWEEP_ROWS = 2**22
+
+
+def _check_rows(rows: int) -> None:
+    if rows > MAX_SWEEP_ROWS:
+        raise ArgumentOutOfRange(
+            f"the sweep would write at least {rows} rows, more than {MAX_SWEEP_ROWS}")
+
+
+def _parse_axis(spec: str, names: Sequence[str]) -> tuple[str, Sequence]:
+    """The axis name and its values. lo:hi[:step] stays a range, and
+    lo:hi:count is counted before np.linspace makes it, so an axis longer
+    than MAX_SWEEP_ROWS raises before it takes memory."""
     name, _, raw = spec.partition("=")
     name, raw = name.strip(), raw.strip()
     if name not in names or not raw:
@@ -213,10 +229,15 @@ def _parse_axis(spec: str, names: Sequence[str]) -> tuple[str, list]:
             lo, hi, step = map(integer, parts if len(parts) == 3 else parts + ["1"])
             if step < 1:
                 raise PgaLabError(f"sweep axis step must be >= 1, got {step}")
-            values = list(range(lo, hi + 1, step))
+            values = range(lo, hi + 1, step)
+            _check_rows(len(values))
         else:  # lo:hi:count, as np.linspace
             lo, hi, count = parts
-            values = np.linspace(real(lo), real(hi), integer(count)).tolist()
+            count = integer(count)
+            _check_rows(count)
+            values = np.linspace(real(lo), real(hi), count).tolist()
+    except ArgumentOutOfRange:
+        raise
     except (TypeError, ValueError, OverflowError):
         raise PgaLabError(f"cannot parse sweep axis {spec!r}; see pga-lab sweep --help") from None
     if not values:
@@ -224,74 +245,84 @@ def _parse_axis(spec: str, names: Sequence[str]) -> tuple[str, list]:
     return name, values
 
 
-def _cdf_rows(params: AuctionParams, point: dict, grid: int):
+def _cdf_columns(params: AuctionParams, point: dict, grid: int):
     eq = solve_equilibrium(params, point["c"] or 0.0)
     bids = np.linspace(0.0, eq.support_max, grid)
-    return zip(bids.tolist(), eq._cdf_arr(bids).tolist())
+    return bids, eq._cdf_arr(bids)
 
 
-def _abstention_rows(params: AuctionParams, point: dict, grid: int):
-    return [(solve_equilibrium(params, point["c"] or 0.0).abstain_prob,)]
+def _abstention_columns(params: AuctionParams, point: dict, grid: int):
+    return [solve_equilibrium(params, point["c"] or 0.0).abstain_prob],
 
 
-def _revenue_rows(params: AuctionParams, point: dict, grid: int):
+def _revenue_columns(params: AuctionParams, point: dict, grid: int):
     rep = analytics.revenue_report(params)
-    return [(rep.abstain_prob, rep.expected_revenue, rep.expected_submitted_txs)]
+    return [rep.abstain_prob], [rep.expected_revenue], [rep.expected_submitted_txs]
 
 
-def _scheme_rows(params: AuctionParams, point: dict, grid: int):
+def _scheme_columns(params: AuctionParams, point: dict, grid: int):
     cmp = analytics.compare_schemes(params, point["c"])
-    return [(cmp.optimal_r1, cmp.scheme1_profit_at_optimum, cmp.scheme2_revenue_at_r1_zero,
-             cmp.winner.value)]
+    return ([cmp.optimal_r1], [cmp.scheme1_profit_at_optimum], [cmp.scheme2_revenue_at_r1_zero],
+            [cmp.winner.value])
 
 
-def _mev_tax_rows(params: AuctionParams, point: dict, grid: int):
+def _mev_tax_columns(params: AuctionParams, point: dict, grid: int):
     tau = point["tau"]
     reparam = analytics.mev_tax_reparameterize(params.revert_rate_base, tau)
     if tau == 0.0:
-        return [(reparam.r1, reparam.r2, 0.0, float("nan"))]
+        return [reparam.r1], [reparam.r2], [0.0], [float("nan")]
     # the bound is the taxed game's winning bid; the tax is its tau/(1+tau) share
     bound = analytics.expected_winning_bid(replace(params, revert_rate_priority=reparam.r2))
-    return [(reparam.r1, reparam.r2, reparam.tax_share * bound, bound)]
+    return [reparam.r1], [reparam.r2], [reparam.tax_share * bound], [bound]
 
 
-# target -> (columns, parameters it needs beyond the auction, rows for one point)
-_REVENUE_SWEEP = (["p_star", "revenue", "submitted"], (), _revenue_rows)
+# target -> (columns, parameters it needs beyond the auction, the columns of
+# one point: float64 arrays (cdf) or one-element lists)
+_REVENUE_SWEEP = (["p_star", "revenue", "submitted"], (), _revenue_columns)
 SWEEPS = {
-    "cdf": (["b", "F"], (), _cdf_rows),
-    "abstention": (["p_star"], (), _abstention_rows),
+    "cdf": (["b", "F"], (), _cdf_columns),
+    "abstention": (["p_star"], (), _abstention_columns),
     "revenue": _REVENUE_SWEEP,
     "submitted": _REVENUE_SWEEP,
     "scheme_compare": (
-        ["optimal_r1", "scheme1_profit", "scheme2_revenue", "winner"], ("c",), _scheme_rows
+        ["optimal_r1", "scheme1_profit", "scheme2_revenue", "winner"], ("c",), _scheme_columns
     ),
-    "mev_tax": (["r1", "r2", "mev_tax", "winning_bid_bound"], ("tau",), _mev_tax_rows),
+    "mev_tax": (["r1", "r2", "mev_tax", "winning_bid_bound"], ("tau",), _mev_tax_columns),
 }
+
+
+def _join(chunks: Sequence[Sequence]) -> Sequence:
+    """One column from its chunks, one per point: arrays as one array, lists as one list."""
+    if isinstance(chunks[0], np.ndarray):
+        return np.concatenate(chunks)
+    return list(chain.from_iterable(chunks))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.grid < 1:
         raise PgaLabError(f"--grid must be >= 1, got {args.grid}")
-    columns, needs, row_fn = SWEEPS[args.target]
+    columns, needs, point_columns = SWEEPS[args.target]
     axes = [_parse_axis(spec, args.parameters) for spec in (args.vary2, args.vary) if spec]
     axis_names = [name for name, _ in axes]
     if len(set(axis_names)) < len(axis_names):
         raise PgaLabError(f"--vary and --vary2 both vary {axis_names[0]}")
+    _check_rows(math.prod(len(axis) for _, axis in axes)
+                * (args.grid if args.target == "cdf" else 1))
     unneeded = set(args.parameters) - set(AUCTION) - set(needs)
     values = _values(args, optional=unneeded | set(axis_names))
 
-    combos: list[dict] = [{}]
-    for name, axis in axes:
-        combos = [dict(c, **{name: v}) for c in combos for v in axis]
-
-    rows = []
+    combos = list(product(*(axis for _, axis in axes)))
+    chunks = []
     for combo in combos:
-        point = {**values, **combo}
-        prefix = tuple(combo.values())
+        point = {**values, **dict(zip(axis_names, combo))}
         params = _build(AuctionParams, AUCTION, point)
-        rows.extend(prefix + row for row in row_fn(params, point, args.grid))
-    write_csv(args.out, axis_names + columns, rows)
-    print(f"wrote {len(rows)} rows to {args.out}")
+        chunks.append(point_columns(params, point, args.grid))
+    # each axis column repeats a point's value once per row of that point
+    counts = [len(chunk[0]) for chunk in chunks]
+    table = [list(chain.from_iterable(map(repeat, axis, counts))) for axis in zip(*combos)]
+    table += map(_join, zip(*chunks))
+    write_csv(args.out, axis_names + columns, table)
+    print(f"wrote {sum(counts)} rows to {args.out}")
     return 0
 
 
@@ -378,7 +409,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"CFE {fmt_float(report.cfe)}  CASL {fmt_float(report.casl)}  "
           f"NLP {fmt_float(report.nlp)}  CSR {fmt_float(report.csr)}")
     if args.out_events:
-        write_csv(args.out_events, EVENT_CSV_HEADER, event_csv_columns(report), by_column=True)
+        write_csv(args.out_events, EVENT_CSV_HEADER, event_csv_columns(report))
         print(f"wrote events to {args.out_events}")
     if args.out_report:
         counts, bin_edges = report.revenue_histogram

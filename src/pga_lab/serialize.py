@@ -19,10 +19,14 @@ from itertools import islice
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 SCHEMA_VERSION = "1"
 
-# CSV rows per block: a block is transposed, formatted column by column and
-# written before the next is read, so writer memory does not grow with the table
+# rows per block: a block of a CSV or of a Records table is formatted column
+# by column, each float column with its distinct values formatted once, and a
+# CSV block is written before the next is formatted, so the text held does not
+# grow with the table
 _BLOCK_ROWS = 4096
 
 # a JSON string literal; non-ASCII text stays UTF-8, as in the files written so far
@@ -68,21 +72,35 @@ def _scalar(v: Any, text: Callable[[str], str]) -> Optional[str]:
 
 
 def _floats(values: Sequence[float]) -> list[str]:
-    """fmt_float of each value, with one "%" over all of them."""
-    cells = (",".join(["%.17g"] * len(values)) % tuple(values)).split(",")
-    return [s if "." in s or "e" in s else _whole(s) for s in cells]
+    """fmt_float of each value, with one "%" over the distinct values.
+
+    Values are told apart by their bits, so -0.0 and 0.0, and NaNs of
+    different payloads, are formatted each on their own; each cell then looks
+    up its value's text.
+    """
+    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
+                              return_inverse=True)
+    distinct = bits.view(np.float64).tolist()
+    cells = (",".join(["%.17g"] * len(distinct)) % tuple(distinct)).split(",")
+    text = np.array([s if "." in s or "e" in s else _whole(s) for s in cells], dtype=object)
+    return text[inverse].tolist()
 
 
 def _column(values: Sequence[Any], text: Callable[[str], str]) -> list[str]:
     """One column's cells as text, as _scalar writes them.
 
-    Columns of one common kind take one pass: floats one "%" over all of
-    them, exact ints map(str) (bool and IntEnum are not exact ints), columns
-    without floats one _scalar call per distinct (type, value), and floats
-    mixed with one non-float sentinel (a blank "" or None) one "%" over the
-    floats. Any other column goes cell by cell. A non-scalar cell raises
-    TypeError.
+    A float64 ndarray goes to _floats as it is; any other ndarray is written
+    as its tolist() would be. Columns of one common kind take one pass:
+    floats _floats, exact ints map(str) (bool and IntEnum are not exact
+    ints), columns without floats one _scalar call per distinct (type,
+    value), and floats mixed with one non-float sentinel (a blank "" or None)
+    _floats over the floats. Any other column goes cell by cell. A non-scalar
+    cell raises TypeError.
     """
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.float64:
+            return _floats(values)
+        values = values.tolist()
     kinds = set(map(type, values))
     if not _scalar_kinds(kinds):
         odd = next(v for v in values if not isinstance(v, _SCALAR_TYPES))
@@ -145,21 +163,19 @@ def _column_blocks(columns: Sequence[Sequence[Any]]) -> Iterator[tuple[list, int
         yield [column[start:stop] for column in columns], stop - start
 
 
-def _csv_blocks(header: Sequence[str], table, by_column: bool) -> Iterator[str]:
-    """The CSV text: the header line, then the table in blocks of _BLOCK_ROWS
-    rows, each formatted column by column before the next is read.
-
-    table is the rows, or with by_column the columns.
-    """
+def _csv_blocks(header: Sequence[str], blocks: Iterator[tuple[list, int]]) -> Iterator[str]:
+    """The CSV text: the header line, then each block of _row_blocks or
+    _column_blocks, formatted column by column before the next is read."""
     yield ",".join(header) + "\n"
-    for columns, count in (_column_blocks if by_column else _row_blocks)(table):
+    for columns, count in blocks:
         cells = [_column(column, str) for column in columns]
         lines = map(",".join, zip(*cells)) if cells else [""] * count
         yield "\n".join(lines) + "\n"
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    return "".join(_csv_blocks(header, rows, False))
+    """The rows as CSV text."""
+    return "".join(_csv_blocks(header, _row_blocks(rows)))
 
 
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
@@ -198,9 +214,10 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
         fh.writelines(chunks)
 
 
-def write_csv(path: str, header: Sequence[str], table, by_column: bool = False) -> None:
-    """The table as CSV: its rows, or with by_column its columns."""
-    _write_atomic(path, _csv_blocks(header, table, by_column))
+def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence[Any]]) -> None:
+    """The table given by its columns (sequences or ndarrays of equal length)
+    as CSV; csv_text writes the same text from rows."""
+    _write_atomic(path, _csv_blocks(header, _column_blocks(columns)))
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,19 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pga_lab import verify
+from pga_lab import analytics, verify
 from pga_lab.cli import run
-from pga_lab.serialize import fmt_float, json_text
+from pga_lab.equilibrium import solve_equilibrium
+from pga_lab.model import AuctionParams
+from pga_lab.serialize import csv_text, fmt_float, json_text
 
 from _util import philox
 
@@ -80,8 +84,14 @@ def test_out_of_range_cost_or_tax_is_exit_1(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "extra",
-    [["--vary", "N=a:5"], ["--vary", "N=2:5:0"], ["--grid", "-1"], ["--grid", "0"]],
-    ids=["non-integer-bound", "zero-step", "negative-grid", "zero-grid"],
+    [["--vary", "N=a:5"], ["--vary", "N=2:5:0"], ["--grid", "-1"], ["--grid", "0"],
+     # more rows than MAX_SWEEP_ROWS, refused before any axis or grid is made
+     ["--vary", "N=2:3", "--grid", "1000000000000"],
+     ["--vary", "N=2:100000000000", "--grid", "2"],
+     ["--vary", "c=0:1:100000000000"],
+     ["--vary2", "r1=0:1:3000", "--vary", "N=2:3000", "--grid", "1"]],
+    ids=["non-integer-bound", "zero-step", "negative-grid", "zero-grid", "huge-grid",
+         "huge-range-axis", "huge-linspace-axis", "huge-axis-product"],
 )
 def test_malformed_sweep_is_exit_1(extra, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -177,6 +187,93 @@ def test_sweep_missing_axis_value_is_usage_error(tmp_path, capsys):
     ]
     assert run(argv) == 2  # r1 and N neither fixed nor varied
     capsys.readouterr()
+
+
+def _reference_cdf_rows(params, point, grid):
+    eq = solve_equilibrium(params, point["c"] or 0.0)
+    bids = np.linspace(0.0, eq.support_max, grid)
+    return zip(bids.tolist(), eq._cdf_arr(bids).tolist())
+
+
+def _reference_revenue_rows(params, point, grid):
+    rep = analytics.revenue_report(params)
+    return [(rep.abstain_prob, rep.expected_revenue, rep.expected_submitted_txs)]
+
+
+def _reference_scheme_rows(params, point, grid):
+    cmp = analytics.compare_schemes(params, point["c"])
+    return [(cmp.optimal_r1, cmp.scheme1_profit_at_optimum, cmp.scheme2_revenue_at_r1_zero,
+             cmp.winner.value)]
+
+
+def _reference_mev_tax_rows(params, point, grid):
+    tau = point["tau"]
+    reparam = analytics.mev_tax_reparameterize(params.revert_rate_base, tau)
+    if tau == 0.0:
+        return [(reparam.r1, reparam.r2, 0.0, float("nan"))]
+    bound = analytics.expected_winning_bid(replace(params, revert_rate_priority=reparam.r2))
+    return [(reparam.r1, reparam.r2, reparam.tax_share * bound, bound)]
+
+
+_REFERENCE_SWEEPS = {
+    "cdf": (["b", "F"], _reference_cdf_rows),
+    "abstention": (["p_star"], lambda params, point, grid: [
+        (solve_equilibrium(params, point["c"] or 0.0).abstain_prob,)]),
+    "revenue": (["p_star", "revenue", "submitted"], _reference_revenue_rows),
+    "submitted": (["p_star", "revenue", "submitted"], _reference_revenue_rows),
+    "scheme_compare": (["optimal_r1", "scheme1_profit", "scheme2_revenue", "winner"],
+                       _reference_scheme_rows),
+    "mev_tax": (["r1", "r2", "mev_tax", "winning_bid_bound"], _reference_mev_tax_rows),
+}
+
+
+def _reference_sweep(target: str, fixed: dict, axes: list, grid: int) -> str:
+    """The sweep as the row loop it was before the columnar one, kept as its
+    oracle: every point's rows are tuples behind the point's axis values."""
+    header, row_fn = _REFERENCE_SWEEPS[target]
+    combos: list[dict] = [{}]
+    for name, axis in axes:
+        combos = [dict(c, **{name: v}) for c in combos for v in axis]
+    rows = []
+    for combo in combos:
+        point = {"c": None, "tau": None, **fixed, **combo}
+        params = AuctionParams(point["V"], point["g"], point["r1"], point["r2"], point["N"])
+        rows.extend(tuple(combo.values()) + row for row in row_fn(params, point, grid))
+    return csv_text([name for name, _ in axes] + header, rows)
+
+
+# (--vary2, --vary) specs with their values; an int axis, a float axis, both,
+# and c, over which the cdf's bid support changes from point to point
+SWEEP_AXES = {
+    "int-axis": [("N", "2:9", range(2, 10))],
+    "float-axis": [("r1", "0.05,0.5,1", [0.05, 0.5, 1.0])],
+    "two-axes": [("N", "2,5,40", [2, 5, 40]), ("r2", "0:1:4", np.linspace(0, 1, 4).tolist())],
+    "c-axis": [("c", "0:8.5:6", np.linspace(0, 8.5, 6).tolist())],
+}
+
+
+@pytest.mark.parametrize(
+    "target, axes, grid",
+    [pytest.param(target, axes, 200, id=f"{target}-{name}")
+     for target in _REFERENCE_SWEEPS for name, axes in SWEEP_AXES.items()]
+    + [pytest.param("cdf", axes, 1, id=f"cdf-{name}-grid-1") for name, axes in SWEEP_AXES.items()],
+)
+def test_sweep_matches_the_row_loop_byte_for_byte(target, axes, grid, tmp_path, capsys):
+    fixed = {"V": 10.0, "g": 1.0, "r1": 0.1, "r2": 0.1, "N": 7, "c": 0.5, "tau": 0.5}
+    if target in ("cdf", "abstention") and axes[0][0] != "c":
+        del fixed["c"]  # optional there: unset means no entry cost
+    varied = {name for name, _, _ in axes}
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--target", target, "--grid", str(grid), "--out", str(out)]
+    for key, value in fixed.items():
+        if key not in varied:
+            argv += [f"--{key}", repr(value)]
+    for flag, (name, spec, _) in zip(["--vary2", "--vary"][2 - len(axes):], axes):
+        argv += [flag, f"{name}={spec}"]
+    assert run(argv) == 0
+    expected = _reference_sweep(target, fixed, [(name, values) for name, _, values in axes], grid)
+    assert out.read_text(encoding="utf-8") == expected
+    assert capsys.readouterr().out == f"wrote {expected.count(chr(10)) - 1} rows to {out}\n"
 
 
 def test_config_file_precedence(tmp_path, capsys):

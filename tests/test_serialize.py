@@ -164,14 +164,31 @@ COLUMNS = {
     "float-subclass-zeros": [np.float64(-0.0), np.float64(0.0)],
     "float-enums": [Half.NEG, Half.ONE, 0.0],
     "empty": [],
+    # floats repeat within a block: each distinct bit pattern is formatted once
+    "signed-zeros-repeated": [0.0, -0.0, -0.0, 0.0, 1.0, -0.0] * 50,
+    "nan-payloads-infinities-subnormals": (
+        np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+                  0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64).tolist()
+        + [math.inf, -math.inf, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310]) * 7,
+    "whole-floats": [1e16, -1e16, 1e17, 2.0**53, 1.0, -3.0, 1e22, 123456789012345680.0] * 9,
+    "longer-than-a-block": FLOATS[:_BLOCK_ROWS + 100] + FLOATS[:_BLOCK_ROWS // 2],
+    "float64-array": np.array(FLOATS[:5000] + FLOATS[:300]),
+    "float64-array-strided": np.array(FLOATS[:6000])[::3],
+    "float64-array-empty": np.array([], dtype=np.float64),
+    "int64-array": np.array([0, -1, 7, 2**62, -(2**63), 7, 0], dtype=np.int64),
+    "float32-array": np.arange(-250, 250, dtype=np.float32) / np.float32(7),
+    "str-array": np.array(["executed", "tie", "executed"]),
 }
 
 
 @pytest.mark.parametrize("text", [str, _quote], ids=["csv", "json"])
 @pytest.mark.parametrize("values", COLUMNS.values(), ids=COLUMNS.keys())
 def test_column_fast_paths_match_scalar_cell_by_cell(values, text):
-    assert _column(values, text) == [_scalar(v, text) for v in values]
-    assert _column(tuple(values), text) == [_scalar(v, text) for v in values]
+    # an ndarray column is written as its tolist() is
+    cells = values.tolist() if isinstance(values, np.ndarray) else values
+    expected = [_scalar(v, text) for v in cells]
+    assert _column(values, text) == expected
+    assert _column(tuple(cells), text) == expected
 
 
 def test_tables_given_by_column_match_the_rows(tmp_path):
@@ -179,13 +196,13 @@ def test_tables_given_by_column_match_the_rows(tmp_path):
     rows = [(i, i / 7, "" if i % 5 else 1e16, "x" if i % 2 else None) for i in range(n)]
     columns = [tuple(c) for c in zip(*rows)]
     path = tmp_path / "x.csv"
-    write_csv(str(path), ["a", "b", "c", "d"], columns, by_column=True)
+    write_csv(str(path), ["a", "b", "c", "d"], columns)
     assert path.read_text(encoding="utf-8") == csv_text(["a", "b", "c", "d"], rows)
     dicts = [dict(zip("abcd", row)) for row in rows]
     assert json_text({"t": Records("abcd", columns)}) == json_text({"t": dicts})
     assert json_text({"t": Records("abcd", [(), (), (), ()])}) == json_text({"t": []})
     with pytest.raises(ValueError, match="unequal lengths"):
-        write_csv(str(path), ["a", "b"], [(1, 2), (3,)], by_column=True)
+        write_csv(str(path), ["a", "b"], [(1, 2), (3,)])
 
 
 def test_lists_with_nested_values_recurse():
@@ -209,14 +226,22 @@ def test_ragged_rows_raise_value_error(bad, tmp_path):
     rows = [[0.5, 1.5]] * (_BLOCK_ROWS + 3) + [bad]
     with pytest.raises(ValueError, match=f"row {_BLOCK_ROWS + 3} has {len(bad)} cells"):
         csv_text(["a", "b"], rows)
+
+
+def test_failed_csv_write_leaves_the_previous_file(tmp_path):
+    n = _BLOCK_ROWS + 3
+    unequal = [[1, 2], [1.0]]
+    # the first block is written before the bad cell of the second is read
+    bad_late = [[0.5] * n, [1.5] * (n - 1) + [object()]]
     path = tmp_path / "x.csv"
-    for table in ([[1, 2], bad], rows):
-        with pytest.raises(ValueError):
-            write_csv(str(path), ["a", "b"], table)
+    for columns, error in ((unequal, ValueError), (bad_late, TypeError)):
+        with pytest.raises(error):
+            write_csv(str(path), ["a", "b"], columns)
         assert list(tmp_path.iterdir()) == []
-    write_csv(str(path), ["a", "b"], [[1, 2]])
-    with pytest.raises(ValueError):
-        write_csv(str(path), ["a", "b"], rows)
+    write_csv(str(path), ["a", "b"], [[1], [2]])
+    for columns, error in ((unequal, ValueError), (bad_late, TypeError)):
+        with pytest.raises(error):
+            write_csv(str(path), ["a", "b"], columns)
     assert path.read_text(encoding="utf-8") == "a,b\n1,2\n"
     assert list(tmp_path.iterdir()) == [path]
 
@@ -241,7 +266,7 @@ def test_a_fifo_is_written_in_place(tmp_path):
     os.mkfifo(path)
     reader = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        write_csv(str(path), ["a", "b"], [[1, 2]])
+        write_csv(str(path), ["a", "b"], [[1], [2]])
         assert os.read(reader, 1024) == b"a,b\n1,2\n"
     finally:
         os.close(reader)
