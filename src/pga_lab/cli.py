@@ -229,8 +229,8 @@ def _parse_axis(spec: str, names: Sequence[str]) -> tuple[str, Sequence]:
             lo, hi, step = map(integer, parts if len(parts) == 3 else parts + ["1"])
             if step < 1:
                 raise PgaLabError(f"sweep axis step must be >= 1, got {step}")
+            _check_rows((hi - lo) // step + 1)  # len(range) overflows past sys.maxsize
             values = range(lo, hi + 1, step)
-            _check_rows(len(values))
         else:  # lo:hi:count, as np.linspace
             lo, hi, count = parts
             count = integer(count)

@@ -59,8 +59,9 @@ def log_ratio(rg, vg, c=0.0, r2=0.0, b=0.0, log=_log):
     """log z(b) = log(r1 g + r2 b + c) - log(V - g - b + r1 g + r2 b).
 
     rg = r1 g and vg = V - g. At b = 0 this is log rho, the one input of the
-    closed form; p* and F* both take it from this expression, so F*(0) = 0
-    holds exactly. Scalars go through math; pass log=np.log for arrays.
+    closed form. Scalars go through math (log_rho, so p*); pass log=np.log for
+    arrays (F*). The two logs can differ in the last bit, so F*(0) = 0 is not
+    left to this expression: Equilibrium.cdf pins it.
     """
     r2b = r2 * b
     return log(rg + r2b + c) - log(vg - b + rg + r2b)
@@ -203,13 +204,7 @@ class Equilibrium:
         """
         # z(V - g) is unbounded as r1 g + r2 (V - g) -> 0; numpy overflows to inf
         with np.errstate(over="ignore", divide="ignore"):
-            return float(self._f_star(self.params.breakeven_bid, np.log, np.expm1)) - 1.0
-
-    def log_z(self, b, log=_log):
-        """log of the indifference ratio z(b); see log_ratio."""
-        p = self.params
-        rg = p.revert_rate_base * p.base_fee
-        return log_ratio(rg, p.breakeven_bid, self.entry_cost, p.revert_rate_priority, b, log)
+            return float(self._f_star(self.params.breakeven_bid)) - 1.0
 
     def _one_minus_p(self) -> float:
         """1 - p*, or NumericsError where it rounds to 0 and F* is undefined."""
@@ -221,44 +216,45 @@ class Equilibrium:
             )
         return one_minus_p
 
-    def _f_star(self, b, log, expm1):
-        """Raw F*(b) = (z^(1/(N-1)) - p*) / (1 - p*), written as
-        (expm1(log z / (N-1)) + 1 - p*) / (1 - p*) so that it does not cancel
-        as p* -> 1. Scalars pass (_log, math.expm1), arrays (np.log, np.expm1)."""
+    def _f_of_log_z(self, t):
+        """F* at t = log z: (e^(t/(N-1)) - p*) / (1 - p*), written as
+        (expm1(t/(N-1)) + 1 - p*) / (1 - p*) so that it does not cancel as
+        p* -> 1."""
         one_minus_p = self._one_minus_p()
-        root = expm1(self.log_z(b, log) / (self.params.num_agents - 1))  # z^(1/(N-1)) - 1
-        return (root + one_minus_p) / one_minus_p
+        return (np.expm1(t / (self.params.num_agents - 1)) + one_minus_p) / one_minus_p
+
+    def _f_star(self, b):
+        """Raw F*(b), unclipped, with log z(b) from log_ratio through np.log."""
+        p = self.params
+        return self._f_of_log_z(log_ratio(p.revert_rate_base * p.base_fee, p.breakeven_bid,
+                                          self.entry_cost, p.revert_rate_priority, b, np.log))
 
     def _cdf_arr(self, b: np.ndarray) -> np.ndarray:
-        b = np.clip(b, 0.0, self.support_max)
+        """F* on an array of bids in [0, V - g]: the raw formula clipped to
+        [0, 1] inside the support, and pinned at its ends, exactly 0 at b = 0
+        and exactly 1 on [V - g - c, V - g], which the raw formula meets only
+        to rounding."""
+        top = self.support_max
+        b = np.clip(b, 0.0, top)
         with np.errstate(divide="ignore"):
-            raw = self._f_star(b, np.log, np.expm1)
+            raw = self._f_star(b)
         bad = raw < -_NEG_CLAMP
         if np.any(bad):
             raise NumericsError(
                 f"CDF residue below clamp window: min raw value {raw[bad].min():.3e}"
             )
-        return np.clip(raw, 0.0, 1.0)
+        return np.where(b >= top, 1.0, np.where(b > 0.0, np.clip(raw, 0.0, 1.0), 0.0))
 
     def cdf(self, b):
-        """F*(b) for b in [0, V - g]. Exactly 1 on [V - g - c, V - g] for a
-        float b; an array of bids goes through _cdf_arr and its clamps."""
-        if isinstance(b, np.ndarray):
-            outside = b[~((b >= -_NEG_CLAMP) & (b <= self.breakeven_bid + _NEG_CLAMP))]
-            if outside.size:
-                raise OutOfSupport(f"bid {outside[0]} outside [0, {self.breakeven_bid}]")
-            return self._cdf_arr(b)
-        if not math.isfinite(b) or b < -_NEG_CLAMP or b > self.breakeven_bid + _NEG_CLAMP:
-            raise OutOfSupport(f"bid {b} outside [0, {self.breakeven_bid}]")
-        b = min(max(b, 0.0), self.breakeven_bid)
-        if b >= self.support_max:
-            return 1.0
-        raw = self._f_star(b, _log, math.expm1)
-        if raw < 0.0:
-            if raw < -_NEG_CLAMP:
-                raise NumericsError(f"CDF residue below clamp window at b={b}: {raw:.3e}")
-            raw = 0.0
-        return min(raw, 1.0)
+        """F*(b) for a bid or an array of bids in [0, V - g], through _cdf_arr:
+        a float in gives a float out. Exactly 0 at b = 0 and exactly 1 on
+        [V - g - c, V - g]."""
+        bids = np.asarray(b, dtype=float)
+        outside = bids[~((bids >= -_NEG_CLAMP) & (bids <= self.breakeven_bid + _NEG_CLAMP))]
+        if outside.size:
+            raise OutOfSupport(f"bid {outside[0]} outside [0, {self.breakeven_bid}]")
+        f = self._cdf_arr(bids)
+        return float(f) if f.ndim == 0 else f
 
     @property
     def _scale(self) -> float:
@@ -347,8 +343,7 @@ class Equilibrium:
         scale = k / (m * one_minus_p)
 
         def density(t):
-            x = t / m
-            return scale * ((np.expm1(x) + one_minus_p) / one_minus_p) ** (k - 1) * np.exp(x)
+            return scale * self._f_of_log_z(t) ** (k - 1) * np.exp(t / m)
 
         return self._tail_integral(density, min(1.0, m * one_minus_p / k))
 

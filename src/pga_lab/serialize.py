@@ -16,7 +16,6 @@ import os
 import stat
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import islice
-from operator import attrgetter
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -245,20 +244,6 @@ def _record_items(names: Sequence[str], columns: Sequence[Sequence[Any]], indent
     return items
 
 
-def _records(obj: Sequence[Any], indent: int, level: int) -> Optional[list[str]]:
-    """The JSON text at level of each element of obj, when the elements are
-    instances of one dataclass whose fields all hold scalars; else None."""
-    kinds = set(map(type, obj))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    names = [f.name for f in fields(kind)] if is_dataclass(kind) else []
-    if not names:
-        return None
-    columns = [list(map(attrgetter(name), obj)) for name in names]
-    if not all(map(_all_scalar, columns)):
-        return None
-    return _record_items(names, columns, indent, level)
-
-
 def _json_fragment(obj: Any, indent: int, level: int, out: list[str]) -> None:
     leaf = _scalar(obj, _quote)
     if leaf is not None:
@@ -267,12 +252,11 @@ def _json_fragment(obj: Any, indent: int, level: int, out: list[str]) -> None:
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
     if isinstance(obj, (list, tuple, Records)):
+        items = None
         if isinstance(obj, Records):
             items = _record_items(obj.names, obj.columns, indent, level + 1)
         elif _all_scalar(obj):
             items = _column(obj, _quote)
-        else:
-            items = _records(obj, indent, level + 1)
         if items is not None:
             out += [f"[\n{pad_in}", f",\n{pad_in}".join(items), f"\n{pad}]"] if items else ["[]"]
             return

@@ -101,6 +101,30 @@ def test_malformed_sweep_is_exit_1(extra, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_range_axis_past_sys_maxsize_gets_the_row_cap(tmp_path, capsys):
+    """An integer range longer than sys.maxsize is counted, not refused as unparseable."""
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--target", "abstention", *AUCTION,
+            "--vary", "N=2:99999999999999999999999999", "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the sweep would write") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cdf_sweep_ends_are_exact_over_an_entry_cost_axis(tmp_path, capsys):
+    """F is 0.0 in every point's first row and 1.0 in its last, at each c."""
+    out = tmp_path / "cdf.csv"
+    argv = ["sweep", "--target", "cdf", "--V", "10", "--g", "1", "--r1", "0.1", "--r2", "0.1",
+            "--N", "20", "--vary", "c=0.01:8:37", "--out", str(out)]
+    assert run(argv) == 0
+    capsys.readouterr()
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 37 * 200
+    for start in range(0, len(rows), 200):
+        assert rows[start][2] == "0.0" and rows[start + 199][2] == "1.0", rows[start][0]
+
+
 def test_cdf_sweep_reproduces_fixed_point(tmp_path, capsys):
     out = tmp_path / "cdf.csv"
     argv = [

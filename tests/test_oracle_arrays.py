@@ -89,7 +89,7 @@ class TestPayoffOnArrays:
         bids = np.linspace(0.0, 9.0, 101)
         assert np.array_equal(eq.cdf(bids), eq._cdf_arr(bids))
         scalar = np.array([eq.cdf(b) for b in bids.tolist()])
-        assert np.abs(eq.cdf(bids) - scalar).max() <= 1e-15
+        assert np.array_equal(eq.cdf(bids), scalar)
         for outside in (-1e-9, 9.0 + 1e-9, math.nan):
             with pytest.raises(OutOfSupport):
                 eq.cdf(np.array([1.0, outside]))

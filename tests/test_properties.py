@@ -49,8 +49,12 @@ def _grid(eq):
 
 
 def _check_cdf(point):
+    """F* is a distribution function on the support, exactly 0.0 and 1.0 at
+    its ends, and an array of bids gives the per-float values bit for bit."""
     eq = solve_equilibrium(*point)
-    f = np.array([eq.cdf(b) for b in _grid(eq)])
+    grid = _grid(eq)
+    f = np.array([eq.cdf(b) for b in grid])
+    assert np.array_equal(eq.cdf(np.array(grid)), f)
     assert f[0] == 0.0 and f[-1] == 1.0
     assert np.all((f >= 0.0) & (f <= 1.0))
     assert np.all(np.diff(f) >= 0.0)

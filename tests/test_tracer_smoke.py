@@ -10,16 +10,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+AUCTION = ["--V", "10", "--g", "1", "--r1", "0.1", "--r2", "0.1"]
 
 
-def test_traced_mev_tax_sweep(tmp_path):
+@pytest.mark.parametrize(
+    "sweep, counts",
+    [
+        (["--target", "mev_tax", "--vary2", "tau=0.5,2", "--vary", "N=2,5"], {}),
+        # Equilibrium.cdf and _cdf_arr are wrapped by name; the sweep prices its
+        # two 50-bid grids through _cdf_arr
+        (["--target", "cdf", "--vary", "N=2,5", "--grid", "50"],
+         {"equilibrium.cdf_points": 100}),
+    ],
+    ids=["mev_tax", "cdf"],
+)
+def test_traced_sweep(sweep, counts, tmp_path):
     result = tmp_path / "trace.json"
     argv = [
         sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(result), "--",
-        "sweep", "--target", "mev_tax", "--V", "10", "--g", "1", "--r1", "0.1",
-        "--r2", "0.1", "--vary2", "tau=0.5,2", "--vary", "N=2,5",
-        "--out", str(tmp_path / "tax.csv"),
+        "sweep", *sweep, *AUCTION, "--out", str(tmp_path / "sweep.csv"),
     ]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -30,3 +42,5 @@ def test_traced_mev_tax_sweep(tmp_path):
     doc = json.loads(result.read_text())
     assert doc["exit"] == 0
     assert doc["metrics"]
+    for name, expected in counts.items():
+        assert doc["metrics"][name] == expected
