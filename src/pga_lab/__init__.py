@@ -70,7 +70,6 @@ from .model import (
     preset,
     PRESET_NAMES,
     pure_payoff,
-    validate_params,
 )
 from .oracle import (
     EquilibriumCertificate,

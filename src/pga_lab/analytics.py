@@ -6,9 +6,10 @@ V flows to the sequencer. Revenue therefore equals (1 - p*^N) V, splits into a
 base-fee and a priority-fee component, and admits finite N -> infinity limits
 whenever r1 > 0.
 
-When r1 = 0 every agent participates (p* = 0) regardless of r2, so the report
-uses the full-participation conventions: revenue exactly V for any N, base
-component exactly g, and an unbounded submitted-transaction limit.
+When r1 g = 0 (r1 = 0, or r1 g rounding to 0) every agent participates
+(p* = 0) regardless of r2, so the report uses the full-participation
+conventions: revenue exactly V for any N, base component exactly g, and an
+unbounded submitted-transaction limit.
 """
 
 from __future__ import annotations
@@ -19,15 +20,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibrium import abstention, check_entry_cost, log_ratio, log_rho, solve_equilibrium
+from .equilibrium import check_entry_cost, equilibrium_state, solve_equilibrium
 from .errors import RateOutOfRange
 from .model import AuctionParams
 
 
 @dataclass(frozen=True)
 class RevenueLimits:
-    """N -> infinity values of the report quantities (r1 > 0), or the
-    full-participation conventions (r1 = 0, submitted txs unbounded)."""
+    """N -> infinity values of the report quantities (r1 g > 0), or the
+    full-participation conventions (r1 g = 0, submitted txs unbounded)."""
 
     revenue: float
     base_revenue: float
@@ -58,16 +59,18 @@ def revenue_report(params: AuctionParams) -> RevenueReport:
     r1, n = params.revert_rate_base, params.num_agents
     vg = params.breakeven_bid
     rg = r1 * g
-    p_star, one_minus_p, one_minus_pn = abstention(log_rho(params), n)
+    state = equilibrium_state(rg, vg, n)
+    one_minus_p, one_minus_pn = state.one_minus_p, state.one_minus_pn
     revenue = one_minus_pn * v
     excess_losers = one_minus_p * n - one_minus_pn
     base = one_minus_pn * g + excess_losers * rg
     priority = one_minus_pn * vg - excess_losers * rg
-    if r1 == 0.0:
+    if rg == 0.0:  # as in check_losing_cost: r1 g can round to 0 with r1 > 0
         limits = RevenueLimits(v, g, vg, math.inf, submitted_unbounded=True)
     else:
-        p_inf = vg / (vg + rg)
-        s_inf = math.log1p(vg / rg)
+        p_inf = vg / state.scale
+        ratio = vg / rg  # where it overflows, s_inf = log1p(ratio) = -log rho is finite
+        s_inf = math.log1p(ratio) if ratio < math.inf else -state.log_rho
         limits = RevenueLimits(
             revenue=v * p_inf,
             base_revenue=g * p_inf * (1.0 - r1) + rg * s_inf,
@@ -76,7 +79,7 @@ def revenue_report(params: AuctionParams) -> RevenueReport:
             submitted_unbounded=False,
         )
     return RevenueReport(
-        abstain_prob=p_star,
+        abstain_prob=state.p_star,
         participation_prob=one_minus_pn,
         expected_revenue=revenue,
         base_revenue=base,
@@ -115,9 +118,8 @@ def scheme1_profit_curve(
     n = params.num_agents
     r1 = np.linspace(0.0, 1.0, grid_points)
     with np.errstate(divide="ignore"):
-        lr = log_ratio(r1 * params.base_fee, params.breakeven_bid, log=np.log)
-    _, one_minus_p, one_minus_pn = abstention(lr, n, np)
-    return r1, one_minus_pn * params.value - c * one_minus_p * n
+        state = equilibrium_state(r1 * params.base_fee, params.breakeven_bid, n, xp=np)
+    return r1, state.one_minus_pn * params.value - c * state.one_minus_p * n
 
 
 def scheme1_optimal_r1_scan(
@@ -138,7 +140,9 @@ def scheme2_revenue(params: AuctionParams, c: float) -> float:
     dissipation makes the gross inflow equal the extracted value.
     """
     check_entry_cost(params, c)
-    return abstention(log_rho(params, c), params.num_agents)[2] * params.value
+    state = equilibrium_state(params.revert_rate_base * params.base_fee, params.breakeven_bid,
+                              params.num_agents, c)
+    return state.one_minus_pn * params.value
 
 
 class Winner(enum.Enum):

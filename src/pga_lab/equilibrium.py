@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,27 +60,42 @@ def log_ratio(rg, vg, c=0.0, r2=0.0, b=0.0, log=_log):
     """log z(b) = log(r1 g + r2 b + c) - log(V - g - b + r1 g + r2 b).
 
     rg = r1 g and vg = V - g. At b = 0 this is log rho, the one input of the
-    closed form. Scalars go through math (log_rho, so p*); pass log=np.log for
-    arrays (F*). The two logs can differ in the last bit, so F*(0) = 0 is not
+    closed form. Scalars go through math (equilibrium_state); pass log=np.log
+    for arrays (F*). The two logs can differ in the last bit, so F*(0) = 0 is not
     left to this expression: Equilibrium.cdf pins it.
     """
     r2b = r2 * b
     return log(rg + r2b + c) - log(vg - b + rg + r2b)
 
 
-def log_rho(params: AuctionParams, entry_cost: float = 0.0) -> float:
-    """log rho = log((r1 g + c) / (V - g + r1 g)); -inf when r1 = c = 0."""
-    return log_ratio(params.revert_rate_base * params.base_fee, params.breakeven_bid, entry_cost)
+class EquilibriumState(NamedTuple):
+    """The constants every closed form is built from, at (r1 g, V - g, c, N).
 
-
-def abstention(lr, num_agents, xp=math):
-    """(p*, 1 - p*, 1 - p*^N) from lr = log rho, with p* = rho^(1/(N-1)).
-
-    The complements come from expm1, so they keep full relative accuracy as
-    p* -> 1 at large N. xp is math for scalars or numpy for arrays.
+    Fields are floats for one equilibrium, or numpy columns with one
+    equilibrium per row (market._price_auctions stacks per-auction states).
     """
+
+    log_rho: float  # log((r1 g + c) / (V - g + r1 g)); -inf when r1 g = c = 0
+    rho: float
+    p_star: float  # rho^(1/(N-1))
+    one_minus_p: float
+    one_minus_pn: float  # 1 - p*^N
+    scale: float  # K = V - g + r1 g, the scale of the inverse bid b(z)
+    top: float  # V - g - c, the top of the bid support
+
+
+def equilibrium_state(rg, vg, num_agents, c=0.0, xp=math) -> EquilibriumState:
+    """The EquilibriumState at rg = r1 g, vg = V - g, N and entry cost c.
+
+    The complements 1 - p* and 1 - p*^N come from expm1, so they keep full
+    relative accuracy as p* -> 1 at large N. xp is math for scalars or numpy
+    for arrays; the two can differ in the last bit, so a per-row state that
+    must match its scalar one is built with math and stacked.
+    """
+    lr = log_ratio(rg, vg, c, log=_log if xp is math else xp.log)
     x = lr / (num_agents - 1)
-    return xp.exp(x), -xp.expm1(x), -xp.expm1(lr * num_agents / (num_agents - 1))
+    return EquilibriumState(lr, xp.exp(lr), xp.exp(x), -xp.expm1(x),
+                            -xp.expm1(lr * num_agents / (num_agents - 1)), vg + rg, vg - c)
 
 
 @cache
@@ -134,27 +150,26 @@ def _bid(x, offset, scale, r2):
     return x
 
 
-def bid_quantile(u, p_star, one_minus_p, rho, m, r2, scale, top):
+def bid_quantile(u, state: EquilibriumState, m, r2):
     """Q(u) on a working copy of u in [0, 1]: the one quantile formula.
 
     q = (p* + (1-p*)u)^m with m = N - 1, and the bid is b(q) clipped to
-    [0, top], top = V - g - c. p_star, one_minus_p, rho, scale (= K) and top
-    are scalars for one equilibrium, or (n, 1) columns with one auction per
-    row that u's rows broadcast against. p* must be positive on every row or
-    on none (rho = 0).
+    [0, top], top = V - g - c. The state's fields are scalars for one
+    equilibrium, or (n, 1) columns with one auction per row that u's rows
+    broadcast against. p* must be positive on every row or on none (rho = 0).
     """
     x = np.array(u, dtype=float)
-    if np.all(p_star > 0.0):
+    if np.all(state.p_star > 0.0):
         # log(q / rho) = m log1p(u (1-p*)/p*), then x = q - rho
-        x *= one_minus_p / p_star
+        x *= state.one_minus_p / state.p_star
         np.log1p(x, out=x)
         x *= m
         np.expm1(x, out=x)
-        x *= rho
+        x *= state.rho
     else:  # r1 g + c = 0 or p* underflows, so rho = 0 and x = q = u^m
         np.power(x, m, out=x)
-    _bid(x, r2 + (1.0 - r2) * rho, scale, r2)
-    return np.clip(x, 0.0, top, out=x)
+    _bid(x, r2 + (1.0 - r2) * state.rho, state.scale, r2)
+    return np.clip(x, 0.0, state.top, out=x)
 
 
 def check_entry_cost(params: AuctionParams, entry_cost: float) -> None:
@@ -171,28 +186,23 @@ def check_entry_cost(params: AuctionParams, entry_cost: float) -> None:
 class Equilibrium:
     """Symmetric mixed equilibrium for given params and flat entry cost.
 
-    abstain_prob is what sample_action draws against; the CDF and quantile
-    derive p* and 1 - p* from params and entry_cost.
+    state holds the closed form's constants (equilibrium_state); the CDF, the
+    quantile and the tail integrals read them from there.
     """
 
     params: AuctionParams
     entry_cost: float
-    abstain_prob: float
+    state: EquilibriumState
 
     @property
-    def breakeven_bid(self) -> float:
-        return self.params.breakeven_bid
+    def abstain_prob(self) -> float:
+        """p*, what sample_action draws against."""
+        return self.state.p_star
 
     @property
     def support_max(self) -> float:
         """Upper end of the bid support: V - g - c, where the CDF hits 1."""
-        return self.params.breakeven_bid - self.entry_cost
-
-    @cached_property
-    def _abstention(self) -> tuple[float, float, float]:
-        """(log rho, p*, 1 - p*)."""
-        lr = log_rho(self.params, self.entry_cost)
-        return (lr, *abstention(lr, self.params.num_agents)[:2])
+        return self.state.top
 
     @property
     def boundary_gap(self) -> float:
@@ -208,7 +218,7 @@ class Equilibrium:
 
     def _one_minus_p(self) -> float:
         """1 - p*, or NumericsError where it rounds to 0 and F* is undefined."""
-        one_minus_p = self._abstention[2]
+        one_minus_p = self.state.one_minus_p
         if one_minus_p == 0.0:
             raise NumericsError(
                 f"F* is undefined at {self.params} with c = {self.entry_cost!r}: "
@@ -250,24 +260,17 @@ class Equilibrium:
         a float in gives a float out. Exactly 0 at b = 0 and exactly 1 on
         [V - g - c, V - g]."""
         bids = np.asarray(b, dtype=float)
-        outside = bids[~((bids >= -_NEG_CLAMP) & (bids <= self.breakeven_bid + _NEG_CLAMP))]
+        vg = self.params.breakeven_bid
+        outside = bids[~((bids >= -_NEG_CLAMP) & (bids <= vg + _NEG_CLAMP))]
         if outside.size:
-            raise OutOfSupport(f"bid {outside[0]} outside [0, {self.breakeven_bid}]")
+            raise OutOfSupport(f"bid {outside[0]} outside [0, {vg}]")
         f = self._cdf_arr(bids)
         return float(f) if f.ndim == 0 else f
-
-    @property
-    def _scale(self) -> float:
-        """K = V - g + r1 g, the scale of the inverse bid b(z)."""
-        p = self.params
-        return p.breakeven_bid + p.revert_rate_base * p.base_fee
 
     def _quantile_arr(self, u: np.ndarray) -> np.ndarray:
         """Q(u) for an array of u in [0, 1]; see bid_quantile."""
         p = self.params
-        lr, p_star, one_minus_p = self._abstention
-        return bid_quantile(u, p_star, one_minus_p, math.exp(lr), p.num_agents - 1,
-                            p.revert_rate_priority, self._scale, self.support_max)
+        return bid_quantile(u, self.state, p.num_agents - 1, p.revert_rate_priority)
 
     def quantile(self, u: float) -> float:
         """Exact algebraic inverse of the CDF.
@@ -308,9 +311,8 @@ class Equilibrium:
         log r2 - _TAIL_CUTOFF; solve_equilibrium rejects rho = r2 = 0.
         """
         self._one_minus_p()  # the bid law is undefined where 1 - p* = 0, as F* is
-        p = self.params
-        r2 = p.revert_rate_priority
-        lr = self._abstention[0]
+        r2 = self.params.revert_rate_priority
+        lr = self.state.log_rho
         t_min = lr if lr > -math.inf else math.log(r2) - _TAIL_CUTOFF
         ends = _panel_ends(t_min, _log(r2) - _log(1.0 - r2), finest)
         x, w = _gauss_legendre()
@@ -320,7 +322,7 @@ class Equilibrium:
         with np.errstate(over="ignore"):  # r2/z = inf far below log r2, where b = 0
             offset = np.exp(_log(r2) - t)
         offset += (1.0 - r2) * np.exp(s)
-        b = _bid(-np.expm1(s), offset, self._scale, r2)
+        b = _bid(-np.expm1(s), offset, self.state.scale, r2)
         return float(np.sum(b * weight(t) * (half * w)))
 
     def expected_bid(self) -> float:
@@ -351,7 +353,7 @@ class Equilibrium:
     def strategy(self) -> MixedStrategy:
         return MixedStrategy(
             abstain_prob=self.abstain_prob,
-            participation=self._abstention[2],
+            participation=self.state.one_minus_p,
             cdf=self.cdf,
             quantile=self.quantile,
             support=(0.0, self.support_max),
@@ -369,10 +371,10 @@ def solve_equilibrium(
     i.e. whenever entry_cost > 0 truncates the support to [0, V - g - c].
     """
     check_entry_cost(params, entry_cost)
-    check_losing_cost(params.revert_rate_base * params.base_fee, params.revert_rate_priority,
-                      entry_cost)
-    p_star = abstention(log_rho(params, entry_cost), params.num_agents)[0]
-    eq = Equilibrium(params=params, entry_cost=float(entry_cost), abstain_prob=p_star)
+    rg = params.revert_rate_base * params.base_fee
+    check_losing_cost(rg, params.revert_rate_priority, entry_cost)
+    c = float(entry_cost)
+    eq = Equilibrium(params, c, equilibrium_state(rg, params.breakeven_bid, params.num_agents, c))
     if strict and not eq.boundary_gap <= _NEG_CLAMP:
         raise NumericsError(
             f"CDF at breakeven bid exceeds 1 by {eq.boundary_gap:.3e}; "

@@ -18,11 +18,12 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
 from typing import Literal, NamedTuple, Optional
 
 import numpy as np
 
-from .equilibrium import abstention, bid_quantile, check_losing_cost, log_ratio
+from .equilibrium import EquilibriumState, bid_quantile, check_losing_cost, equilibrium_state
 from .errors import ArgumentOutOfRange, ConfigInvalid, NumericsError, TooManyAgents
 from .model import MAX_AGENTS, MAX_DRAWS
 
@@ -72,6 +73,12 @@ class MarketSimConfig:
                      "liquidity_depth", "base_fee"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigInvalid(f"{name} must be finite")
+        # gbm_path draws one normal per block in one call
+        if not self.horizon / self.block_time <= MAX_DRAWS:
+            raise ConfigInvalid(f"horizon / block_time must not exceed {MAX_DRAWS} blocks")
+        step = (self.drift - 0.5 * self.volatility * self.volatility) * self.block_time
+        if not math.isfinite(step):  # else volatility**2 in gbm_path overflows
+            raise ConfigInvalid("the log-price drift per block must be finite")
 
     @property
     def num_blocks(self) -> int:
@@ -212,7 +219,7 @@ _PASS_DRAWS = 1 << 16
 @np.errstate(all="ignore")  # where the kernel overflows, simulate reports the bid
 def _price_auctions(draws: list, config: MarketSimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Winning bids and sequencer fees of the auctions whose draws the block
-    loop stored, one (V, p*, 1 - p*, rho, uniforms) per auction, in one array
+    loop stored, one (EquilibriumState, uniforms) per auction, in one array
     pass: auctions with the same participant count k (and the same
     bid_quantile branch) form one (count, k) array of bids.
     """
@@ -220,17 +227,18 @@ def _price_auctions(draws: list, config: MarketSimConfig) -> tuple[np.ndarray, n
     r1 = config.revert_rate_base
     r2 = config.revert_rate_priority
     groups = defaultdict(list)
-    for j, (_, p_star, _, _, u) in enumerate(draws):
-        groups[u.size, p_star > 0.0].append(j)
-    value, p_star, one_minus_p, rho = np.array([d[:4] for d in draws]).reshape(-1, 4).T
-    top = value - g  # V - g, the top of the bid support
-    scale = top + r1 * g  # K = V - g + r1 g
+    for j, (state, u) in enumerate(draws):
+        groups[u.size, state.p_star > 0.0].append(j)
+    width = len(EquilibriumState._fields)
+    states = np.fromiter(chain.from_iterable(state for state, _ in draws), float,
+                         len(draws) * width).reshape(-1, width).T
     winning = np.empty(len(draws))
     fees = np.empty(len(draws))
     for (k, _), rows in groups.items():
         at = np.array(rows)[:, None]
-        bids = bid_quantile(np.stack([draws[j][4] for j in rows]), p_star[at], one_minus_p[at],
-                            rho[at], config.num_arbitrageurs - 1, r2, scale[at], top[at])
+        bids = bid_quantile(np.stack([draws[j][1] for j in rows]),
+                            EquilibriumState(*(column[at] for column in states)),
+                            config.num_arbitrageurs - 1, r2)
         w = bids.max(axis=1)
         fee = g + w
         fee += (k - 1) * r1 * g
@@ -281,7 +289,7 @@ def simulate(config: MarketSimConfig) -> MarketSimReport:
     block_values = [0.0] * n  # opportunity value where it exceeds g
     executed_at: list[int] = []  # blocks whose auction executed
     volumes: list[float] = []  # their trade volumes
-    draws: list[tuple] = []  # their (V, p*, 1 - p*, rho, uniforms), unless full_rp
+    draws: list[tuple] = []  # their (EquilibriumState, uniforms), unless full_rp
     pending = 0  # uniforms in draws
     priced: list[tuple] = []  # (winning bids, fees) of the auctions priced so far
     opportunities = 0
@@ -298,17 +306,15 @@ def simulate(config: MarketSimConfig) -> MarketSimReport:
             # losing is free: everyone enters and the top bids hit breakeven
             k = n_agents
         else:
-            lr = log_ratio(rg, opp.value - g)
-            p_star, one_minus_p, _ = abstention(lr, n_agents)
-            k = int(rng_auction.binomial(n_agents, 1.0 - p_star))
+            state = equilibrium_state(rg, opp.value - g, n_agents)
+            k = int(rng_auction.binomial(n_agents, 1.0 - state.p_star))
             if k > MAX_DRAWS:
                 raise ArgumentOutOfRange(
                     f"block {t + 1}: {k} arbitrageurs take part, more than the {MAX_DRAWS} "
                     "bid draws one auction may hold"
                 )
             if k:
-                draws.append((opp.value, p_star, one_minus_p, math.exp(lr),
-                               rng_auction.random(k)))
+                draws.append((state, rng_auction.random(k)))
                 pending += k
                 if pending >= _PASS_DRAWS:
                     priced.append(_price_auctions(draws, config))

@@ -62,24 +62,14 @@ class AuctionParams:
                 raise RateOutOfRange(f"{name} must lie in [0, 1], got {r}")
         if self.num_agents > MAX_AGENTS:
             raise TooManyAgents(f"num_agents must be <= {MAX_AGENTS}, got {self.num_agents}")
-        if int(self.num_agents) != self.num_agents or self.num_agents < 2:
+        # NaN fails the first test, so int() never sees it
+        if not self.num_agents >= 2 or int(self.num_agents) != self.num_agents:
             raise TooFewAgents(f"num_agents must be an integer >= 2, got {self.num_agents}")
 
     @property
     def breakeven_bid(self) -> float:
         """V - g: the largest bid with non-negative payoff on a win."""
         return self.value - self.base_fee
-
-
-def validate_params(
-    value: float,
-    base_fee: float,
-    revert_rate_base: float,
-    revert_rate_priority: float,
-    num_agents: int,
-) -> AuctionParams:
-    """Construct validated AuctionParams from raw values."""
-    return AuctionParams(value, base_fee, revert_rate_base, revert_rate_priority, int(num_agents))
 
 
 @dataclass(frozen=True)

@@ -25,15 +25,12 @@ from .market import EVENT_CSV_HEADER, MarketSimConfig, simulate
 from .model import AuctionParams, PureProfile
 
 
-def random_params(
-    rng: np.random.Generator,
-    max_agents: int = 64,
-    allow_zero_r1: bool = True,
-) -> AuctionParams:
-    """A valid parameter draw with a mixed equilibrium (r1 > 0 or r2 > 0)."""
+def random_params(rng: np.random.Generator, max_agents: int = 64) -> AuctionParams:
+    """A valid parameter draw with a mixed equilibrium (r1 > 0 or r2 > 0);
+    r1 = 0 in about 15 % of the draws."""
     g = rng.uniform(0.1, 2.0)
     v = g + 10.0 ** rng.uniform(-0.5, 1.5)
-    if allow_zero_r1 and rng.random() < 0.15:
+    if rng.random() < 0.15:
         r1 = 0.0
         r2 = rng.uniform(0.05, 1.0)
     else:

@@ -440,8 +440,14 @@ def test_malformed_parameter_is_exit_1(make_argv, tmp_path, capsys):
         (["--L", "1e308"], "non-finite winning bid"),  # the bid kernel overflows
         (["--r1", "1e-320", "--r2", "0"], "non-finite winning bid"),  # Q(u) is 0/0
         (["--r1", "5e-324", "--r2", "0"], "losing is free"),  # r1 g rounds to 0
+        # gbm_path draws one normal per block in one call, up to model.MAX_DRAWS
+        (["--T", "1e300", "--block-time", "1e-300"], "must not exceed 4194304 blocks"),
+        (["--block-time", "5e-324"], "must not exceed 4194304 blocks"),
+        (["--T", "1e12", "--block-time", "0.01"], "must not exceed 4194304 blocks"),
+        (["--sigma", "1e200"], "log-price drift per block"),  # sigma^2 overflows
     ],
-    ids=["L-inf", "g-inf", "bids-overflow", "r1-g-subnormal", "r1-g-underflows"],
+    ids=["L-inf", "g-inf", "bids-overflow", "r1-g-subnormal", "r1-g-underflows",
+         "blocks-overflow", "block-time-subnormal", "blocks-past-draw-cap", "sigma-squared-inf"],
 )
 def test_simulate_bad_inputs_are_exit_1(extra, message, tmp_path, capsys):
     with warnings.catch_warnings():

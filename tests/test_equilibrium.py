@@ -10,7 +10,6 @@ from pga_lab import (
     Bid,
     CostTooLarge,
     DegenerateNoRevertCost,
-    Equilibrium,
     NotApplicable,
     NumericsError,
     OutOfSupport,
@@ -142,7 +141,9 @@ class TestQuantile:
 
 class TestSampling:
     def test_always_abstains_at_p_one(self):
-        eq = Equilibrium(AuctionParams(10, 1, 1.0, 1.0, 2), 0.0, 1.0)
+        # at N = 1e12 and rho = 1 - 1e-5, p* = rho^(1/(N-1)) rounds to exactly 1
+        eq = solve_equilibrium(AuctionParams(10, 1, 1.0, 1.0, 10**12), 8.9999)
+        assert eq.abstain_prob == 1.0
         rng = philox(0)
         assert all(eq.sample_action(rng) is ABSTAIN for _ in range(200))
 

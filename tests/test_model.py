@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -12,41 +13,47 @@ from pga_lab import (
     PureProfile,
     RateOutOfRange,
     TooFewAgents,
+    TooManyAgents,
     UnknownPreset,
     ValueNotAboveBaseFee,
     expected_payoff_vs_symmetric,
     preset,
     pure_payoff,
-    validate_params,
 )
 from pga_lab.model import PRESET_NAMES
 
 
 class TestValidation:
     def test_accepts_reference_parameters(self):
-        p = validate_params(10, 1, 0.1, 0.1, 20)
+        p = AuctionParams(10, 1, 0.1, 0.1, 20)
         assert p.value == 10.0 and p.num_agents == 20
         assert p.breakeven_bid == 9.0
 
     def test_value_must_exceed_base_fee(self):
         with pytest.raises(ValueNotAboveBaseFee):
-            validate_params(1, 1, 0.1, 0.1, 2)
+            AuctionParams(1, 1, 0.1, 0.1, 2)
 
     def test_rate_bounds(self):
         with pytest.raises(RateOutOfRange):
-            validate_params(10, 1, 1.2, 0.1, 2)
+            AuctionParams(10, 1, 1.2, 0.1, 2)
         with pytest.raises(RateOutOfRange):
-            validate_params(10, 1, 0.1, -0.01, 2)
+            AuctionParams(10, 1, 0.1, -0.01, 2)
 
     def test_too_few_agents(self):
         with pytest.raises(TooFewAgents):
-            validate_params(10, 1, 0.1, 0.1, 1)
+            AuctionParams(10, 1, 0.1, 0.1, 1)
+
+    @pytest.mark.parametrize("n, error", [(2.5, TooFewAgents), (math.nan, TooFewAgents),
+                                          (math.inf, TooManyAgents)])
+    def test_agent_count_must_be_a_whole_number_in_range(self, n, error):
+        with pytest.raises(error):
+            AuctionParams(10, 1, 0.1, 0.1, n)
 
     def test_non_positive_fee(self):
         with pytest.raises(NonPositiveFee):
-            validate_params(10, 0, 0.1, 0.1, 2)
+            AuctionParams(10, 0, 0.1, 0.1, 2)
         with pytest.raises(NonPositiveFee):
-            validate_params(10, -1, 0.1, 0.1, 2)
+            AuctionParams(10, -1, 0.1, 0.1, 2)
 
     def test_bid_rejects_negative_amounts(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pga_lab import AuctionParams, expected_winning_bid, solve_equilibrium
-from pga_lab.equilibrium import check_entry_cost, log_rho
+from pga_lab.equilibrium import check_entry_cost, equilibrium_state
 from pga_lab.errors import (
     CostOutOfRange,
     DegenerateNoRevertCost,
@@ -39,7 +39,8 @@ def points(draw):
     c = draw(_cost_fraction) * params.breakeven_bid
     assume(params.revert_rate_base + params.revert_rate_priority + c > 0.0)
     # rho = (r1 g + c)/(V - g + r1 g) neither within 1e-5 of 1 nor subnormal
-    lr = log_rho(params, c)
+    lr = equilibrium_state(params.revert_rate_base * g, params.breakeven_bid,
+                           params.num_agents, c).log_rho
     assume(lr == -math.inf or -690.0 < lr < -1e-5)
     return params, c
 

@@ -8,13 +8,14 @@ also r1 = 0, r2 in {0, 1} and r2 = 1e-300.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
 from pga_lab import AuctionParams, expected_winning_bid, revenue_report, scheme2_revenue
-from pga_lab.equilibrium import abstention, log_rho, solve_equilibrium
+from pga_lab.equilibrium import equilibrium_state, solve_equilibrium
 
 V, G, R2 = 10.0, 1.0, 0.1
 NS = (2, 20, 10**6, 10**9, 10**12)
@@ -84,7 +85,7 @@ def _precision():
 def test_abstention_probabilities(n, r1, c):
     params = AuctionParams(V, G, r1, R2, n)
     ref = Reference(n, r1, c)
-    p_star, one_minus_p, one_minus_pn = abstention(log_rho(params, c), n)
+    _, _, p_star, one_minus_p, one_minus_pn, _, _ = equilibrium_state(r1 * G, V - G, n, c)
     assert _rel(solve_equilibrium(params, c).abstain_prob, ref.p) <= CLOSED_REL
     assert _rel(p_star, ref.p) <= CLOSED_REL
     assert _rel(one_minus_p, 1 - ref.p) <= CLOSED_REL
@@ -182,3 +183,24 @@ def test_revenue_report(n, r1):
     }
     for field, value in limits.items():
         assert _rel(getattr(rep.limits, field), value) <= CLOSED_REL, field
+
+
+@pytest.mark.parametrize("g", [1e-300, 1e-10], ids=["r1-g-underflows", "V-g-over-r1-g-overflows"])
+def test_revenue_limits_where_r1_g_is_tiny(g):
+    """The N -> infinity limits p_inf = (V - g)/(V - g + r1 g) and
+    s_inf = log1p((V - g)/(r1 g)) at r1 = 1e-300. With g = 1e-300, r1 g
+    rounds to 0, so the float game is the full-participation one and the
+    submitted count is unbounded; with g = 1e-10, (V - g)/(r1 g) overflows
+    while s_inf = -log rho = 716.1 does not."""
+    r1 = 1e-300
+    limits = revenue_report(AuctionParams(V, g, r1, 0.5, 5)).limits
+    rg, vg = mpf(r1) * g, mpf(V) - g
+    p_inf, s_inf = vg / (vg + rg), mp.log1p(vg / rg)
+    assert _rel(limits.revenue, V * p_inf) <= CLOSED_REL
+    assert _rel(limits.base_revenue, g * p_inf * (1 - r1) + rg * s_inf) <= CLOSED_REL
+    assert _rel(limits.priority_revenue, vg - rg * s_inf) <= CLOSED_REL
+    if r1 * g == 0.0:
+        assert limits.submitted_unbounded and limits.submitted_txs == math.inf
+    else:
+        assert not limits.submitted_unbounded
+        assert _rel(limits.submitted_txs, s_inf) <= CLOSED_REL

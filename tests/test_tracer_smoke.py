@@ -16,6 +16,22 @@ ROOT = Path(__file__).resolve().parent.parent
 AUCTION = ["--V", "10", "--g", "1", "--r1", "0.1", "--r2", "0.1"]
 
 
+def _traced(argv, tmp_path) -> dict:
+    """The tracer's metrics of one pga-lab run."""
+    result = tmp_path / "trace.json"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(result),
+                           "--", *argv], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(result.read_text())
+    assert doc["exit"] == 0
+    assert doc["metrics"]
+    return doc["metrics"]
+
+
 @pytest.mark.parametrize(
     "sweep, counts",
     [
@@ -28,19 +44,19 @@ AUCTION = ["--V", "10", "--g", "1", "--r1", "0.1", "--r2", "0.1"]
     ids=["mev_tax", "cdf"],
 )
 def test_traced_sweep(sweep, counts, tmp_path):
-    result = tmp_path / "trace.json"
-    argv = [
-        sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(result), "--",
-        "sweep", *sweep, *AUCTION, "--out", str(tmp_path / "sweep.csv"),
-    ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(result.read_text())
-    assert doc["exit"] == 0
-    assert doc["metrics"]
+    metrics = _traced(["sweep", *sweep, *AUCTION, "--out", str(tmp_path / "sweep.csv")], tmp_path)
     for name, expected in counts.items():
-        assert doc["metrics"][name] == expected
+        assert metrics[name] == expected
+
+
+def test_traced_simulate(tmp_path):
+    """The tracer reads market.simulate's report: 200 blocks, 98 of them
+    with an auction."""
+    metrics = _traced([
+        "simulate", "--sigma", "0.05", "--T", "2", "--block-time", "0.01", "--p0", "100",
+        "--f", "0.003", "--L", "10", "--g", "0.1", "--r1", "0.3", "--r2", "0.7", "--N", "10",
+        "--seed", "3", "--out-events", str(tmp_path / "events.csv"),
+        "--out-report", str(tmp_path / "report.json"),
+    ], tmp_path)
+    assert metrics["market.blocks"] == 200
+    assert metrics["market.auctions"] == 98
