@@ -16,7 +16,6 @@ from .analytics import (
     expected_mev_tax,
     expected_winning_bid,
     mev_tax_asymptote,
-    mev_tax_reparameterize,
     revenue_report,
     scheme1_optimal_r1,
     scheme1_optimal_r1_scan,

@@ -222,10 +222,6 @@ class MevTaxParams:
         return 1.0 + self.tax_rate
 
 
-def mev_tax_reparameterize(raw_revert_rate: float, tax_rate: float) -> MevTaxParams:
-    return MevTaxParams(raw_revert_rate, tax_rate)
-
-
 def expected_winning_bid(params: AuctionParams, entry_cost: float = 0.0) -> float:
     """E[winning bid], counting 0 when everyone abstains.
 
@@ -248,7 +244,7 @@ def expected_mev_tax(params: AuctionParams, tax_rate: float) -> float:
     The raw rate r is taken from params.revert_rate_base; the priority-fee
     rate is overridden by the reparameterization.
     """
-    reparam = mev_tax_reparameterize(params.revert_rate_base, tax_rate)
+    reparam = MevTaxParams(params.revert_rate_base, tax_rate)
     if tax_rate == 0.0:
         return 0.0
     taxed = replace(params, revert_rate_priority=reparam.r2)

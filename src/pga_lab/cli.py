@@ -44,7 +44,7 @@ import numpy as np
 from . import analytics, verify
 from .equilibrium import pure_equilibrium, solve_equilibrium
 from .errors import ArgumentOutOfRange, PgaLabError
-from .market import EVENT_CSV_HEADER, MarketSimConfig, event_csv_columns, simulate
+from .market import EVENT_CSV_HEADER, MarketSimConfig, simulate
 from .model import AuctionParams
 from .serialize import Records, fmt_float, write_csv, write_json
 
@@ -268,7 +268,7 @@ def _scheme_columns(params: AuctionParams, point: dict, grid: int):
 
 def _mev_tax_columns(params: AuctionParams, point: dict, grid: int):
     tau = point["tau"]
-    reparam = analytics.mev_tax_reparameterize(params.revert_rate_base, tau)
+    reparam = analytics.MevTaxParams(params.revert_rate_base, tau)
     if tau == 0.0:
         return [reparam.r1], [reparam.r2], [0.0], [float("nan")]
     # the bound is the taxed game's winning bid; the tax is its tau/(1+tau) share
@@ -409,7 +409,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"CFE {fmt_float(report.cfe)}  CASL {fmt_float(report.casl)}  "
           f"NLP {fmt_float(report.nlp)}  CSR {fmt_float(report.csr)}")
     if args.out_events:
-        write_csv(args.out_events, EVENT_CSV_HEADER, event_csv_columns(report))
+        write_csv(args.out_events, EVENT_CSV_HEADER, report.event_columns)
         print(f"wrote events to {args.out_events}")
     if args.out_report:
         counts, bin_edges = report.revenue_histogram

@@ -85,6 +85,7 @@ class MarketSimConfig:
         return int(math.ceil(self.horizon / self.block_time))
 
 
+@np.errstate(over="ignore")  # a path that overflows ends in the NumericsError of its bids
 def gbm_path(config: MarketSimConfig, rng: np.random.Generator) -> np.ndarray:
     """Exact log-space GBM stepping at block_time increments; length
     num_blocks + 1 including the initial price."""
@@ -108,9 +109,6 @@ class Opportunity(NamedTuple):
     value: float
     volume: float
     direction: Optional[Literal["sell_dex", "buy_dex"]]
-
-    def breakeven_bid(self, base_fee: float) -> float:
-        return self.value - base_fee
 
 
 def opportunity_value(
@@ -181,19 +179,11 @@ class MarketSimReport:
 
 
 EVENT_CSV_HEADER = [f.name for f in fields(BlockEvent)]
-_WINNING_BID = EVENT_CSV_HEADER.index("winning_bid")
-
-
-def event_csv_columns(report: MarketSimReport) -> list[tuple]:
-    """The event CSV's columns in EVENT_CSV_HEADER order; a missing winning bid is ""."""
-    columns = list(report.event_columns)
-    columns[_WINNING_BID] = tuple("" if v is None else v for v in columns[_WINNING_BID])
-    return columns
 
 
 def event_csv_rows(report: MarketSimReport) -> list[tuple]:
-    """One row per event in EVENT_CSV_HEADER order; a missing winning bid is ""."""
-    return list(zip(*event_csv_columns(report)))
+    """One row per event in EVENT_CSV_HEADER order; a missing winning bid is None."""
+    return list(zip(*report.event_columns))
 
 
 def _running_total(values: np.ndarray) -> float:

@@ -4,8 +4,8 @@ This module alone decides how a result becomes bytes: callers hand it dicts,
 lists, tuples and dataclasses as they are. Floats are rendered with 17
 significant digits, which round-trips IEEE doubles exactly, so repeated runs
 with identical seeds produce byte-identical CSV and JSON files. JSON strings
-and keys are escaped per RFC 8259 by the stdlib encoder, and every JSON
-document starts with schema_version.
+and keys are escaped per RFC 8259 by the stdlib encoder, None is a blank CSV
+cell and JSON null, and every JSON document starts with schema_version.
 """
 
 from __future__ import annotations
@@ -15,21 +15,24 @@ import json
 import os
 import stat
 from dataclasses import dataclass, fields, is_dataclass
-from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 SCHEMA_VERSION = "1"
 
-# rows per block: a block of a CSV or of a Records table is formatted column
-# by column, each float column with its distinct values formatted once, and a
-# CSV block is written before the next is formatted, so the text held does not
-# grow with the table
+# rows per block: a block of a table (a CSV, a Records table or a JSON list of
+# scalars) is formatted column by column, each float column with its distinct
+# values formatted once, and written before the next is formatted, so the
+# text held does not grow with the table
 _BLOCK_ROWS = 4096
 
-# a JSON string literal; non-ASCII text stays UTF-8, as in the files written so far
+# a JSON string literal, or null for None; non-ASCII text stays UTF-8, as in
+# the files written so far
 _quote = json.JSONEncoder(ensure_ascii=False).encode
+
+# one level of JSON indentation
+_INDENT = "  "
 
 # types that _scalar formats; bool is an int
 _SCALAR_TYPES = (float, int, str, enum.Enum, type(None))
@@ -50,23 +53,26 @@ def fmt_float(x: float) -> str:
     return s if "." in s or "e" in s else _whole(s)
 
 
-def _scalar(v: Any, text: Callable[[str], str]) -> Optional[str]:
+def _csv_cell(s: Optional[str]) -> str:
+    """A string as it is in CSV; None is a blank cell."""
+    return "" if s is None else s
+
+
+def _scalar(v: Any, text: Callable[[Optional[str]], str]) -> Optional[str]:
     """A CSV cell or JSON leaf as text, or None when v is not a scalar.
 
-    text renders strings: as they are in CSV, quoted in JSON.
+    text renders strings and None: _csv_cell in CSV, _quote in JSON.
     """
     if isinstance(v, float):
         return fmt_float(v)
     if isinstance(v, enum.Enum):
         return _scalar(v.value, text)
-    if isinstance(v, str):
+    if isinstance(v, str) or v is None:
         return text(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
-    if v is None:
-        return "null"
     return None
 
 
@@ -85,7 +91,7 @@ def _floats(values: Sequence[float]) -> list[str]:
     return text[inverse].tolist()
 
 
-def _column(values: Sequence[Any], text: Callable[[str], str]) -> list[str]:
+def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list[str]:
     """One column's cells as text, as _scalar writes them.
 
     A float64 ndarray goes to _floats as it is; any other ndarray is written
@@ -131,50 +137,30 @@ def _all_scalar(values: Iterable[Any]) -> bool:
     return _scalar_kinds(set(map(type, values)))
 
 
-def _row_blocks(rows: Iterable[Sequence[Any]]) -> Iterator[tuple[list, int]]:
-    """The rows in blocks of _BLOCK_ROWS, each as (its columns, its row count).
-
-    Every row must have as many cells as the first row; a ragged row raises
-    ValueError.
-    """
-    rows = iter(rows)
-    width, done = None, 0
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        if width is None:
-            width = len(block[0])
-        if set(map(len, block)) != {width}:
-            i = next(i for i, row in enumerate(block) if len(row) != width)
-            raise ValueError(f"CSV row {done + i} has {len(block[i])} cells, "
-                             f"the first row has {width}")
-        yield list(zip(*block)), len(block)
-        done += len(block)
-
-
-def _column_blocks(columns: Sequence[Sequence[Any]]) -> Iterator[tuple[list, int]]:
-    """The columns cut into blocks of _BLOCK_ROWS rows, each as (its columns,
-    its row count); columns of unequal length raise ValueError."""
+def _rows(columns: Sequence[Sequence[Any]],
+          text: Callable[[Optional[str]], str]) -> Iterator[Iterator[tuple[str, ...]]]:
+    """The table given by its columns, cut into blocks of _BLOCK_ROWS rows:
+    each block's rows as tuples of cell text, each column of a block
+    formatted by one _column call before the block is yielded. Columns of
+    unequal length raise ValueError."""
     lengths = set(map(len, columns))
     if len(lengths) > 1:
         raise ValueError(f"columns have unequal lengths {sorted(lengths)}")
     n = lengths.pop() if lengths else 0
     for start in range(0, n, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, n)
-        yield [column[start:stop] for column in columns], stop - start
+        yield zip(*[_column(column[start:start + _BLOCK_ROWS], text) for column in columns])
 
 
-def _csv_blocks(header: Sequence[str], blocks: Iterator[tuple[list, int]]) -> Iterator[str]:
-    """The CSV text: the header line, then each block of _row_blocks or
-    _column_blocks, formatted column by column before the next is read."""
+def _csv_chunks(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> Iterator[str]:
+    """The CSV text: the header line, then the lines of each block of _rows."""
     yield ",".join(header) + "\n"
-    for columns, count in blocks:
-        cells = [_column(column, str) for column in columns]
-        lines = map(",".join, zip(*cells)) if cells else [""] * count
-        yield "\n".join(lines) + "\n"
+    for rows in _rows(columns, _csv_cell):
+        yield "\n".join(map(",".join, rows)) + "\n"
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """The rows as CSV text."""
-    return "".join(_csv_blocks(header, _row_blocks(rows)))
+def csv_text(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
+    """The text that write_csv writes."""
+    return "".join(_csv_chunks(header, columns))
 
 
 def _write_atomic(path: str, chunks: Iterable[str]) -> None:
@@ -215,8 +201,8 @@ def _write_atomic(path: str, chunks: Iterable[str]) -> None:
 
 def write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence[Any]]) -> None:
     """The table given by its columns (sequences or ndarrays of equal length)
-    as CSV; csv_text writes the same text from rows."""
-    _write_atomic(path, _csv_blocks(header, _column_blocks(columns)))
+    as CSV, written block by block; a None cell is blank."""
+    _write_atomic(path, _csv_chunks(header, columns))
 
 
 @dataclass(frozen=True)
@@ -228,73 +214,64 @@ class Records:
     columns: Sequence[Sequence[Any]]
 
 
-def _record_items(names: Sequence[str], columns: Sequence[Sequence[Any]], indent: int,
-                  level: int) -> list[str]:
-    """The JSON text at level of each object of a Records table.
-
-    The columns are formatted in blocks of _BLOCK_ROWS objects, each column
-    of a block as one, and the columns fill one template.
-    """
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    template = "{\n" + ",\n".join(f"{pad_in}{_quote(name)}: %s" for name in names) + f"\n{pad}}}"
-    items: list[str] = []
-    for block, _ in _column_blocks(columns):
-        items += map(template.__mod__, zip(*[_column(c, _quote) for c in block]))
-    return items
+def _json_table(columns: Sequence[Sequence[Any]], template: str, level: int) -> Iterator[str]:
+    """A JSON array at level with one item per row of the table: the row's
+    cells filled into template. Each block of _rows is one chunk."""
+    if not any(map(len, columns)):
+        yield "[]"
+        return
+    pad_in = _INDENT * (level + 1)
+    opener, sep = "[\n" + pad_in, ",\n" + pad_in
+    for rows in _rows(columns, _quote):
+        yield opener + sep.join(map(template.__mod__, rows))
+        opener = sep
+    yield "\n" + _INDENT * level + "]"
 
 
-def _json_fragment(obj: Any, indent: int, level: int, out: list[str]) -> None:
+def _json_fragment(obj: Any, level: int) -> Iterator[str]:
     leaf = _scalar(obj, _quote)
     if leaf is not None:
-        out.append(leaf)
+        yield leaf
         return
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
-    if isinstance(obj, (list, tuple, Records)):
-        items = None
-        if isinstance(obj, Records):
-            items = _record_items(obj.names, obj.columns, indent, level + 1)
-        elif _all_scalar(obj):
-            items = _column(obj, _quote)
-        if items is not None:
-            out += [f"[\n{pad_in}", f",\n{pad_in}".join(items), f"\n{pad}]"] if items else ["[]"]
+    pad, pad_in = _INDENT * level, _INDENT * (level + 1)
+    if isinstance(obj, Records):
+        keys = ",\n".join(f"{pad_in}{_INDENT}{_quote(name)}: %s" for name in obj.names)
+        yield from _json_table(obj.columns, f"{{\n{keys}\n{pad_in}}}", level)
+        return
+    if isinstance(obj, (list, tuple)):
+        if _all_scalar(obj):
+            yield from _json_table([obj], "%s", level)
             return
-        out.append("[\n")
-        for v in obj:
-            out.append(pad_in)
-            _json_fragment(v, indent, level + 1, out)
-            out.append(",\n")
-        out[-1] = "\n" + pad + "]"
-        return
-    if isinstance(obj, dict):
-        items = obj.items()
+        items, brackets = [("", v) for v in obj], "[]"
+    elif isinstance(obj, dict):
+        items, brackets = [(_quote(str(k)) + ": ", v) for k, v in obj.items()], "{}"
     elif is_dataclass(obj) and not isinstance(obj, type):
-        items = [(f.name, getattr(obj, f.name)) for f in fields(obj)]
+        items, brackets = [(_quote(f.name) + ": ", getattr(obj, f.name)) for f in fields(obj)], "{}"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     if not items:
-        out.append("{}")
+        yield brackets
         return
-    out.append("{\n")
-    for k, v in items:
-        out.append(f"{pad_in}{_quote(str(k))}: ")
-        _json_fragment(v, indent, level + 1, out)
-        out.append(",\n")
-    out[-1] = "\n" + pad + "}"
+    opener = brackets[0] + "\n"
+    for key, v in items:
+        yield opener + pad_in + key
+        yield from _json_fragment(v, level + 1)
+        opener = ",\n"
+    yield "\n" + pad + brackets[1]
 
 
-def _json_chunks(obj: Any, indent: int) -> list[str]:
-    out: list[str] = []
-    _json_fragment(obj, indent, 0, out)
-    out.append("\n")
-    return out
+def _json_chunks(obj: Any) -> Iterator[str]:
+    """The JSON text of obj, as _write_atomic takes it: a table one block
+    at a time, so the text held does not grow with it."""
+    yield from _json_fragment(obj, 0)
+    yield "\n"
 
 
-def json_text(obj: Any, indent: int = 2) -> str:
-    return "".join(_json_chunks(obj, indent))
+def json_text(obj: Any) -> str:
+    """The text that write_json writes for obj, without schema_version."""
+    return "".join(_json_chunks(obj))
 
 
 def write_json(path: str, obj: dict) -> None:
     """obj as a JSON document whose first key is schema_version."""
-    _write_atomic(path, _json_chunks({"schema_version": SCHEMA_VERSION, **obj}, 2))
+    _write_atomic(path, _json_chunks({"schema_version": SCHEMA_VERSION, **obj}))

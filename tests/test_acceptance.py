@@ -30,7 +30,7 @@ from pga_lab import (
 )
 from pga_lab.cli import run
 from pga_lab.serialize import csv_text, json_text
-from pga_lab.market import EVENT_CSV_HEADER, event_csv_rows
+from pga_lab.market import EVENT_CSV_HEADER
 
 from _util import philox, random_params
 
@@ -327,8 +327,8 @@ def test_criterion_12_determinism(tmp_path):
     config = replace(_SIM_BASE, horizon=5.0, seed=12)
     rep_a, rep_b = simulate(config), simulate(config)
     sim_same = rep_a == rep_b
-    csv_same = csv_text(EVENT_CSV_HEADER, event_csv_rows(rep_a)) == csv_text(
-        EVENT_CSV_HEADER, event_csv_rows(rep_b)
+    csv_same = csv_text(EVENT_CSV_HEADER, rep_a.event_columns) == csv_text(
+        EVENT_CSV_HEADER, rep_b.event_columns
     )
     json_same = json_text({"mad": rep_a.mad, "era": list(rep_a.era_series)}) == json_text(
         {"mad": rep_b.mad, "era": list(rep_b.era_series)}

@@ -7,12 +7,12 @@ import pytest
 from pga_lab import (
     AuctionParams,
     CostTooLarge,
+    MevTaxParams,
     Winner,
     compare_schemes,
     expected_mev_tax,
     expected_winning_bid,
     mev_tax_asymptote,
-    mev_tax_reparameterize,
     monte_carlo_replay,
     revenue_report,
     scheme1_optimal_r1,
@@ -224,19 +224,19 @@ class TestCompareSchemes:
 
 class TestMevTax:
     def test_reparameterization(self):
-        reparam = mev_tax_reparameterize(0.1, 9.0)
+        reparam = MevTaxParams(0.1, 9.0)
         assert (reparam.r1, reparam.r2) == (0.1, pytest.approx(0.01, rel=1e-15))
         assert reparam.bid_scale == 10.0
 
     def test_zero_tax_reduces_to_plain_priority_fees(self):
-        reparam = mev_tax_reparameterize(0.3, 0.0)
+        reparam = MevTaxParams(0.3, 0.0)
         assert reparam.r1 == reparam.r2 == 0.3
 
     def test_revenue_invariant_under_tax_rate(self):
         base = AuctionParams(10, 1, 0.1, 0.1, 20)
         rep0 = revenue_report(base)
         for tau in (0.5, 2.0, 50.0):
-            reparam = mev_tax_reparameterize(0.1, tau)
+            reparam = MevTaxParams(0.1, tau)
             rep = revenue_report(replace(base, revert_rate_priority=reparam.r2))
             assert rep.expected_revenue == rep0.expected_revenue
             assert rep.base_revenue == rep0.base_revenue
@@ -253,7 +253,7 @@ class TestMevTax:
 
     def test_bounded_by_expected_winning_bid(self):
         for tau in (0.5, 2.0, 10.0):
-            reparam = mev_tax_reparameterize(REF.revert_rate_base, tau)
+            reparam = MevTaxParams(REF.revert_rate_base, tau)
             bound = expected_winning_bid(replace(REF, revert_rate_priority=reparam.r2))
             assert expected_mev_tax(REF, tau) <= bound + 1e-12
 

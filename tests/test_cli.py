@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -232,7 +233,7 @@ def _reference_scheme_rows(params, point, grid):
 
 def _reference_mev_tax_rows(params, point, grid):
     tau = point["tau"]
-    reparam = analytics.mev_tax_reparameterize(params.revert_rate_base, tau)
+    reparam = analytics.MevTaxParams(params.revert_rate_base, tau)
     if tau == 0.0:
         return [(reparam.r1, reparam.r2, 0.0, float("nan"))]
     bound = analytics.expected_winning_bid(replace(params, revert_rate_priority=reparam.r2))
@@ -263,7 +264,7 @@ def _reference_sweep(target: str, fixed: dict, axes: list, grid: int) -> str:
         point = {"c": None, "tau": None, **fixed, **combo}
         params = AuctionParams(point["V"], point["g"], point["r1"], point["r2"], point["N"])
         rows.extend(tuple(combo.values()) + row for row in row_fn(params, point, grid))
-    return csv_text([name for name, _ in axes] + header, rows)
+    return csv_text([name for name, _ in axes] + header, list(zip(*rows)))
 
 
 # (--vary2, --vary) specs with their values; an int axis, a float axis, both,
@@ -445,9 +446,12 @@ def test_malformed_parameter_is_exit_1(make_argv, tmp_path, capsys):
         (["--block-time", "5e-324"], "must not exceed 4194304 blocks"),
         (["--T", "1e12", "--block-time", "0.01"], "must not exceed 4194304 blocks"),
         (["--sigma", "1e200"], "log-price drift per block"),  # sigma^2 overflows
+        # each block's log step is finite, but the path's running sum overflows
+        (["--mu", "1e308"], "non-finite winning bid"),
     ],
     ids=["L-inf", "g-inf", "bids-overflow", "r1-g-subnormal", "r1-g-underflows",
-         "blocks-overflow", "block-time-subnormal", "blocks-past-draw-cap", "sigma-squared-inf"],
+         "blocks-overflow", "block-time-subnormal", "blocks-past-draw-cap", "sigma-squared-inf",
+         "path-overflows"],
 )
 def test_simulate_bad_inputs_are_exit_1(extra, message, tmp_path, capsys):
     with warnings.catch_warnings():
@@ -456,6 +460,42 @@ def test_simulate_bad_inputs_are_exit_1(extra, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and message in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def _csv_cell_matches(cell: str, value) -> bool:
+    """A CSV cell read back against its JSON value; a blank cell is null."""
+    if value is None or isinstance(value, str):
+        return cell == ("" if value is None else value)
+    kind = float if isinstance(value, float) else int
+    return cell != "" and kind(cell) == value and type(value) is kind
+
+
+def test_simulate_csv_rows_are_the_json_events(tmp_path, capsys):
+    """The event CSV and the report's events list are two views of one table."""
+    events, report = tmp_path / "events.csv", tmp_path / "report.json"
+    argv = [*SIMULATE, "--r1", "0.3", "--r2", "0.7", "--seed", "3",
+            "--out-events", str(events), "--out-report", str(report)]
+    assert run(argv) == 0
+    capsys.readouterr()
+    with events.open(encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    records = json.loads(report.read_text(encoding="utf-8"))["events"]
+    assert len(rows) == len(records) == 100
+    assert any(r["winning_bid"] is None for r in records)
+    for row, record in zip(rows, records):
+        assert list(record) == header
+        assert all(_csv_cell_matches(cell, value) for cell, value in zip(row, record.values()))
+
+
+def test_simulate_path_falling_to_zero_is_quiet(tmp_path, capsys):
+    """A drift of -1e308 per unit time: the log path's running sum overflows
+    to -inf and the price falls to 0, a valid run with no numpy warning."""
+    argv = [*SIMULATE, "--T", "2", "--block-time", "1", "--mu=-1e308",
+            "--out-events", str(tmp_path / "x.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_expected_bid_at_r1_zero_and_large_n(tmp_path, capsys):

@@ -106,10 +106,6 @@ class TestOpportunityValue:
         assert opp.direction == "buy_dex"
         assert opp.value == pytest.approx(0.5 * (100.0 - 90.0) ** 2 * 10.0, rel=1e-12)
 
-    def test_breakeven_bid(self):
-        opp = opportunity_value(110.0, 100.0, 0.0, 10.0)
-        assert opp.breakeven_bid(1.0) == pytest.approx(opp.value - 1.0)
-
 
 class TestSimulate:
     def test_constant_prices_mean_no_events(self):
@@ -217,12 +213,15 @@ class TestEventExport:
         rep = simulate(replace(BASE, horizon=2.0))
         rows = event_csv_rows(rep)
         assert len(rows) == rep.config.num_blocks
-        text = csv_text(EVENT_CSV_HEADER, rows)
-        assert text.splitlines()[0] == ",".join(EVENT_CSV_HEADER)
-        assert text == csv_text(EVENT_CSV_HEADER, event_csv_rows(simulate(replace(BASE, horizon=2.0))))
-        # abstained/no-opportunity rows leave the winning bid blank
-        blank = [r for r in rows if r[4] != "executed"]
-        assert all(r[8] == "" for r in blank)
+        text = csv_text(EVENT_CSV_HEADER, rep.event_columns)
+        lines = text.splitlines()
+        assert lines[0] == ",".join(EVENT_CSV_HEADER)
+        again = simulate(replace(BASE, horizon=2.0))
+        assert text == csv_text(EVENT_CSV_HEADER, again.event_columns)
+        # abstained/no-opportunity rows have no winning bid, and the CSV leaves it blank
+        blank = [i for i, r in enumerate(rows) if r[4] != "executed"]
+        assert blank and all(rows[i][8] is None for i in blank)
+        assert all(lines[i + 1].split(",")[8] == "" for i in blank)
 
 
 def _reference_simulate(config: MarketSimConfig) -> tuple[tuple[BlockEvent, ...], dict]:

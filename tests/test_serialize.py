@@ -13,6 +13,8 @@ from pga_lab.serialize import (
     _BLOCK_ROWS,
     Records,
     _column,
+    _csv_cell,
+    _json_chunks,
     _quote,
     _scalar,
     csv_text,
@@ -61,7 +63,7 @@ def test_dataclasses_serialize_like_their_fields():
 
 def test_csv_and_json_leaves_share_one_format():
     row = [0.1, 3, True, Colour.RED, "x", 1e300]
-    assert csv_text(["h"], [row]) == "h\n0.10000000000000001,3,true,red,x,1.0000000000000001e+300\n"
+    assert csv_text(["h"], [[v] for v in row]) == "h\n0.10000000000000001,3,true,red,x,1.0000000000000001e+300\n"
     assert json.loads(json_text(row)) == [0.1, 3, True, "red", "x", 1e300]
 
 
@@ -99,9 +101,8 @@ def test_fmt_float_is_the_old_rule():
 
 def test_float_columns_match_fmt_float_cell_by_cell():
     cells = [fmt_float(x) for x in FLOATS]
-    rows = [(x, -x) for x in FLOATS]
-    assert csv_text(["x", "y"], rows) == "x,y\n" + "".join(
-        f"{fmt_float(x)},{fmt_float(y)}\n" for x, y in rows)
+    assert csv_text(["x", "y"], [FLOATS, [-x for x in FLOATS]]) == "x,y\n" + "".join(
+        f"{fmt_float(x)},{fmt_float(-x)}\n" for x in FLOATS)
     assert json_text(FLOATS) == "[\n  " + ",\n  ".join(cells) + "\n]\n"
     assert json_text(tuple(FLOATS)) == json_text(FLOATS)
 
@@ -124,8 +125,8 @@ def test_dataclass_lists_match_their_fields_cell_by_cell():
 
 def test_mixed_columns_go_cell_by_cell():
     bids = [x if i % 2 else "" for i, x in enumerate(FLOATS[:1000])]
-    assert csv_text(["winning_bid"], [[b] for b in bids]) == "winning_bid\n" + "".join(
-        _scalar(b, str) + "\n" for b in bids)
+    assert csv_text(["winning_bid"], [bids]) == "winning_bid\n" + "".join(
+        _scalar(b, _csv_cell) + "\n" for b in bids)
     assert json_text(bids) == "[\n  " + ",\n  ".join(_scalar(b, _quote) for b in bids) + "\n]\n"
 
 
@@ -181,7 +182,7 @@ COLUMNS = {
 }
 
 
-@pytest.mark.parametrize("text", [str, _quote], ids=["csv", "json"])
+@pytest.mark.parametrize("text", [_csv_cell, _quote], ids=["csv", "json"])
 @pytest.mark.parametrize("values", COLUMNS.values(), ids=COLUMNS.keys())
 def test_column_fast_paths_match_scalar_cell_by_cell(values, text):
     # an ndarray column is written as its tolist() is
@@ -191,13 +192,18 @@ def test_column_fast_paths_match_scalar_cell_by_cell(values, text):
     assert _column(tuple(cells), text) == expected
 
 
+def _csv_lines(rows) -> str:
+    return "".join(",".join(_scalar(v, _csv_cell) for v in row) + "\n" for row in rows)
+
+
 def test_tables_given_by_column_match_the_rows(tmp_path):
     n = 2 * _BLOCK_ROWS + 1
     rows = [(i, i / 7, "" if i % 5 else 1e16, "x" if i % 2 else None) for i in range(n)]
     columns = [tuple(c) for c in zip(*rows)]
     path = tmp_path / "x.csv"
     write_csv(str(path), ["a", "b", "c", "d"], columns)
-    assert path.read_text(encoding="utf-8") == csv_text(["a", "b", "c", "d"], rows)
+    assert path.read_text(encoding="utf-8") == "a,b,c,d\n" + _csv_lines(rows)
+    assert csv_text(["a", "b", "c", "d"], columns) == "a,b,c,d\n" + _csv_lines(rows)
     dicts = [dict(zip("abcd", row)) for row in rows]
     assert json_text({"t": Records("abcd", columns)}) == json_text({"t": dicts})
     assert json_text({"t": Records("abcd", [(), (), (), ()])}) == json_text({"t": []})
@@ -215,17 +221,36 @@ def test_lists_with_nested_values_recurse():
 def test_csv_blocks_join_seamlessly():
     n = 2 * _BLOCK_ROWS + 1
     rows = [(i, i / 7, "x" if i % 5 else 1e16, Colour.RED) for i in range(n)]
-    expected = "h\n" + "".join(",".join(_scalar(v, str) for v in row) + "\n" for row in rows)
-    assert csv_text(["h"], rows) == expected
-    assert csv_text(["h"], iter(rows)) == expected
-    assert csv_text(["h"], [[]] * n) == "h\n" + "\n" * n
+    columns = list(zip(*rows))
+    expected = "h\n" + _csv_lines(rows)
+    assert csv_text(["h"], columns) == expected
+    assert csv_text(["h"], [list(c) for c in columns]) == expected
+    assert csv_text(["h"], []) == "h\n"
 
 
-@pytest.mark.parametrize("bad", [[1.0], [1.0, 2.0, 3.0]], ids=["short", "long"])
-def test_ragged_rows_raise_value_error(bad, tmp_path):
-    rows = [[0.5, 1.5]] * (_BLOCK_ROWS + 3) + [bad]
-    with pytest.raises(ValueError, match=f"row {_BLOCK_ROWS + 3} has {len(bad)} cells"):
-        csv_text(["a", "b"], rows)
+def test_none_is_blank_in_csv_and_null_in_json():
+    column = [1.5, None, 2.5, None]
+    assert csv_text(["x"], [column]) == "x\n1.5\n\n2.5\n\n"
+    assert json_text(column) == "[\n  1.5,\n  null,\n  2.5,\n  null\n]\n"
+    assert json.loads(json_text({"t": Records(["x"], [column])})) == {
+        "t": [{"x": 1.5}, {"x": None}, {"x": 2.5}, {"x": None}]}
+
+
+@pytest.mark.parametrize("kind", ["records", "scalars"])
+def test_json_tables_stream_one_block_per_chunk(kind):
+    """No chunk of a JSON table holds more than one block's text, so the text
+    held while writing does not grow with the table."""
+    n = 3 * _BLOCK_ROWS + 1
+    # cells of one width, so every full block has the text of the first
+    columns = [[i % 10 for i in range(n)], [0.5] * n, ["x", None] * (n // 2) + ["x"]]
+    if kind == "records":
+        table, block = Records("abc", columns), Records("abc", [c[:_BLOCK_ROWS] for c in columns])
+        expected = [dict(zip("abc", row)) for row in zip(*columns)]
+    else:
+        table, block, expected = columns[1], columns[1][:_BLOCK_ROWS], columns[1]
+    chunks = list(_json_chunks({"t": table}))
+    assert max(map(len, chunks)) <= len(json_text({"t": block}))
+    assert json.loads("".join(chunks)) == {"t": expected}
 
 
 def test_failed_csv_write_leaves_the_previous_file(tmp_path):

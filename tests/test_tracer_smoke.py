@@ -50,13 +50,24 @@ def test_traced_sweep(sweep, counts, tmp_path):
 
 
 def test_traced_simulate(tmp_path):
-    """The tracer reads market.simulate's report: 200 blocks, 98 of them
-    with an auction."""
+    """The tracer reads market.simulate's report, 200 blocks, 98 of them
+    with an auction, and the arguments of write_csv and write_json."""
+    events, report = tmp_path / "events.csv", tmp_path / "report.json"
     metrics = _traced([
         "simulate", "--sigma", "0.05", "--T", "2", "--block-time", "0.01", "--p0", "100",
         "--f", "0.003", "--L", "10", "--g", "0.1", "--r1", "0.3", "--r2", "0.7", "--N", "10",
-        "--seed", "3", "--out-events", str(tmp_path / "events.csv"),
-        "--out-report", str(tmp_path / "report.json"),
+        "--seed", "3", "--out-events", str(events), "--out-report", str(report),
     ], tmp_path)
     assert metrics["market.blocks"] == 200
     assert metrics["market.auctions"] == 98
+    assert metrics["serialize.cells"] == 2743
+    assert metrics["serialize.bytes"] == events.stat().st_size + report.stat().st_size == 135_423
+
+
+def test_traced_verify(tmp_path):
+    """The tracer wraps verify.run_battery and the oracle replays it runs on
+    the pool threads."""
+    metrics = _traced(["verify"], tmp_path)
+    assert metrics["verify.checks"] == 12
+    assert metrics["verify.checks_failed"] == 0
+    assert metrics["oracle.replay_draws"] == 6_950_000
