@@ -36,7 +36,7 @@ import json
 import math
 import sys
 from dataclasses import replace
-from itertools import chain, product, repeat
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -291,13 +291,6 @@ SWEEPS = {
 }
 
 
-def _join(chunks: Sequence[Sequence]) -> Sequence:
-    """One column from its chunks, one per point: arrays as one array, lists as one list."""
-    if isinstance(chunks[0], np.ndarray):
-        return np.concatenate(chunks)
-    return list(chain.from_iterable(chunks))
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.grid < 1:
         raise PgaLabError(f"--grid must be >= 1, got {args.grid}")
@@ -319,8 +312,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         chunks.append(point_columns(params, point, args.grid))
     # each axis column repeats a point's value once per row of that point
     counts = [len(chunk[0]) for chunk in chunks]
-    table = [list(chain.from_iterable(map(repeat, axis, counts))) for axis in zip(*combos)]
-    table += map(_join, zip(*chunks))
+    table = [np.repeat(axis, counts) for axis in zip(*combos)]
+    table += [np.concatenate(column) for column in zip(*chunks)]
     write_csv(args.out, axis_names + columns, table)
     print(f"wrote {sum(counts)} rows to {args.out}")
     return 0

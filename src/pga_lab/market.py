@@ -46,6 +46,8 @@ class MarketSimConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.num_arbitrageurs, (int, np.integer)):
+            raise ConfigInvalid("num_arbitrageurs must be an integer")
         if self.num_arbitrageurs > MAX_AGENTS:
             raise TooManyAgents(
                 f"num_arbitrageurs must be <= {MAX_AGENTS}, got {self.num_arbitrageurs}"

@@ -95,46 +95,34 @@ def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list
     """One column's cells as text, as _scalar writes them.
 
     A float64 ndarray goes to _floats as it is; any other ndarray is written
-    as its tolist() would be. Columns of one common kind take one pass:
-    floats _floats, exact ints map(str) (bool and IntEnum are not exact
-    ints), columns without floats one _scalar call per distinct (type,
-    value), and floats mixed with one non-float sentinel (a blank "" or None)
-    _floats over the floats. Any other column goes cell by cell. A non-scalar
-    cell raises TypeError.
+    as its tolist() would be. A column of exact ints takes map(str) (bool and
+    IntEnum are not exact ints). Otherwise the float cells (floats and float
+    subclasses) take one _floats call, which tells them apart by their bits,
+    and every other cell takes one _scalar call per distinct (type, value).
+    A non-scalar cell raises TypeError.
     """
     if isinstance(values, np.ndarray):
         if values.dtype == np.float64:
             return _floats(values)
         values = values.tolist()
     kinds = set(map(type, values))
-    if not _scalar_kinds(kinds):
-        odd = next(v for v in values if not isinstance(v, _SCALAR_TYPES))
-        raise TypeError(f"cannot serialize {type(odd).__name__}")
-    if kinds == {float}:
-        return _floats(values)
+    for kind in kinds:
+        if not issubclass(kind, _SCALAR_TYPES):
+            raise TypeError(f"cannot serialize {kind.__name__}")
     if kinds == {int}:
         return list(map(str, values))
-    floaty = [t for t in kinds if issubclass(t, float)]
-    if not floaty:
-        # equal values of one type print alike (-0.0 and 0.0 are floats)
-        keys = list(zip(map(type, values), values))
-        memo = {key: _scalar(key[1], text) for key in set(keys)}
-        return list(map(memo.__getitem__, keys))
-    if floaty == [float] and len(kinds) == 2:
-        others = {v for v in values if type(v) is not float}
-        if len(others) == 1:
-            blank = _scalar(others.pop(), text)
-            cells = iter(_floats([v for v in values if type(v) is float]))
-            return [next(cells) if type(v) is float else blank for v in values]
-    return [_scalar(v, text) for v in values]
-
-
-def _scalar_kinds(kinds: Iterable[type]) -> bool:
-    return all(issubclass(t, _SCALAR_TYPES) for t in kinds)
+    floaty = {kind for kind in kinds if issubclass(kind, float)}
+    if floaty == kinds:
+        return _floats(values)
+    # floats stay out of the memo: -0.0 == 0.0 would give the two zeros one key
+    keys = list(zip(map(type, values), values))
+    memo = {key: _scalar(key[1], text) for key in set(keys) if key[0] not in floaty}
+    floats = iter(_floats([v for kind, v in keys if kind in floaty]))
+    return [next(floats) if kind in floaty else memo[kind, v] for kind, v in keys]
 
 
 def _all_scalar(values: Iterable[Any]) -> bool:
-    return _scalar_kinds(set(map(type, values)))
+    return all(issubclass(kind, _SCALAR_TYPES) for kind in set(map(type, values)))
 
 
 def _rows(columns: Sequence[Sequence[Any]],

@@ -53,7 +53,10 @@ def _check_boundary_conditions(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for _ in range(25):
         eq = solve_equilibrium(random_params(rng))
-        worst = max(worst, abs(eq.cdf(0.0)), abs(eq.cdf(eq.support_max) - 1.0))
+        # the raw formula, as cdf pins both ends; with r1 = 0, rho = 0 and log 0 = -inf
+        with np.errstate(divide="ignore"):
+            ends = eq._f_star(np.array([0.0, eq.support_max]))
+        worst = max(worst, abs(float(ends[0])), abs(float(ends[1]) - 1.0))
     return worst <= 1e-12, f"max boundary residue {worst:.2e}"
 
 
@@ -164,13 +167,8 @@ def _check_schemes(seed: int) -> tuple[bool, str]:
     if small_c.winner is analytics.Winner.SCHEME1:
         return False, "scheme 1 won at negligible cost"
     cs = np.linspace(1e-4, params.breakeven_bid * 0.999, 200)
-    diffs = [
-        analytics.scheme2_revenue(replace(params, revert_rate_base=0.0), c)
-        - analytics.scheme1_profit(
-            replace(params, revert_rate_base=analytics.scheme1_optimal_r1(params, c)), c
-        )
-        for c in cs
-    ]
+    diffs = [d.scheme2_revenue_at_r1_zero - d.scheme1_profit_at_optimum
+             for d in (analytics.compare_schemes(params, c) for c in cs)]
     signs = [d > 0 for d in diffs if abs(d) > 1e-12]
     flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     return flips <= 1, f"scheme gap sign flips: {flips}"

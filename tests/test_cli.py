@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from pga_lab import analytics, verify
 from pga_lab.cli import run
-from pga_lab.equilibrium import solve_equilibrium
+from pga_lab.equilibrium import Equilibrium, solve_equilibrium
 from pga_lab.model import AuctionParams
 from pga_lab.serialize import csv_text, fmt_float, json_text
 
@@ -363,6 +363,15 @@ def test_verify_json_report(monkeypatch, tmp_path, capsys):
     doc = json.loads(out_file.read_text())
     assert doc["results"][0]["passed"] is True
     capsys.readouterr()
+
+
+def test_verify_boundary_check_reads_the_raw_formula(monkeypatch):
+    # cdf pins F*(0) = 0 and F*(V - g - c) = 1, so the check reads _f_star
+    assert verify._check_boundary_conditions(42) == (True, "max boundary residue 1.16e-16")
+    raw = Equilibrium._f_star
+    monkeypatch.setattr(Equilibrium, "_f_star", lambda self, b: raw(self, b) + 1e-9)
+    passed, detail = verify._check_boundary_conditions(42)
+    assert not passed and detail.startswith("max boundary residue 1.00e-09")
 
 
 class TestFloatSerialization:

@@ -192,6 +192,14 @@ def test_column_fast_paths_match_scalar_cell_by_cell(values, text):
     assert _column(tuple(cells), text) == expected
 
 
+def test_float_cells_beside_other_cells_keep_their_bits():
+    # -0.0 == 0.0, so float cells are told apart by their bits, never by a
+    # per-value lookup shared with the column's other cells
+    column = [np.float64(-0.0), None, np.float64(0.0), Half.NEG, 0.0, "x", -0.0, 0, False]
+    assert _column(column, _quote) == [
+        "-0.0", "null", "0.0", "-0.0", "0.0", '"x"', "-0.0", "0", "false"]
+
+
 def _csv_lines(rows) -> str:
     return "".join(",".join(_scalar(v, _csv_cell) for v in row) + "\n" for row in rows)
 
