@@ -24,6 +24,9 @@ from .equilibrium import check_entry_cost, equilibrium_state, solve_equilibrium
 from .errors import RateOutOfRange
 from .model import AuctionParams
 
+_R1_GRID = 10_001  # r1 points of the scheme-1 profit scan, a step of 1e-4
+_TIE_BAND = 1e-9  # a scheme gap this small is a tie in compare_schemes
+
 
 @dataclass(frozen=True)
 class RevenueLimits:
@@ -110,24 +113,20 @@ def scheme1_optimal_r1(params: AuctionParams, c: float) -> float:
     return min(c * (v - g) / ((v - c) * g), 1.0)
 
 
-def scheme1_profit_curve(
-    params: AuctionParams, c: float, grid_points: int = 10_001
-) -> tuple[np.ndarray, np.ndarray]:
+def scheme1_profit_curve(params: AuctionParams, c: float) -> tuple[np.ndarray, np.ndarray]:
     """Scheme-1 profit over an r1 grid on [0, 1] (vectorized, for scans)."""
     check_entry_cost(params, c)
     n = params.num_agents
-    r1 = np.linspace(0.0, 1.0, grid_points)
+    r1 = np.linspace(0.0, 1.0, _R1_GRID)
     with np.errstate(divide="ignore"):
         state = equilibrium_state(r1 * params.base_fee, params.breakeven_bid, n, xp=np)
     return r1, state.one_minus_pn * params.value - c * state.one_minus_p * n
 
 
-def scheme1_optimal_r1_scan(
-    params: AuctionParams, c: float, grid_points: int = 10_001
-) -> float:
+def scheme1_optimal_r1_scan(params: AuctionParams, c: float) -> float:
     """Brute-force argmax of scheme-1 profit over an r1 grid; the independent
     check on scheme1_optimal_r1."""
-    r1, profit = scheme1_profit_curve(params, c, grid_points)
+    r1, profit = scheme1_profit_curve(params, c)
     return float(r1[int(np.argmax(profit))])
 
 
@@ -160,14 +159,14 @@ class SchemeComparison:
     winner: Winner
 
 
-def compare_schemes(params: AuctionParams, c: float, tol: float = 1e-9) -> SchemeComparison:
+def compare_schemes(params: AuctionParams, c: float) -> SchemeComparison:
     """Scheme 1 (sequencer internalizes cost c, at its profit-optimal r1)
     versus scheme 2 (participants pay c, full revert protection r1 = 0)."""
     check_entry_cost(params, c)
     r1_opt = scheme1_optimal_r1(params, c)
     profit1 = scheme1_profit(replace(params, revert_rate_base=r1_opt), c)
     revenue2 = scheme2_revenue(replace(params, revert_rate_base=0.0), c)
-    if abs(revenue2 - profit1) <= tol:
+    if abs(revenue2 - profit1) <= _TIE_BAND:
         winner = Winner.TIE
     elif revenue2 > profit1:
         winner = Winner.SCHEME2
@@ -204,10 +203,6 @@ class MevTaxParams:
             raise RateOutOfRange(f"tax rate must be finite and non-negative, got {self.tax_rate}")
 
     @property
-    def r1(self) -> float:
-        return self.raw_revert_rate
-
-    @property
     def r2(self) -> float:
         return self.raw_revert_rate / (1.0 + self.tax_rate)
 
@@ -215,11 +210,6 @@ class MevTaxParams:
     def tax_share(self) -> float:
         """tau / (1 + tau): the tax's share of the winning bid."""
         return self.tax_rate / (1.0 + self.tax_rate)
-
-    @property
-    def bid_scale(self) -> float:
-        """Effective bid per unit of pre-tax priority fee: b = (1+tau) b_tilde."""
-        return 1.0 + self.tax_rate
 
 
 def expected_winning_bid(params: AuctionParams, entry_cost: float = 0.0) -> float:

@@ -4,7 +4,7 @@ Subcommands:
   equilibrium      solve one auction instance and print the strategy
   revenue          closed-form revenue report for one instance
   sweep            parameter sweeps emitted as CSV (figure data)
-  verify           run a verification battery (exit 3 on failure)
+  verify           run the verification battery (exit 3 on failure)
   simulate         CEX-DEX market simulation with CSV/JSON output
   compare-schemes  cost-internalization versus cost-pass-through
 
@@ -17,7 +17,7 @@ defaults. Ranges are checked by the library validators. All emitted floats
 carry 17 significant digits, so identical invocations are byte-identical.
 
 Sweep CSVs prepend any --vary2/--vary axis columns to the target's columns:
-b,F (cdf); p_star (abstention); p_star,revenue,submitted (revenue/submitted);
+b,F (cdf); p_star (abstention); p_star,revenue,submitted (revenue);
 optimal_r1,scheme1_profit,scheme2_revenue,winner (scheme_compare);
 r1,r2,mev_tax,winning_bid_bound (mev_tax). The simulate event CSV has one
 row per block with the columns in market.EVENT_CSV_HEADER; the simulate JSON
@@ -135,9 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--grid", type=int, default=200, help="bid grid points (cdf target)")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
 
-    p_verify = sub.add_parser("verify", help="run a verification battery")
+    p_verify = sub.add_parser("verify", help="run the verification battery")
     p_verify.set_defaults(handler=_cmd_verify)
-    p_verify.add_argument("--battery", default="default", choices=sorted(verify.BATTERIES))
     _add_parameter(p_verify, "seed", default=42)
     p_verify.add_argument("--json", default=None)
 
@@ -269,21 +268,20 @@ def _scheme_columns(params: AuctionParams, point: dict, grid: int):
 def _mev_tax_columns(params: AuctionParams, point: dict, grid: int):
     tau = point["tau"]
     reparam = analytics.MevTaxParams(params.revert_rate_base, tau)
+    r1 = reparam.raw_revert_rate
     if tau == 0.0:
-        return [reparam.r1], [reparam.r2], [0.0], [float("nan")]
+        return [r1], [reparam.r2], [0.0], [float("nan")]
     # the bound is the taxed game's winning bid; the tax is its tau/(1+tau) share
     bound = analytics.expected_winning_bid(replace(params, revert_rate_priority=reparam.r2))
-    return [reparam.r1], [reparam.r2], [reparam.tax_share * bound], [bound]
+    return [r1], [reparam.r2], [reparam.tax_share * bound], [bound]
 
 
 # target -> (columns, parameters it needs beyond the auction, the columns of
 # one point: float64 arrays (cdf) or one-element lists)
-_REVENUE_SWEEP = (["p_star", "revenue", "submitted"], (), _revenue_columns)
 SWEEPS = {
     "cdf": (["b", "F"], (), _cdf_columns),
     "abstention": (["p_star"], (), _abstention_columns),
-    "revenue": _REVENUE_SWEEP,
-    "submitted": _REVENUE_SWEEP,
+    "revenue": (["p_star", "revenue", "submitted"], (), _revenue_columns),
     "scheme_compare": (
         ["optimal_r1", "scheme1_profit", "scheme2_revenue", "winner"], ("c",), _scheme_columns
     ),
@@ -375,14 +373,14 @@ def _cmd_revenue(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    results = verify.run_battery(args.battery, seed=args.seed)
+    results = verify.run_battery(args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name} ({r.detail}) [{r.seconds:.2f}s]")
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     if args.json:
-        write_json(args.json, {"battery": args.battery, "seed": args.seed, "results": results})
+        write_json(args.json, {"battery": "default", "seed": args.seed, "results": results})
     return 3 if failed else 0
 
 

@@ -46,6 +46,7 @@ from .errors import (
 from .model import ABSTAIN, Action, AuctionParams, Bid, MixedStrategy, PureProfile
 
 _NEG_CLAMP = 1e-12  # residue window treated as float noise, not a formula bug
+_TOP_BID_TOL = 1e-12  # how far PureEquilibrium.is_equilibrium lets a top bid sit off top_bid
 # with rho = 0 the integrand of a tail integral falls like e^t below t = log r2,
 # so cutting it off this far below leaves out a share e^-45 < 3e-20
 _TAIL_CUTOFF = 45.0
@@ -282,6 +283,7 @@ class Equilibrium:
         """
         if not 0.0 <= u <= 1.0:
             raise OutOfSupport(f"quantile argument {u} outside [0, 1]")
+        self._one_minus_p()  # the bid law is undefined where 1 - p* = 0, as F* is
         return float(self._quantile_arr(np.asarray(u, dtype=float)))
 
     def sample_action(self, rng: np.random.Generator) -> Action:
@@ -292,6 +294,7 @@ class Equilibrium:
 
     def sample_bids(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized bid draws conditional on participation."""
+        self._one_minus_p()
         return self._quantile_arr(rng.random(size))
 
     def _tail_integral(self, weight, finest: float = 1.0) -> float:
@@ -355,32 +358,22 @@ class Equilibrium:
             abstain_prob=self.abstain_prob,
             participation=self.state.one_minus_p,
             cdf=self.cdf,
-            quantile=self.quantile,
             support=(0.0, self.support_max),
         )
 
 
-def solve_equilibrium(
-    params: AuctionParams, entry_cost: float = 0.0, strict: bool = False
-) -> Equilibrium:
+def solve_equilibrium(params: AuctionParams, entry_cost: float = 0.0) -> Equilibrium:
     """Solve for the symmetric mixed equilibrium.
 
     entry_cost = 0 is the baseline game; entry_cost > 0 charges every
-    participant a flat fee (paid win or lose) on top of any revert penalty.
-    strict=True raises if the CDF does not reach 1 at the breakeven bid V - g,
-    i.e. whenever entry_cost > 0 truncates the support to [0, V - g - c].
+    participant a flat fee (paid win or lose) on top of any revert penalty,
+    and truncates the support to [0, V - g - c] (see boundary_gap).
     """
     check_entry_cost(params, entry_cost)
     rg = params.revert_rate_base * params.base_fee
     check_losing_cost(rg, params.revert_rate_priority, entry_cost)
     c = float(entry_cost)
-    eq = Equilibrium(params, c, equilibrium_state(rg, params.breakeven_bid, params.num_agents, c))
-    if strict and not eq.boundary_gap <= _NEG_CLAMP:
-        raise NumericsError(
-            f"CDF at breakeven bid exceeds 1 by {eq.boundary_gap:.3e}; "
-            f"support truncates at {eq.support_max}"
-        )
-    return eq
+    return Equilibrium(params, c, equilibrium_state(rg, params.breakeven_bid, params.num_agents, c))
 
 
 @dataclass(frozen=True)
@@ -393,13 +386,13 @@ class PureEquilibrium:
     entry_cost: float
     top_bid: float
 
-    def is_equilibrium(self, profile: PureProfile, tol: float = 1e-12) -> bool:
+    def is_equilibrium(self, profile: PureProfile) -> bool:
         bids = sorted(
             (a.amount for a in profile.actions if isinstance(a, Bid)), reverse=True
         )
         if len(bids) < 2:
             return False
-        return abs(bids[0] - self.top_bid) <= tol and abs(bids[1] - self.top_bid) <= tol
+        return all(abs(b - self.top_bid) <= _TOP_BID_TOL for b in bids[:2])
 
 
 def pure_equilibrium(params: AuctionParams, entry_cost: float = 0.0) -> PureEquilibrium:

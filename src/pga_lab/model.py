@@ -40,7 +40,8 @@ class AuctionParams:
     base_fee: flat fee g every included transaction pays.
     revert_rate_base: fraction r1 of g paid by a losing participant.
     revert_rate_priority: fraction r2 of the bid paid by a losing participant.
-    num_agents: number of competing agents, 2 <= N <= MAX_AGENTS.
+    num_agents: number of competing agents, an int or a numpy integer with
+        2 <= N <= MAX_AGENTS.
     """
 
     value: float
@@ -62,8 +63,7 @@ class AuctionParams:
                 raise RateOutOfRange(f"{name} must lie in [0, 1], got {r}")
         if self.num_agents > MAX_AGENTS:
             raise TooManyAgents(f"num_agents must be <= {MAX_AGENTS}, got {self.num_agents}")
-        # NaN fails the first test, so int() never sees it
-        if not self.num_agents >= 2 or int(self.num_agents) != self.num_agents:
+        if not (isinstance(self.num_agents, (int, np.integer)) and self.num_agents >= 2):
             raise TooFewAgents(f"num_agents must be an integer >= 2, got {self.num_agents}")
 
     @property
@@ -114,18 +114,16 @@ class PureProfile:
 @dataclass(frozen=True)
 class MixedStrategy:
     """Symmetric randomized strategy: abstain with probability abstain_prob,
-    otherwise draw the bid from the distribution described by cdf/quantile.
+    otherwise draw the bid from the distribution with CDF cdf.
 
-    cdf is defined on [support[0], support[1]] and quantile on [0, 1]; the two
-    are inverse to each other on the support, and cdf takes an array of bids
-    as well as a float (expected_payoff_vs_symmetric passes arrays).
+    cdf is defined on [support[0], support[1]] and takes an array of bids as
+    well as a float (expected_payoff_vs_symmetric passes arrays).
     participation is 1 - abstain_prob, passed separately when the caller
     holds it to full relative accuracy (abstain_prob -> 1 at large N).
     """
 
     abstain_prob: float
     cdf: Callable
-    quantile: Callable[[float], float]
     support: tuple[float, float]
     participation: float | None = None
 

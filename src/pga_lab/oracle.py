@@ -37,6 +37,13 @@ from .errors import ArgumentOutOfRange, IndexOutOfRange, NumericsError
 from .numerics import bisection_inverse
 
 _CHUNK = 1 << 16  # replay rows per chunk, at most
+_N_SE = 3.0  # standard errors a McEstimate may sit off its target
+_CERT_GRID = 1000  # bids in each scan of best_response_scan and certify_equilibrium
+_CERT_TOL = 1e-9  # how far certify_equilibrium lets a supported bid's payoff sit off 0
+_BID_TOL = 1e-12  # bid resolution of find_pure_deviation and bisection_quantile
+_STEP = 1e-5  # finite-difference step of the comparative statics and the CDF sensitivity
+_SENSITIVITY_BIDS = 9  # interior bids at which cdf_sensitivity_check differences F*
+_HILLMAN_SAMET_POINTS = 1001  # effective bids at which hillman_samet_check compares CDFs
 
 
 def _chunk_rows(num_agents: int) -> int:
@@ -59,14 +66,14 @@ class McEstimate:
     trials: int
     seed: int
 
-    def within(self, target: float, n_se: float = 3.0) -> bool:
-        """|mean - target| is at most n_se standard errors plus four ulps.
+    def within(self, target: float) -> bool:
+        """|mean - target| is at most three standard errors plus four ulps.
 
         The ulps matter where every trial gives the same x, so the standard
         error is 0: the mean of the copies of x can be off x in its last bits.
         """
         rounding = 4.0 * sys.float_info.epsilon * max(abs(self.mean), abs(target))
-        return abs(self.mean - target) <= n_se * self.std_error + rounding
+        return abs(self.mean - target) <= _N_SE * self.std_error + rounding
 
 
 @dataclass(frozen=True)
@@ -188,26 +195,20 @@ def monte_carlo_replay(
 
 
 def best_response_scan(
-    params: AuctionParams,
-    strategy: Union[Equilibrium, MixedStrategy],
-    grid_points: int = 1000,
-    entry_cost: Optional[float] = None,
+    params: AuctionParams, strategy: Union[Equilibrium, MixedStrategy]
 ) -> float:
     """Maximum deviation payoff against N-1 opponents playing `strategy`,
-    over a uniform bid grid on [0, V - g] plus the abstain action.
+    over a uniform 1,000-bid grid on [0, V - g] plus the abstain action.
 
-    For an equilibrium this maximum must not exceed ~1e-9; any strategy whose
+    The entry cost is the equilibrium's, or 0 for a bare MixedStrategy. For
+    an equilibrium this maximum must not exceed ~1e-9; any strategy whose
     abstention probability is off shows a strictly positive value here.
     """
-    if grid_points < 100:
-        raise ArgumentOutOfRange(f"grid_points must be >= 100, got {grid_points}")
+    entry_cost = 0.0
     if isinstance(strategy, Equilibrium):
-        if entry_cost is None:
-            entry_cost = strategy.entry_cost
+        entry_cost = strategy.entry_cost
         strategy = strategy.strategy
-    elif entry_cost is None:
-        entry_cost = 0.0
-    grid = np.linspace(0.0, params.breakeven_bid, grid_points)
+    grid = np.linspace(0.0, params.breakeven_bid, _CERT_GRID)
     payoffs = expected_payoff_vs_symmetric(params, strategy, grid, entry_cost)
     # abstaining is always available and pays exactly zero; a NaN payoff
     # stays NaN, so no certificate passes on it
@@ -222,20 +223,15 @@ class EquilibriumCertificate:
     passed: bool
 
 
-def certify_equilibrium(
-    params: AuctionParams,
-    eq: Equilibrium,
-    grid_points: int = 1000,
-    tol: float = 1e-9,
-) -> EquilibriumCertificate:
-    """Indifference certificate, two-sided: every supported bid earns within
-    tol of the zero abstention payoff (so no deviation gains, and no supported
-    action loses), and probes above the breakeven bid earn strictly negative
-    payoffs. Either direction of a mis-set abstention probability fails it:
-    too much abstention makes low bids strictly profitable, too little makes
-    every supported bid strictly worse than abstaining."""
-    max_payoff = best_response_scan(params, eq, grid_points)
-    support = np.linspace(0.0, eq.support_max, grid_points)
+def certify_equilibrium(params: AuctionParams, eq: Equilibrium) -> EquilibriumCertificate:
+    """Indifference certificate, two-sided: each of 1,000 supported bids earns
+    within 1e-9 of the zero abstention payoff (so no deviation gains, and no
+    supported action loses), and probes above the breakeven bid earn strictly
+    negative payoffs. Either direction of a mis-set abstention probability
+    fails it: too much abstention makes low bids strictly profitable, too
+    little makes every supported bid strictly worse than abstaining."""
+    max_payoff = best_response_scan(params, eq)
+    support = np.linspace(0.0, eq.support_max, _CERT_GRID)
     strategy = eq.strategy
     min_support = float(
         expected_payoff_vs_symmetric(params, strategy, support, eq.entry_cost).min()
@@ -248,7 +244,7 @@ def certify_equilibrium(
         max_payoff=max_payoff,
         min_support_payoff=min_support,
         max_overbid_payoff=overbid,
-        passed=(max_payoff <= tol and min_support >= -tol and overbid < 0.0),
+        passed=(max_payoff <= _CERT_TOL and min_support >= -_CERT_TOL and overbid < 0.0),
     )
 
 
@@ -280,9 +276,7 @@ def _deviation(
     return dev
 
 
-def find_pure_deviation(
-    params: AuctionParams, profile: PureProfile, tol: float = 1e-12
-) -> Optional[PureDeviation]:
+def find_pure_deviation(params: AuctionParams, profile: PureProfile) -> Optional[PureDeviation]:
     """A strictly profitable unilateral deviation, or None exactly when losing
     is free (r1 = r2 = 0) and the profile's top two bids equal V - g.
 
@@ -307,11 +301,11 @@ def find_pure_deviation(
     b_max = max(amount for amount, _ in bids)
     top = [i for amount, i in bids if amount == b_max]
 
-    if b_max > b_star + tol:
+    if b_max > b_star + _BID_TOL:
         # winning loses money; a top bidder walks away
         return _deviation(params, profile, top[0], ABSTAIN)
 
-    if b_max < b_star - tol:
+    if b_max < b_star - _BID_TOL:
         non_top = [j for j in range(n) if j not in top]
         if non_top:
             # beat the current top at the midpoint toward breakeven
@@ -360,7 +354,7 @@ def _expected_bid(params: AuctionParams) -> float:
     return solve_equilibrium(params).expected_bid()
 
 
-def comparative_statics_check(base: AuctionParams, step: float = 1e-5) -> list[SignCheck]:
+def comparative_statics_check(base: AuctionParams) -> list[SignCheck]:
     """Finite-difference signs of p* and E[B*] in every parameter.
 
     Expected directions: p* rises with N, g, r1, falls with V, and ignores r2
@@ -373,13 +367,10 @@ def comparative_statics_check(base: AuctionParams, step: float = 1e-5) -> list[S
     dominates and E[B*] rises with r1. The check reports the true sign either
     way.
     """
-    if not 0.0 < step <= 1e-3:
-        raise ArgumentOutOfRange(f"step must lie in (0, 1e-3], got {step}")
-
     def central(fn, field: str) -> float:
-        hi = fn(replace(base, **{field: getattr(base, field) + step}))
-        lo = fn(replace(base, **{field: getattr(base, field) - step}))
-        return (hi - lo) / (2.0 * step)
+        hi = fn(replace(base, **{field: getattr(base, field) + _STEP}))
+        lo = fn(replace(base, **{field: getattr(base, field) - _STEP}))
+        return (hi - lo) / (2.0 * _STEP)
 
     def unit_n(fn) -> float:
         return fn(replace(base, num_agents=base.num_agents + 1)) - fn(base)
@@ -401,9 +392,7 @@ def comparative_statics_check(base: AuctionParams, step: float = 1e-5) -> list[S
     ]
 
 
-def cdf_sensitivity_check(
-    base: AuctionParams, step: float = 1e-5, grid_points: int = 9
-) -> list[SignCheck]:
+def cdf_sensitivity_check(base: AuctionParams) -> list[SignCheck]:
     """Pointwise finite-difference signs of F*(b) on an interior bid grid:
     F* rises pointwise with N, r1, r2 and falls with V.
 
@@ -411,11 +400,11 @@ def cdf_sensitivity_check(
     away from low markups the abstention response flips the pointwise sign
     on part of the support."""
     eq = solve_equilibrium(base)
-    grid = np.linspace(0.1, 0.9, grid_points) * eq.support_max
+    grid = np.linspace(0.1, 0.9, _SENSITIVITY_BIDS) * eq.support_max
 
-    def delta(field: str, h) -> np.ndarray:
-        hi = solve_equilibrium(replace(base, **{field: getattr(base, field) + h}))
-        lo = solve_equilibrium(replace(base, **{field: getattr(base, field) - h}))
+    def delta(field: str) -> np.ndarray:
+        hi = solve_equilibrium(replace(base, **{field: getattr(base, field) + _STEP}))
+        lo = solve_equilibrium(replace(base, **{field: getattr(base, field) - _STEP}))
         return hi._cdf_arr(grid) - lo._cdf_arr(grid)
 
     def delta_n() -> np.ndarray:
@@ -424,9 +413,9 @@ def cdf_sensitivity_check(
 
     cases = [
         ("num_agents", delta_n(), "+"),
-        ("value", delta("value", step), "-"),
-        ("revert_rate_base", delta("revert_rate_base", step), "+"),
-        ("revert_rate_priority", delta("revert_rate_priority", step), "+"),
+        ("value", delta("value"), "-"),
+        ("revert_rate_base", delta("revert_rate_base"), "+"),
+        ("revert_rate_priority", delta("revert_rate_priority"), "+"),
     ]
     out = []
     for par, d, expected in cases:
@@ -443,15 +432,13 @@ def cdf_sensitivity_check(
     return out
 
 
-def bisection_quantile(eq: Equilibrium, u: float, tol: float = 1e-12) -> float:
-    """Invert the CDF numerically; the independent check on the algebraic
-    quantile."""
-    return bisection_inverse(eq.cdf, u, 0.0, eq.support_max, tol=tol)
+def bisection_quantile(eq: Equilibrium, u: float) -> float:
+    """Invert the CDF numerically, to a bid interval of 1e-12; the independent
+    check on the algebraic quantile."""
+    return bisection_inverse(eq.cdf, u, 0.0, eq.support_max, tol=_BID_TOL)
 
 
-def hillman_samet_check(
-    value: float, min_outlay: float, num_agents: int, grid_points: int = 1001
-) -> float:
+def hillman_samet_check(value: float, min_outlay: float, num_agents: int) -> float:
     """Cross-check against the classic all-pay auction with a minimum outlay
     and no refunds (Hillman and Samet, 1987).
 
@@ -465,7 +452,7 @@ def hillman_samet_check(
     params = AuctionParams(value, min_outlay, 1.0, 1.0, num_agents)
     eq = solve_equilibrium(params)
     p = eq.abstain_prob
-    xs = np.linspace(min_outlay, value, grid_points)
+    xs = np.linspace(min_outlay, value, _HILLMAN_SAMET_POINTS)
     ours = p + (1.0 - p) * eq._cdf_arr(xs - min_outlay)
     reference = (xs / value) ** (1.0 / (num_agents - 1))
     return float(np.abs(ours - reference).max())

@@ -259,10 +259,10 @@ _CHECKS: list[tuple[str, Callable[[int], tuple[bool, str]]]] = [
 BATTERIES = {"default": _CHECKS}
 
 
-def run_battery(name: str = "default", seed: int = 42) -> list[CheckResult]:
+def run_battery(seed: int = 42) -> list[CheckResult]:
     if seed < 0:
         raise ArgumentOutOfRange(f"seed must be non-negative, got {seed}")
-    checks = BATTERIES[name]
+    checks = BATTERIES["default"]
 
     def run_one(item: tuple[str, Callable[[int], tuple[bool, str]]]) -> CheckResult:
         check_name, fn = item

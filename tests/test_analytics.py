@@ -225,12 +225,11 @@ class TestCompareSchemes:
 class TestMevTax:
     def test_reparameterization(self):
         reparam = MevTaxParams(0.1, 9.0)
-        assert (reparam.r1, reparam.r2) == (0.1, pytest.approx(0.01, rel=1e-15))
-        assert reparam.bid_scale == 10.0
+        assert (reparam.raw_revert_rate, reparam.r2) == (0.1, pytest.approx(0.01, rel=1e-15))
 
     def test_zero_tax_reduces_to_plain_priority_fees(self):
         reparam = MevTaxParams(0.3, 0.0)
-        assert reparam.r1 == reparam.r2 == 0.3
+        assert reparam.raw_revert_rate == reparam.r2 == 0.3
 
     def test_revenue_invariant_under_tax_rate(self):
         base = AuctionParams(10, 1, 0.1, 0.1, 20)

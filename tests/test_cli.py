@@ -235,9 +235,9 @@ def _reference_mev_tax_rows(params, point, grid):
     tau = point["tau"]
     reparam = analytics.MevTaxParams(params.revert_rate_base, tau)
     if tau == 0.0:
-        return [(reparam.r1, reparam.r2, 0.0, float("nan"))]
+        return [(reparam.raw_revert_rate, reparam.r2, 0.0, float("nan"))]
     bound = analytics.expected_winning_bid(replace(params, revert_rate_priority=reparam.r2))
-    return [(reparam.r1, reparam.r2, reparam.tax_share * bound, bound)]
+    return [(reparam.raw_revert_rate, reparam.r2, reparam.tax_share * bound, bound)]
 
 
 _REFERENCE_SWEEPS = {
@@ -245,7 +245,6 @@ _REFERENCE_SWEEPS = {
     "abstention": (["p_star"], lambda params, point, grid: [
         (solve_equilibrium(params, point["c"] or 0.0).abstain_prob,)]),
     "revenue": (["p_star", "revenue", "submitted"], _reference_revenue_rows),
-    "submitted": (["p_star", "revenue", "submitted"], _reference_revenue_rows),
     "scheme_compare": (["optimal_r1", "scheme1_profit", "scheme2_revenue", "winner"],
                        _reference_scheme_rows),
     "mev_tax": (["r1", "r2", "mev_tax", "winning_bid_bound"], _reference_mev_tax_rows),
@@ -362,7 +361,18 @@ def test_verify_json_report(monkeypatch, tmp_path, capsys):
     assert run(["verify", "--seed", "1", "--json", str(out_file)]) == 0
     doc = json.loads(out_file.read_text())
     assert doc["results"][0]["passed"] is True
+    assert doc["battery"] == "default" and doc["seed"] == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--battery", "default"],
+    ["sweep", "--target", "submitted", *AUCTION[:-2], "--vary", "N=2:4", "--out", "x.csv"],
+], ids=["verify-battery", "sweep-submitted"])
+def test_retired_options_are_usage_errors(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.splitlines()[0].startswith("usage: pga-lab")
 
 
 def test_verify_boundary_check_reads_the_raw_formula(monkeypatch):

@@ -138,6 +138,16 @@ class TestQuantile:
         with pytest.raises(OutOfSupport):
             eq.quantile(1.5)
 
+    def test_undefined_where_one_minus_p_rounds_to_zero(self):
+        # c one ulp below V - g: rho rounds to 1, so 1 - p* = 0 and the bid law,
+        # like F*, is undefined
+        eq = solve_equilibrium(AuctionParams(5, 1, 1, 0, 2), 3.9999999999999996)
+        assert eq.state.one_minus_p == 0.0
+        for undefined in (lambda: eq.cdf(1.0), lambda: eq.quantile(0.5),
+                          lambda: eq.sample_bids(philox(0), 3)):
+            with pytest.raises(NumericsError, match="1 - p\\* = 0"):
+                undefined()
+
 
 class TestSampling:
     def test_always_abstains_at_p_one(self):
@@ -202,8 +212,6 @@ class TestEntryCostSupport:
         assert solve_equilibrium(params).boundary_gap == pytest.approx(0.0, abs=1e-15)
         eq = solve_equilibrium(params, entry_cost=0.5)
         assert eq.boundary_gap > 1e-3
-        with pytest.raises(NumericsError):
-            solve_equilibrium(params, entry_cost=0.5, strict=True)
 
     def test_boundary_gap_unbounded_without_penalty_at_breakeven(self):
         # r1 g + r2 (V - g) vanishes or nearly so: z(V - g) is infinite or beyond float range

@@ -51,14 +51,14 @@ class TestPayoffOnArrays:
         # one-bid array still passes; the array call needs a numpy cdf
         params = AuctionParams(10, 1, 0.3, 0.8, 7)
         scalar = MixedStrategy(abstain_prob, lambda b: min(max(b / 9.0, 0.0), 1.0),
-                               lambda u: u * 9.0, support=(0.0, 9.0))
+                               support=(0.0, 9.0))
         array = replace(scalar, cdf=lambda b: np.clip(b / 9.0, 0.0, 1.0))
         _assert_array_equals_float_calls(params, array, scalar, GRID)
 
     def test_flat_lambda_strategy(self):
         params = AuctionParams(10, 1, 0.2, 0.4, 5)
         scalar = MixedStrategy(0.1, lambda b: min(b, 2.0) / 9.0 if b < 9.0 else 1.0,
-                               lambda u: u, support=(0.0, 9.0))
+                               support=(0.0, 9.0))
         array = replace(scalar, cdf=lambda b: np.where(b < 9.0, np.minimum(b, 2.0) / 9.0, 1.0))
         _assert_array_equals_float_calls(params, array, scalar, GRID)
 
@@ -70,7 +70,7 @@ class TestPayoffOnArrays:
             return np.clip(b / 9.0, 0.0, 1.0)
 
         params = AuctionParams(10, 1, 0.2, 0.4, 5)
-        strategy = MixedStrategy(0.5, cdf, lambda u: u * 9.0, support=(0.0, 9.0))
+        strategy = MixedStrategy(0.5, cdf, support=(0.0, 9.0))
         expected_payoff_vs_symmetric(params, strategy, np.array([1.0, 9.0, 12.0, 3.0]))
         assert seen == [[1.0, 3.0]]
         seen.clear()
