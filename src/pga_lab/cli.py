@@ -27,6 +27,12 @@ histogram, and the full event list, all under a schema_version field.
 Exit codes: 0 success, 1 validation error (a malformed config file or axis
 value, or a value out of range), 2 usage error (a malformed flag or a missing
 parameter), 3 verification failure.
+
+Only the standard library and pga_lab.errors load with this module: each
+command imports the modules it runs when it runs, so --help and usage errors
+load no numpy. main() (the pga-lab script and python -m pga_lab.cli) runs
+OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set; run() leaves the
+environment alone.
 """
 
 from __future__ import annotations
@@ -34,19 +40,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from dataclasses import replace
 from itertools import product
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from . import analytics, verify
-from .equilibrium import pure_equilibrium, solve_equilibrium
 from .errors import ArgumentOutOfRange, PgaLabError
-from .market import EVENT_CSV_HEADER, MarketSimConfig, simulate
-from .model import AuctionParams
-from .serialize import Records, fmt_float, write_csv, write_json
+
+if TYPE_CHECKING:
+    from .model import AuctionParams
 
 
 def real(value) -> float:
@@ -234,6 +236,8 @@ def _parse_axis(spec: str, names: Sequence[str]) -> tuple[str, Sequence]:
             lo, hi, count = parts
             count = integer(count)
             _check_rows(count)
+            import numpy as np
+
             values = np.linspace(real(lo), real(hi), count).tolist()
     except ArgumentOutOfRange:
         raise
@@ -245,27 +249,41 @@ def _parse_axis(spec: str, names: Sequence[str]) -> tuple[str, Sequence]:
 
 
 def _cdf_columns(params: AuctionParams, point: dict, grid: int):
+    import numpy as np
+
+    from .equilibrium import solve_equilibrium
+
     eq = solve_equilibrium(params, point["c"] or 0.0)
     bids = np.linspace(0.0, eq.support_max, grid)
     return bids, eq._cdf_arr(bids)
 
 
 def _abstention_columns(params: AuctionParams, point: dict, grid: int):
+    from .equilibrium import solve_equilibrium
+
     return [solve_equilibrium(params, point["c"] or 0.0).abstain_prob],
 
 
 def _revenue_columns(params: AuctionParams, point: dict, grid: int):
+    from . import analytics
+
     rep = analytics.revenue_report(params)
     return [rep.abstain_prob], [rep.expected_revenue], [rep.expected_submitted_txs]
 
 
 def _scheme_columns(params: AuctionParams, point: dict, grid: int):
+    from . import analytics
+
     cmp = analytics.compare_schemes(params, point["c"])
     return ([cmp.optimal_r1], [cmp.scheme1_profit_at_optimum], [cmp.scheme2_revenue_at_r1_zero],
             [cmp.winner.value])
 
 
 def _mev_tax_columns(params: AuctionParams, point: dict, grid: int):
+    from dataclasses import replace
+
+    from . import analytics
+
     tau = point["tau"]
     reparam = analytics.MevTaxParams(params.revert_rate_base, tau)
     r1 = reparam.raw_revert_rate
@@ -290,6 +308,11 @@ SWEEPS = {
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .model import AuctionParams
+    from .serialize import write_csv
+
     if args.grid < 1:
         raise PgaLabError(f"--grid must be >= 1, got {args.grid}")
     columns, needs, point_columns = SWEEPS[args.target]
@@ -318,6 +341,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_equilibrium(args: argparse.Namespace) -> int:
+    from .equilibrium import pure_equilibrium, solve_equilibrium
+    from .model import AuctionParams
+    from .serialize import fmt_float, write_json
+
     values = _values(args, defaults={"c": 0.0}, optional=("N",))
     entry_cost = values["c"]
     pure_case = values["r1"] == 0.0 and values["r2"] == 0.0 and entry_cost == 0.0
@@ -355,6 +382,10 @@ def _cmd_equilibrium(args: argparse.Namespace) -> int:
 
 
 def _cmd_revenue(args: argparse.Namespace) -> int:
+    from . import analytics
+    from .model import AuctionParams
+    from .serialize import fmt_float, write_json
+
     params = _build(AuctionParams, AUCTION, _values(args))
     rep = analytics.revenue_report(params)
     print(f"participation probability = {fmt_float(rep.participation_prob)}")
@@ -373,6 +404,9 @@ def _cmd_revenue(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
+    from .serialize import write_json
+
     results = verify.run_battery(args.seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -389,6 +423,9 @@ _SUMMARY_FIELDS = ("opportunities", "executed", "abstained", "mad", "dbf", "max_
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .market import EVENT_CSV_HEADER, MarketSimConfig, simulate
+    from .serialize import Records, fmt_float, write_csv, write_json
+
     config = _build(MarketSimConfig, MARKET, _values(args, defaults={"mu": 0.0, "seed": 0}))
     report = simulate(config)
     print(
@@ -417,6 +454,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare_schemes(args: argparse.Namespace) -> int:
+    from . import analytics
+    from .model import AuctionParams
+    from .serialize import fmt_float, write_json
+
     values = _values(args)
     params = _build(AuctionParams, AUCTION, values)
     comparison = analytics.compare_schemes(params, values["c"])
@@ -446,6 +487,9 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
+    # numpy starts OpenBLAS's thread pool when it loads, which no command uses:
+    # pga_lab's one BLAS call is the 48x48 eigenproblem of leggauss
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run(sys.argv[1:]))
 
 

@@ -145,12 +145,16 @@ def monte_carlo_replay(
     for i, rng in enumerate(_chunk_rngs(seed, n_chunks)):
         m = min(rows, trials - i * rows)
         part = rng.random((m, n)) >= p_star
-        bids = np.zeros((m, n))  # an abstainer adds nothing to the bid sums
-        # only the participants' bid uniforms go through the quantile; compress
-        # and flat indices cost a fraction of a boolean mask over a random
-        # pattern, and the full uniform array is freed before the quantile runs
-        bids.reshape(-1)[np.flatnonzero(part)] = eq._quantile_arr(
-            rng.random((m, n)).compress(part.reshape(-1)))
+        if p_star == 0.0:  # everyone takes part: no gather or scatter
+            bids = eq._quantile_arr(rng.random((m, n)))
+        else:
+            bids = np.zeros((m, n))  # an abstainer adds nothing to the bid sums
+            # only the participants' bid uniforms go through the quantile;
+            # compress and flat indices cost a fraction of a boolean mask over
+            # a random pattern, and the full uniform array is freed before the
+            # quantile runs
+            bids.reshape(-1)[np.flatnonzero(part)] = eq._quantile_arr(
+                rng.random((m, n)).compress(part.reshape(-1)))
         k = part.sum(axis=1)
         any_part = k > 0
         winner = bids.argmax(axis=1)

@@ -177,7 +177,11 @@ def _replay_reference(params, eq, trials, seed):
         (64, 0.2, 70_001),  # 2^16-row chunks
         (65, 0.2, 70_001),  # 64,527-row chunks
         (1000, 0.2, 9_001),  # 4,194-row chunks
-        (20, 0.0, 70_001),  # r1 = c = 0: p* = 0, everyone bids
+        # r1 = c = 0: p* = 0, everyone bids, and the quantile runs on the bid
+        # uniforms in place, with no gather or scatter
+        (8, 0.0, 70_001),
+        (20, 0.0, 70_001),
+        (64, 0.0, 70_001),
     ],
 )
 def test_replay_equals_reference_loop(n, cost, trials):
@@ -191,10 +195,11 @@ def test_replay_equals_reference_loop(n, cost, trials):
 def test_replay_equals_reference_loop_on_forced_ties(bid, monkeypatch):
     # every participant bids the same, so every row with two or more
     # participants draws its winner; at a top bid of 0 the abstainers' zeros
-    # must not join the draw
+    # must not join the draw, and at cost 0 (p* = 0) every agent is in it
     monkeypatch.setattr(Equilibrium, "_quantile_arr", lambda self, u: np.full_like(u, bid))
     params = AuctionParams(10.0, 1.0, 0.0, 0.3, 20)
-    eq = solve_equilibrium(params, 0.2)
-    report = monte_carlo_replay(params, eq, 70_001, seed=3)
-    assert report == _replay_reference(params, eq, 70_001, seed=3)
-    assert report.per_agent_payoff.std_error > 0.0
+    for cost in (0.2, 0.0):
+        eq = solve_equilibrium(params, cost)
+        report = monte_carlo_replay(params, eq, 70_001, seed=3)
+        assert report == _replay_reference(params, eq, 70_001, seed=3)
+        assert report.per_agent_payoff.std_error > 0.0

@@ -35,7 +35,10 @@ def _traced(argv, tmp_path) -> dict:
 @pytest.mark.parametrize(
     "sweep, counts",
     [
-        (["--target", "mev_tax", "--vary2", "tau=0.5,2", "--vary", "N=2,5"], {}),
+        # the sweep imports analytics and serialize inside its handler, and
+        # still calls the tracer's wrappers: one winning-bid sum per taxed row
+        (["--target", "mev_tax", "--vary2", "tau=0.5,2", "--vary", "N=2,5"],
+         {"analytics.winning_bid_calls": 4}),
         # Equilibrium.cdf and _cdf_arr are wrapped by name; the sweep prices its
         # two 50-bid grids through _cdf_arr
         (["--target", "cdf", "--vary", "N=2,5", "--grid", "50"],
@@ -44,9 +47,11 @@ def _traced(argv, tmp_path) -> dict:
     ids=["mev_tax", "cdf"],
 )
 def test_traced_sweep(sweep, counts, tmp_path):
-    metrics = _traced(["sweep", *sweep, *AUCTION, "--out", str(tmp_path / "sweep.csv")], tmp_path)
+    out = tmp_path / "sweep.csv"
+    metrics = _traced(["sweep", *sweep, *AUCTION, "--out", str(out)], tmp_path)
     for name, expected in counts.items():
         assert metrics[name] == expected
+    assert metrics["serialize.bytes"] == out.stat().st_size
 
 
 def test_traced_simulate(tmp_path):
