@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "analytics": (
-        "MevTaxParams",
         "RevenueLimits",
         "RevenueReport",
         "SchemeComparison",
@@ -23,13 +22,11 @@ _EXPORTS = {
         "compare_schemes",
         "expected_mev_tax",
         "expected_winning_bid",
-        "mev_tax_asymptote",
         "revenue_report",
         "scheme1_optimal_r1",
         "scheme1_optimal_r1_scan",
         "scheme1_profit",
         "scheme2_revenue",
-        "welfare_loss",
     ),
     "equilibrium": (
         "Equilibrium",
@@ -52,7 +49,6 @@ _EXPORTS = {
         "RateOutOfRange",
         "TooFewAgents",
         "TooManyAgents",
-        "UnknownPreset",
         "ValueNotAboveBaseFee",
     ),
     "market": (
@@ -72,10 +68,7 @@ _EXPORTS = {
         "Bid",
         "MixedStrategy",
         "PureProfile",
-        "SettingPreset",
         "expected_payoff_vs_symmetric",
-        "preset",
-        "PRESET_NAMES",
         "pure_payoff",
     ),
     "oracle": (

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,11 +93,6 @@ def revenue_report(params: AuctionParams) -> RevenueReport:
     )
 
 
-def welfare_loss(params: AuctionParams) -> float:
-    """Expected value left unextracted: V - expected revenue = V p*^N."""
-    return params.value - revenue_report(params).expected_revenue
-
-
 def scheme1_profit(params: AuctionParams, c: float) -> float:
     """Sequencer profit when it absorbs a processing cost c per submitted
     transaction: (1 - p*^N) V - c (1 - p*) N, at the params' own r1."""
@@ -113,20 +109,15 @@ def scheme1_optimal_r1(params: AuctionParams, c: float) -> float:
     return min(c * (v - g) / ((v - c) * g), 1.0)
 
 
-def scheme1_profit_curve(params: AuctionParams, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Scheme-1 profit over an r1 grid on [0, 1] (vectorized, for scans)."""
+def scheme1_optimal_r1_scan(params: AuctionParams, c: float) -> float:
+    """Brute-force argmax of scheme-1 profit over an r1 grid on [0, 1]; the
+    independent check on scheme1_optimal_r1."""
     check_entry_cost(params, c)
     n = params.num_agents
     r1 = np.linspace(0.0, 1.0, _R1_GRID)
     with np.errstate(divide="ignore"):
         state = equilibrium_state(r1 * params.base_fee, params.breakeven_bid, n, xp=np)
-    return r1, state.one_minus_pn * params.value - c * state.one_minus_p * n
-
-
-def scheme1_optimal_r1_scan(params: AuctionParams, c: float) -> float:
-    """Brute-force argmax of scheme-1 profit over an r1 grid; the independent
-    check on scheme1_optimal_r1."""
-    r1, profit = scheme1_profit_curve(params, c)
+    profit = state.one_minus_pn * params.value - c * state.one_minus_p * n
     return float(r1[int(np.argmax(profit))])
 
 
@@ -181,37 +172,6 @@ def compare_schemes(params: AuctionParams, c: float) -> SchemeComparison:
     )
 
 
-@dataclass(frozen=True)
-class MevTaxParams:
-    """An application-level tax at rate tau on the portion of the bid kept by
-    the application, refunded on revert.
-
-    With a raw revert rate r on all gas and the bid measured as the winner's
-    total non-base payment b = (1 + tau) * b_tilde, the game is the standard
-    one with r1 = r and r2 = r / (1 + tau).
-    """
-
-    raw_revert_rate: float
-    tax_rate: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.raw_revert_rate) and 0.0 <= self.raw_revert_rate <= 1.0):
-            raise RateOutOfRange(
-                f"raw revert rate must lie in [0, 1], got {self.raw_revert_rate}"
-            )
-        if not (math.isfinite(self.tax_rate) and self.tax_rate >= 0.0):
-            raise RateOutOfRange(f"tax rate must be finite and non-negative, got {self.tax_rate}")
-
-    @property
-    def r2(self) -> float:
-        return self.raw_revert_rate / (1.0 + self.tax_rate)
-
-    @property
-    def tax_share(self) -> float:
-        """tau / (1 + tau): the tax's share of the winning bid."""
-        return self.tax_rate / (1.0 + self.tax_rate)
-
-
 def expected_winning_bid(params: AuctionParams, entry_cost: float = 0.0) -> float:
     """E[winning bid], counting 0 when everyone abstains.
 
@@ -227,21 +187,29 @@ def expected_winning_bid(params: AuctionParams, entry_cost: float = 0.0) -> floa
     )
 
 
-def expected_mev_tax(params: AuctionParams, tax_rate: float) -> float:
-    """Expected per-auction tax take: tau/(1+tau) times the expected winning
-    bid under the reparameterized penalties (r1 = r, r2 = r/(1+tau)).
+class MevTax(NamedTuple):
+    """An application-level tax at rate tau on the portion of the bid kept by
+    the application, refunded on revert.
 
-    The raw rate r is taken from params.revert_rate_base; the priority-fee
-    rate is overridden by the reparameterization.
+    With a raw revert rate r on all gas and the bid measured as the winner's
+    total non-base payment b = (1 + tau) b_tilde, the game is the standard one
+    with r1 = r and r2 = r / (1 + tau).
     """
-    reparam = MevTaxParams(params.revert_rate_base, tax_rate)
+
+    r2: float  # the priority-fee revert rate of the taxed game
+    tax: float  # expected per-auction tax take: tau/(1 + tau) winning_bid_bound
+    winning_bid_bound: float  # E[winning bid] of the taxed game; nan at tau = 0
+
+
+def expected_mev_tax(params: AuctionParams, tax_rate: float) -> MevTax:
+    """The MEV tax at rate tau = tax_rate, with the raw rate r taken from
+    params.revert_rate_base; the reparameterization overrides the priority-fee
+    rate. At tau = 0 the tax is 0 and the winning bid is not computed."""
+    if not (math.isfinite(tax_rate) and tax_rate >= 0.0):
+        raise RateOutOfRange(f"tax rate must be finite and non-negative, got {tax_rate}")
+    r1 = params.revert_rate_base
     if tax_rate == 0.0:
-        return 0.0
-    taxed = replace(params, revert_rate_priority=reparam.r2)
-    return reparam.tax_share * expected_winning_bid(taxed)
-
-
-def mev_tax_asymptote(params: AuctionParams) -> float:
-    """Large-tau value of the expected tax: the winning-bid expectation with
-    the priority-fee revert rate driven to zero."""
-    return expected_winning_bid(replace(params, revert_rate_priority=0.0))
+        return MevTax(r1, 0.0, math.nan)
+    r2 = r1 / (1.0 + tax_rate)
+    bound = expected_winning_bid(replace(params, revert_rate_priority=r2))
+    return MevTax(r2, tax_rate / (1.0 + tax_rate) * bound, bound)

@@ -280,18 +280,10 @@ def _scheme_columns(params: AuctionParams, point: dict, grid: int):
 
 
 def _mev_tax_columns(params: AuctionParams, point: dict, grid: int):
-    from dataclasses import replace
-
     from . import analytics
 
-    tau = point["tau"]
-    reparam = analytics.MevTaxParams(params.revert_rate_base, tau)
-    r1 = reparam.raw_revert_rate
-    if tau == 0.0:
-        return [r1], [reparam.r2], [0.0], [float("nan")]
-    # the bound is the taxed game's winning bid; the tax is its tau/(1+tau) share
-    bound = analytics.expected_winning_bid(replace(params, revert_rate_priority=reparam.r2))
-    return [r1], [reparam.r2], [reparam.tax_share * bound], [bound]
+    r2, tax, bound = analytics.expected_mev_tax(params, point["tau"])
+    return [params.revert_rate_base], [r2], [tax], [bound]
 
 
 # target -> (columns, parameters it needs beyond the auction, the columns of

@@ -43,10 +43,9 @@ from .errors import (
     NumericsError,
     OutOfSupport,
 )
-from .model import ABSTAIN, Action, AuctionParams, Bid, MixedStrategy, PureProfile
+from .model import AuctionParams, MixedStrategy
 
 _NEG_CLAMP = 1e-12  # residue window treated as float noise, not a formula bug
-_TOP_BID_TOL = 1e-12  # how far PureEquilibrium.is_equilibrium lets a top bid sit off top_bid
 # with rho = 0 the integrand of a tail integral falls like e^t below t = log r2,
 # so cutting it off this far below leaves out a share e^-45 < 3e-20
 _TAIL_CUTOFF = 45.0
@@ -197,7 +196,7 @@ class Equilibrium:
 
     @property
     def abstain_prob(self) -> float:
-        """p*, what sample_action draws against."""
+        """p*, the probability that an agent abstains."""
         return self.state.p_star
 
     @property
@@ -285,12 +284,6 @@ class Equilibrium:
             raise OutOfSupport(f"quantile argument {u} outside [0, 1]")
         self._one_minus_p()  # the bid law is undefined where 1 - p* = 0, as F* is
         return float(self._quantile_arr(np.asarray(u, dtype=float)))
-
-    def sample_action(self, rng: np.random.Generator) -> Action:
-        """Abstain with probability p*, else bid quantile(U), U uniform."""
-        if rng.random() < self.abstain_prob:
-            return ABSTAIN
-        return Bid(self.quantile(rng.random()))
 
     def sample_bids(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized bid draws conditional on participation."""
@@ -385,14 +378,6 @@ class PureEquilibrium:
     params: AuctionParams
     entry_cost: float
     top_bid: float
-
-    def is_equilibrium(self, profile: PureProfile) -> bool:
-        bids = sorted(
-            (a.amount for a in profile.actions if isinstance(a, Bid)), reverse=True
-        )
-        if len(bids) < 2:
-            return False
-        return all(abs(b - self.top_bid) <= _TOP_BID_TOL for b in bids[:2])
 
 
 def pure_equilibrium(params: AuctionParams, entry_cost: float = 0.0) -> PureEquilibrium:

@@ -29,10 +29,6 @@ class TooManyAgents(PgaLabError, ValueError):
     """More agents than the closed forms are checked for (model.MAX_AGENTS)."""
 
 
-class UnknownPreset(PgaLabError, ValueError):
-    """No setting preset with the requested name."""
-
-
 class IndexOutOfRange(PgaLabError, IndexError):
     """Agent index outside the profile."""
 

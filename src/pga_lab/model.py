@@ -10,6 +10,7 @@ revert penalty r1*g + r2*b on the base and priority components of its fee.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -22,7 +23,6 @@ from .errors import (
     RateOutOfRange,
     TooFewAgents,
     TooManyAgents,
-    UnknownPreset,
     ValueNotAboveBaseFee,
 )
 
@@ -61,7 +61,8 @@ class AuctionParams:
             r = getattr(self, name)
             if not (math.isfinite(r) and 0.0 <= r <= 1.0):
                 raise RateOutOfRange(f"{name} must lie in [0, 1], got {r}")
-        if self.num_agents > MAX_AGENTS:
+        # a non-number such as "5" or None is not an integer: TooFewAgents below
+        if isinstance(self.num_agents, numbers.Real) and self.num_agents > MAX_AGENTS:
             raise TooManyAgents(f"num_agents must be <= {MAX_AGENTS}, got {self.num_agents}")
         if not (isinstance(self.num_agents, (int, np.integer)) and self.num_agents >= 2):
             raise TooFewAgents(f"num_agents must be an integer >= 2, got {self.num_agents}")
@@ -206,52 +207,3 @@ def expected_payoff_vs_symmetric(
     ) * -np.expm1(log_w)
     payoff = gain - revert - entry_cost
     return float(payoff) if payoff.ndim == 0 else payoff
-
-
-@dataclass(frozen=True)
-class SettingPreset:
-    """A named (r1, r2) pairing for a fee-handling regime."""
-
-    name: str
-    revert_rate_base: float
-    revert_rate_priority: float
-    note: str
-
-
-# Regimes whose penalty rates are free parameters take the rate at call time;
-# full revert protection pins both rates to zero.
-_PRESETS: dict[str, tuple[str, str, str]] = {
-    # name: (r1 rule, r2 rule, note)
-    "l1-priority-fees": ("r", "r", "L1 block builder, bids paid via priority fees"),
-    "l1-coinbase-transfer": ("r", "0", "L1 block builder, bids paid via coinbase transfer"),
-    "l2-priority-ordering": ("r", "r", "L2 sequencer with priority ordering"),
-    "l2-mev-taxes": ("r", "0", "L2 priority ordering for apps using MEV taxes"),
-    "l1-revert-protection": ("0", "0", "L1 block builder with revert protection"),
-    "l2-revert-protection": ("0", "0", "L2 sequencer with revert protection"),
-    "l2-revert-protection-mev-taxes": ("0", "0", "L2 revert protection for apps using MEV taxes"),
-}
-
-PRESET_NAMES = tuple(_PRESETS)
-
-
-def preset(name: str, rate: float | None = None) -> SettingPreset:
-    """Look up a named fee-handling regime.
-
-    Regimes with a free penalty rate require an explicit rate in (0, 1];
-    no default is invented for them.
-    """
-    try:
-        r1_rule, r2_rule, note = _PRESETS[name]
-    except KeyError:
-        raise UnknownPreset(f"unknown preset {name!r}; known: {', '.join(_PRESETS)}") from None
-    needs_rate = "r" in (r1_rule, r2_rule)
-    if needs_rate:
-        if rate is None:
-            raise RateOutOfRange(f"preset {name!r} requires an explicit rate in (0, 1]")
-        if not (math.isfinite(rate) and 0.0 < rate <= 1.0):
-            raise RateOutOfRange(f"preset rate must lie in (0, 1], got {rate}")
-    elif rate is not None:
-        raise RateOutOfRange(f"preset {name!r} pins both rates to 0; rate argument not allowed")
-    r1 = rate if r1_rule == "r" else 0.0
-    r2 = rate if r2_rule == "r" else 0.0
-    return SettingPreset(name, float(r1), float(r2), note)

@@ -7,12 +7,11 @@ import pytest
 from pga_lab import (
     AuctionParams,
     CostTooLarge,
-    MevTaxParams,
+    RateOutOfRange,
     Winner,
     compare_schemes,
     expected_mev_tax,
     expected_winning_bid,
-    mev_tax_asymptote,
     monte_carlo_replay,
     revenue_report,
     scheme1_optimal_r1,
@@ -20,7 +19,6 @@ from pga_lab import (
     scheme1_profit,
     scheme2_revenue,
     solve_equilibrium,
-    welfare_loss,
 )
 
 from _util import philox, random_params
@@ -121,7 +119,9 @@ class TestRevenueReport:
                 params.num_agents,
             )
             closed = v * ((r1 * g) / (v - g + r1 * g)) ** (n / (n - 1))
-            assert welfare_loss(params) == pytest.approx(closed, abs=1e-9)
+            # V - revenue is the value left unextracted, V p*^N
+            unextracted = v - revenue_report(params).expected_revenue
+            assert unextracted == pytest.approx(closed, abs=1e-9)
 
 
 class TestScheme1:
@@ -224,41 +224,49 @@ class TestCompareSchemes:
 
 class TestMevTax:
     def test_reparameterization(self):
-        reparam = MevTaxParams(0.1, 9.0)
-        assert (reparam.raw_revert_rate, reparam.r2) == (0.1, pytest.approx(0.01, rel=1e-15))
+        assert expected_mev_tax(REF, 9.0).r2 == pytest.approx(0.01, rel=1e-15)
 
     def test_zero_tax_reduces_to_plain_priority_fees(self):
-        reparam = MevTaxParams(0.3, 0.0)
-        assert reparam.raw_revert_rate == reparam.r2 == 0.3
+        assert expected_mev_tax(replace(REF, revert_rate_base=0.3), 0.0).r2 == 0.3
 
     def test_revenue_invariant_under_tax_rate(self):
         base = AuctionParams(10, 1, 0.1, 0.1, 20)
         rep0 = revenue_report(base)
         for tau in (0.5, 2.0, 50.0):
-            reparam = MevTaxParams(0.1, tau)
-            rep = revenue_report(replace(base, revert_rate_priority=reparam.r2))
+            r2 = expected_mev_tax(base, tau).r2
+            rep = revenue_report(replace(base, revert_rate_priority=r2))
             assert rep.expected_revenue == rep0.expected_revenue
             assert rep.base_revenue == rep0.base_revenue
             assert rep.priority_revenue == rep0.priority_revenue
 
     def test_zero_rate_gives_zero_tax(self):
-        assert expected_mev_tax(REF, 0.0) == 0.0
+        r2, tax, bound = expected_mev_tax(REF, 0.0)
+        assert (r2, tax) == (REF.revert_rate_base, 0.0)
+        assert math.isnan(bound)  # tau = 0 computes no winning bid
+
+    @pytest.mark.parametrize("tau", [-1.0, -5e-324, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_rate(self, tau):
+        with pytest.raises(RateOutOfRange):
+            expected_mev_tax(REF, tau)
 
     def test_monotone_nondecreasing_in_tau(self):
         taus = [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0]
-        values = [expected_mev_tax(REF, tau) for tau in taus]
+        values = [expected_mev_tax(REF, tau).tax for tau in taus]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
         assert values[-1] > 0.0
 
     def test_bounded_by_expected_winning_bid(self):
         for tau in (0.5, 2.0, 10.0):
-            reparam = MevTaxParams(REF.revert_rate_base, tau)
-            bound = expected_winning_bid(replace(REF, revert_rate_priority=reparam.r2))
-            assert expected_mev_tax(REF, tau) <= bound + 1e-12
+            r2, tax, bound = expected_mev_tax(REF, tau)
+            assert r2 == REF.revert_rate_base / (1.0 + tau)
+            assert bound == expected_winning_bid(replace(REF, revert_rate_priority=r2))
+            assert tax == pytest.approx(tau / (1.0 + tau) * bound, rel=1e-15)
+            assert tax <= bound + 1e-12
 
     def test_converges_to_asymptote(self):
-        target = mev_tax_asymptote(REF)
-        tax = expected_mev_tax(REF, 1e6)
+        # tau -> inf drives r2 = r1/(1 + tau) to 0 and the tax share to 1
+        target = expected_winning_bid(replace(REF, revert_rate_priority=0.0))
+        tax = expected_mev_tax(REF, 1e6).tax
         assert tax == pytest.approx(target, rel=1e-4)
         assert tax <= target + 1e-12
 

@@ -232,12 +232,14 @@ def _reference_scheme_rows(params, point, grid):
 
 
 def _reference_mev_tax_rows(params, point, grid):
-    tau = point["tau"]
-    reparam = analytics.MevTaxParams(params.revert_rate_base, tau)
+    # the reparameterization r2 = r1/(1 + tau) and the tax share tau/(1 + tau),
+    # formed here rather than read from analytics.expected_mev_tax
+    tau, r1 = point["tau"], params.revert_rate_base
+    r2 = r1 / (1.0 + tau)
     if tau == 0.0:
-        return [(reparam.raw_revert_rate, reparam.r2, 0.0, float("nan"))]
-    bound = analytics.expected_winning_bid(replace(params, revert_rate_priority=reparam.r2))
-    return [(reparam.raw_revert_rate, reparam.r2, reparam.tax_share * bound, bound)]
+        return [(r1, r2, 0.0, float("nan"))]
+    bound = analytics.expected_winning_bid(replace(params, revert_rate_priority=r2))
+    return [(r1, r2, tau / (1.0 + tau) * bound, bound)]
 
 
 _REFERENCE_SWEEPS = {

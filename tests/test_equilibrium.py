@@ -5,15 +5,12 @@ import numpy as np
 import pytest
 
 from pga_lab import (
-    ABSTAIN,
     AuctionParams,
-    Bid,
     CostTooLarge,
     DegenerateNoRevertCost,
     NotApplicable,
     NumericsError,
     OutOfSupport,
-    PureProfile,
     expected_payoff_vs_symmetric,
     pure_equilibrium,
     solve_equilibrium,
@@ -154,22 +151,6 @@ class TestSampling:
         # at N = 1e12 and rho = 1 - 1e-5, p* = rho^(1/(N-1)) rounds to exactly 1
         eq = solve_equilibrium(AuctionParams(10, 1, 1.0, 1.0, 10**12), 8.9999)
         assert eq.abstain_prob == 1.0
-        rng = philox(0)
-        assert all(eq.sample_action(rng) is ABSTAIN for _ in range(200))
-
-    def test_always_bids_at_p_zero(self):
-        eq = solve_equilibrium(AuctionParams(10, 1, 0.0, 0.5, 4))
-        rng = philox(1)
-        for _ in range(200):
-            action = eq.sample_action(rng)
-            assert isinstance(action, Bid)
-            assert 0.0 <= action.amount <= 9.0
-
-    def test_deterministic_given_stream(self):
-        eq = solve_equilibrium(AuctionParams(10, 1, 0.1, 0.1, 20))
-        a = [eq.sample_action(philox(5)) for _ in range(1)]
-        b = [eq.sample_action(philox(5)) for _ in range(1)]
-        assert a == b
 
     def test_empirical_cdf_matches(self):
         # Kolmogorov-Smirnov-style bound at 1e6 samples
@@ -242,15 +223,6 @@ class TestPureEquilibrium:
     def test_not_applicable_with_penalties(self):
         with pytest.raises(NotApplicable):
             pure_equilibrium(AuctionParams(10, 1, 0.1, 0.0, 5))
-
-    def test_checker_implements_iff(self):
-        pure = pure_equilibrium(AuctionParams(10, 1, 0.0, 0.0, 3))
-        assert pure.is_equilibrium(PureProfile.of([9, 9, None]))
-        assert pure.is_equilibrium(PureProfile.of([9, 9, 4]))
-        assert pure.is_equilibrium(PureProfile.of([9, 9, 9]))
-        assert not pure.is_equilibrium(PureProfile.of([9, 8, None]))
-        assert not pure.is_equilibrium(PureProfile.of([9.5, 9.5, 0]))
-        assert not pure.is_equilibrium(PureProfile.of([9, None, None]))
 
 
 def test_indifference_certificate_battery():

@@ -14,13 +14,10 @@ from pga_lab import (
     RateOutOfRange,
     TooFewAgents,
     TooManyAgents,
-    UnknownPreset,
     ValueNotAboveBaseFee,
     expected_payoff_vs_symmetric,
-    preset,
     pure_payoff,
 )
-from pga_lab.model import PRESET_NAMES
 
 
 class TestValidation:
@@ -44,7 +41,8 @@ class TestValidation:
             AuctionParams(10, 1, 0.1, 0.1, 1)
 
     @pytest.mark.parametrize("n, error", [(2.5, TooFewAgents), (math.nan, TooFewAgents),
-                                          (20.0, TooFewAgents), (math.inf, TooManyAgents)])
+                                          (20.0, TooFewAgents), (math.inf, TooManyAgents),
+                                          ("5", TooFewAgents), (None, TooFewAgents)])
     def test_agent_count_must_be_a_whole_number_in_range(self, n, error):
         with pytest.raises(error):
             AuctionParams(10, 1, 0.1, 0.1, n)
@@ -161,37 +159,3 @@ class TestExpectedPayoffVsSymmetric:
         strat = _uniform_strategy(0.5, 9.0)
         with pytest.raises(ValueError):
             expected_payoff_vs_symmetric(params, strat, -1.0)
-
-
-class TestPresets:
-    def test_coinbase_transfer_zeroes_priority_penalty(self):
-        s = preset("l1-coinbase-transfer", rate=0.15)
-        assert (s.revert_rate_base, s.revert_rate_priority) == (0.15, 0.0)
-
-    def test_revert_protection_pins_both_rates(self):
-        s = preset("l2-revert-protection")
-        assert (s.revert_rate_base, s.revert_rate_priority) == (0.0, 0.0)
-
-    def test_priority_ordering_shares_one_rate(self):
-        s = preset("l2-priority-ordering", rate=0.1)
-        assert (s.revert_rate_base, s.revert_rate_priority) == (0.1, 0.1)
-
-    def test_unknown_name(self):
-        with pytest.raises(UnknownPreset):
-            preset("l3-sequencer")
-
-    def test_free_rate_presets_require_a_rate(self):
-        with pytest.raises(RateOutOfRange):
-            preset("l1-priority-fees")
-        with pytest.raises(RateOutOfRange):
-            preset("l1-priority-fees", rate=0.0)
-        with pytest.raises(RateOutOfRange):
-            preset("l1-revert-protection", rate=0.3)
-
-    def test_all_seven_rows_present(self):
-        assert len(PRESET_NAMES) == 7
-        fixed = [n for n in PRESET_NAMES if "revert-protection" in n]
-        assert len(fixed) == 3
-        for name in fixed:
-            s = preset(name)
-            assert s.revert_rate_base == s.revert_rate_priority == 0.0

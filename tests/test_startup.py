@@ -14,20 +14,19 @@ import pga_lab
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# the names the package exported when its __init__ imported every module
+# the package's public names, by the module that defines each
 EXPORTS = {
     "analytics": [
-        "MevTaxParams", "RevenueLimits", "RevenueReport", "SchemeComparison", "Winner",
-        "compare_schemes", "expected_mev_tax", "expected_winning_bid", "mev_tax_asymptote",
-        "revenue_report", "scheme1_optimal_r1", "scheme1_optimal_r1_scan", "scheme1_profit",
-        "scheme2_revenue", "welfare_loss",
+        "RevenueLimits", "RevenueReport", "SchemeComparison", "Winner", "compare_schemes",
+        "expected_mev_tax", "expected_winning_bid", "revenue_report", "scheme1_optimal_r1",
+        "scheme1_optimal_r1_scan", "scheme1_profit", "scheme2_revenue",
     ],
     "equilibrium": ["Equilibrium", "PureEquilibrium", "pure_equilibrium", "solve_equilibrium"],
     "errors": [
         "ArgumentOutOfRange", "ConfigInvalid", "CostOutOfRange", "CostTooLarge",
         "DegenerateNoRevertCost", "IndexOutOfRange", "NonPositiveFee", "NotApplicable",
         "NumericsError", "OutOfSupport", "PgaLabError", "RateOutOfRange", "TooFewAgents",
-        "TooManyAgents", "UnknownPreset", "ValueNotAboveBaseFee",
+        "TooManyAgents", "ValueNotAboveBaseFee",
     ],
     "market": [
         "BlockEvent", "MarketSimConfig", "MarketSimReport", "Opportunity", "gbm_path",
@@ -35,8 +34,7 @@ EXPORTS = {
     ],
     "model": [
         "ABSTAIN", "Abstain", "Action", "AuctionParams", "Bid", "MixedStrategy", "PureProfile",
-        "SettingPreset", "expected_payoff_vs_symmetric", "preset", "PRESET_NAMES",
-        "pure_payoff",
+        "expected_payoff_vs_symmetric", "pure_payoff",
     ],
     "oracle": [
         "EquilibriumCertificate", "McEstimate", "PureDeviation", "ReplayReport", "SignCheck",
