@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-import numpy as np
-
 from .equilibrium import check_entry_cost, equilibrium_state, solve_equilibrium
 from .errors import RateOutOfRange
 from .model import AuctionParams
@@ -112,6 +110,8 @@ def scheme1_optimal_r1(params: AuctionParams, c: float) -> float:
 def scheme1_optimal_r1_scan(params: AuctionParams, c: float) -> float:
     """Brute-force argmax of scheme-1 profit over an r1 grid on [0, 1]; the
     independent check on scheme1_optimal_r1."""
+    import numpy as np
+
     check_entry_cost(params, c)
     n = params.num_agents
     r1 = np.linspace(0.0, 1.0, _R1_GRID)
@@ -183,7 +183,7 @@ def expected_winning_bid(params: AuctionParams, entry_cost: float = 0.0) -> floa
     """
     power = params.num_agents / (params.num_agents - 1)
     return solve_equilibrium(params, entry_cost)._tail_integral(
-        lambda t: power * np.exp(power * t)
+        lambda t: power * math.exp(power * t)
     )
 
 

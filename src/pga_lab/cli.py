@@ -29,10 +29,13 @@ value, or a value out of range), 2 usage error (a malformed flag or a missing
 parameter), 3 verification failure.
 
 Only the standard library and pga_lab.errors load with this module: each
-command imports the modules it runs when it runs, so --help and usage errors
-load no numpy. main() (the pga-lab script and python -m pga_lab.cli) runs
-OpenBLAS on one thread unless OPENBLAS_NUM_THREADS is set; run() leaves the
-environment alone.
+command imports the modules it runs when it runs, and only code that holds an
+array imports numpy. So --help, usage errors, equilibrium, revenue,
+compare-schemes and the abstention, revenue, scheme_compare and mev_tax sweeps
+load no numpy; simulate, verify, the cdf sweep and a lo:hi:count real axis
+do. main() (the pga-lab script and python -m pga_lab.cli) runs OpenBLAS on
+one thread unless OPENBLAS_NUM_THREADS is set; run() leaves the environment
+alone.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import json
 import math
 import os
 import sys
-from itertools import product
+from itertools import chain, product, repeat
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ArgumentOutOfRange, PgaLabError
@@ -255,7 +258,7 @@ def _cdf_columns(params: AuctionParams, point: dict, grid: int):
 
     eq = solve_equilibrium(params, point["c"] or 0.0)
     bids = np.linspace(0.0, eq.support_max, grid)
-    return bids, eq._cdf_arr(bids)
+    return bids.tolist(), eq._cdf_arr(bids).tolist()
 
 
 def _abstention_columns(params: AuctionParams, point: dict, grid: int):
@@ -287,7 +290,7 @@ def _mev_tax_columns(params: AuctionParams, point: dict, grid: int):
 
 
 # target -> (columns, parameters it needs beyond the auction, the columns of
-# one point: float64 arrays (cdf) or one-element lists)
+# one point as lists: grid-long (cdf) or of one element)
 SWEEPS = {
     "cdf": (["b", "F"], (), _cdf_columns),
     "abstention": (["p_star"], (), _abstention_columns),
@@ -300,8 +303,6 @@ SWEEPS = {
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import numpy as np
-
     from .model import AuctionParams
     from .serialize import write_csv
 
@@ -325,8 +326,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         chunks.append(point_columns(params, point, args.grid))
     # each axis column repeats a point's value once per row of that point
     counts = [len(chunk[0]) for chunk in chunks]
-    table = [np.repeat(axis, counts) for axis in zip(*combos)]
-    table += [np.concatenate(column) for column in zip(*chunks)]
+    table = [list(chain.from_iterable(map(repeat, axis, counts))) for axis in zip(*combos)]
+    table += [list(chain.from_iterable(column)) for column in zip(*chunks)]
     write_csv(args.out, axis_names + columns, table)
     print(f"wrote {sum(counts)} rows to {args.out}")
     return 0
@@ -479,8 +480,8 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    # numpy starts OpenBLAS's thread pool when it loads, which no command uses:
-    # pga_lab's one BLAS call is the 48x48 eigenproblem of leggauss
+    # numpy starts OpenBLAS's thread pool when it loads, and pga_lab makes no
+    # BLAS call: the commands that hold arrays would pay for a pool they never use
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run(sys.argv[1:]))
 

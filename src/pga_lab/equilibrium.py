@@ -29,10 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     ArgumentOutOfRange,
@@ -44,6 +41,9 @@ from .errors import (
     OutOfSupport,
 )
 from .model import AuctionParams, MixedStrategy
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _NEG_CLAMP = 1e-12  # residue window treated as float noise, not a formula bug
 # with rho = 0 the integrand of a tail integral falls like e^t below t = log r2,
@@ -98,16 +98,40 @@ def equilibrium_state(rg, vg, num_agents, c=0.0, xp=math) -> EquilibriumState:
                             -xp.expm1(lr * num_agents / (num_agents - 1)), vg + rg, vg - c)
 
 
-@cache
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """The 48-node Gauss-Legendre rule on [-1, 1], built on first use so that
-    importing pga_lab does not load numpy.polynomial."""
-    from numpy.polynomial.legendre import leggauss
+# the 48-node Gauss-Legendre rule on [-1, 1]: numpy.polynomial.legendre.leggauss(48),
+# bit for bit, written out so that the scalar integrals need neither numpy nor
+# its 48x48 eigenproblem
+_LEGENDRE_NODES = (
+    -0.9987710072524261, -0.9935301722663508, -0.9841245837228269, -0.9705915925462473,
+    -0.9529877031604308, -0.9313866907065543, -0.9058791367155696, -0.8765720202742479,
+    -0.8435882616243935, -0.8070662040294426, -0.7671590325157404, -0.7240341309238146,
+    -0.6778723796326639, -0.6288673967765136, -0.5772247260839727, -0.523160974722233,
+    -0.4669029047509584, -0.4086864819907167, -0.3487558862921607, -0.28736248735545555,
+    -0.22476379039468905, -0.1612223560688917, -0.0970046992094627, -0.03238017096286937,
+    0.03238017096286937, 0.0970046992094627, 0.1612223560688917, 0.22476379039468905,
+    0.28736248735545555, 0.3487558862921607, 0.4086864819907167, 0.4669029047509584,
+    0.523160974722233, 0.5772247260839727, 0.6288673967765136, 0.6778723796326639,
+    0.7240341309238146, 0.7671590325157404, 0.8070662040294426, 0.8435882616243935,
+    0.8765720202742479, 0.9058791367155696, 0.9313866907065543, 0.9529877031604308,
+    0.9705915925462473, 0.9841245837228269, 0.9935301722663508, 0.9987710072524261,
+)
+_LEGENDRE_WEIGHTS = (
+    0.0031533460523098414, 0.007327553901276135, 0.011477234579234614, 0.015579315722943226,
+    0.019616160457356056, 0.023570760839324047, 0.027426509708357034, 0.031167227832798097,
+    0.034777222564770394, 0.0382413510658305, 0.04154508294346455, 0.04467456085669423,
+    0.04761665849249024, 0.0503590355538542, 0.05289018948519344, 0.05519950369998403,
+    0.057277292100402916, 0.059114839698395344, 0.0607044391658936, 0.06203942315989242,
+    0.06311419228625373, 0.06392423858464787, 0.06446616443594982, 0.06473769681268365,
+    0.06473769681268365, 0.06446616443594982, 0.06392423858464787, 0.06311419228625373,
+    0.06203942315989242, 0.0607044391658936, 0.059114839698395344, 0.057277292100402916,
+    0.05519950369998403, 0.05289018948519344, 0.0503590355538542, 0.04761665849249024,
+    0.04467456085669423, 0.04154508294346455, 0.0382413510658305, 0.034777222564770394,
+    0.031167227832798097, 0.027426509708357034, 0.023570760839324047, 0.019616160457356056,
+    0.015579315722943226, 0.011477234579234614, 0.007327553901276135, 0.0031533460523098414,
+)
 
-    return leggauss(48)
 
-
-def _panel_ends(t_min: float, kink: float, finest: float) -> np.ndarray:
+def _panel_ends(t_min: float, kink: float, finest: float) -> list[float]:
     """Panel ends on [t_min, 0]: t_min, 0, the kink t* when it lies inside,
     and the points finest, 2 finest, 4 finest, ... away from 0, from t_min
     and from t*.
@@ -120,7 +144,7 @@ def _panel_ends(t_min: float, kink: float, finest: float) -> np.ndarray:
     doublings = max(math.ceil(math.log2(-t_min / finest)), 0) + 1
     offsets = [0.0] + [side * finest * 2.0**j for j in range(doublings) for side in (1.0, -1.0)]
     ends = {t_min} | {c + d for c in centres for d in offsets}
-    return np.array(sorted(e for e in ends if t_min <= e <= 0.0))
+    return sorted(e for e in ends if t_min <= e <= 0.0)
 
 
 def check_losing_cost(rg: float, r2: float, entry_cost: float = 0.0) -> None:
@@ -136,7 +160,8 @@ def check_losing_cost(rg: float, r2: float, entry_cost: float = 0.0) -> None:
 
 
 def _bid(x, offset, scale, r2):
-    """scale x / ((1 - r2) x + offset), in place on x, with scale = K = V - g + r1 g.
+    """scale x / ((1 - r2) x + offset), with scale = K = V - g + r1 g: in
+    place on an array x, or a new float for a float x.
 
     The supported bid at z is b(z) = K (z - rho) / (r2 + (1 - r2) z), the
     algebraic inverse of z(b). With x = z - rho this is the offset
@@ -158,6 +183,8 @@ def bid_quantile(u, state: EquilibriumState, m, r2):
     equilibrium, or (n, 1) columns with one auction per row that u's rows
     broadcast against. p* must be positive on every row or on none (rho = 0).
     """
+    import numpy as np
+
     x = np.array(u, dtype=float)
     if np.all(state.p_star > 0.0):
         # log(q / rho) = m log1p(u (1-p*)/p*), then x = q - rho
@@ -212,9 +239,10 @@ class Equilibrium:
         [0, V - g - c], so the raw formula exceeds 1 on (V - g - c, V - g];
         the gap is reported rather than renormalized away.
         """
-        # z(V - g) is unbounded as r1 g + r2 (V - g) -> 0; numpy overflows to inf
-        with np.errstate(over="ignore", divide="ignore"):
-            return float(self._f_star(self.params.breakeven_bid)) - 1.0
+        try:
+            return self._f_star(self.params.breakeven_bid) - 1.0
+        except OverflowError:  # z(V - g) is unbounded as r1 g + r2 (V - g) -> 0
+            return math.inf
 
     def _one_minus_p(self) -> float:
         """1 - p*, or NumericsError where it rounds to 0 and F* is undefined."""
@@ -226,28 +254,34 @@ class Equilibrium:
             )
         return one_minus_p
 
-    def _f_of_log_z(self, t):
+    def _f_of_log_z(self, t, xp=math):
         """F* at t = log z: (e^(t/(N-1)) - p*) / (1 - p*), written as
         (expm1(t/(N-1)) + 1 - p*) / (1 - p*) so that it does not cancel as
-        p* -> 1."""
+        p* -> 1. xp is math for a float t or numpy for an array, as in
+        equilibrium_state."""
         one_minus_p = self._one_minus_p()
-        return (np.expm1(t / (self.params.num_agents - 1)) + one_minus_p) / one_minus_p
+        return (xp.expm1(t / (self.params.num_agents - 1)) + one_minus_p) / one_minus_p
 
-    def _f_star(self, b):
-        """Raw F*(b), unclipped, with log z(b) from log_ratio through np.log."""
+    def _f_star(self, b, xp=math):
+        """Raw F*(b), unclipped, with log z(b) from log_ratio: a float b
+        through math, or an array through numpy with xp=numpy. In math, a
+        z(b) beyond float range raises OverflowError."""
         p = self.params
+        log = _log if xp is math else xp.log
         return self._f_of_log_z(log_ratio(p.revert_rate_base * p.base_fee, p.breakeven_bid,
-                                          self.entry_cost, p.revert_rate_priority, b, np.log))
+                                          self.entry_cost, p.revert_rate_priority, b, log), xp)
 
     def _cdf_arr(self, b: np.ndarray) -> np.ndarray:
         """F* on an array of bids in [0, V - g]: the raw formula clipped to
         [0, 1] inside the support, and pinned at its ends, exactly 0 at b = 0
         and exactly 1 on [V - g - c, V - g], which the raw formula meets only
         to rounding."""
+        import numpy as np
+
         top = self.support_max
         b = np.clip(b, 0.0, top)
         with np.errstate(divide="ignore"):
-            raw = self._f_star(b)
+            raw = self._f_star(b, np)
         bad = raw < -_NEG_CLAMP
         if np.any(bad):
             raise NumericsError(
@@ -259,6 +293,8 @@ class Equilibrium:
         """F*(b) for a bid or an array of bids in [0, V - g], through _cdf_arr:
         a float in gives a float out. Exactly 0 at b = 0 and exactly 1 on
         [V - g - c, V - g]."""
+        import numpy as np
+
         bids = np.asarray(b, dtype=float)
         vg = self.params.breakeven_bid
         outside = bids[~((bids >= -_NEG_CLAMP) & (bids <= vg + _NEG_CLAMP))]
@@ -283,7 +319,7 @@ class Equilibrium:
         if not 0.0 <= u <= 1.0:
             raise OutOfSupport(f"quantile argument {u} outside [0, 1]")
         self._one_minus_p()  # the bid law is undefined where 1 - p* = 0, as F* is
-        return float(self._quantile_arr(np.asarray(u, dtype=float)))
+        return float(self._quantile_arr(u))
 
     def sample_bids(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized bid draws conditional on participation."""
@@ -301,25 +337,30 @@ class Equilibrium:
         CDF is G(z(b)) has mean E = integral of b dG, which is this integral
         with weight dG/dt.
 
-        The rule is 48-node Gauss-Legendre on the panels of _panel_ends;
+        weight takes and returns a float. The rule is 48-node Gauss-Legendre
+        on the panels of _panel_ends, its terms added by math.fsum;
         finest is the narrowest panel next to t = 0, for weights that peak
         more sharply there than e^t. With rho = 0 the range starts at
         log r2 - _TAIL_CUTOFF; solve_equilibrium rejects rho = r2 = 0.
         """
         self._one_minus_p()  # the bid law is undefined where 1 - p* = 0, as F* is
-        r2 = self.params.revert_rate_priority
-        lr = self.state.log_rho
-        t_min = lr if lr > -math.inf else math.log(r2) - _TAIL_CUTOFF
-        ends = _panel_ends(t_min, _log(r2) - _log(1.0 - r2), finest)
-        x, w = _gauss_legendre()
-        half = np.diff(ends)[:, None] / 2.0
-        t = (ends[:-1, None] + half) + half * x
-        s = lr - t  # log(rho/z)
-        with np.errstate(over="ignore"):  # r2/z = inf far below log r2, where b = 0
-            offset = np.exp(_log(r2) - t)
-        offset += (1.0 - r2) * np.exp(s)
-        b = _bid(-np.expm1(s), offset, self.state.scale, r2)
-        return float(np.sum(b * weight(t) * (half * w)))
+        r2, lr, scale = self.params.revert_rate_priority, self.state.log_rho, self.state.scale
+        log_r2 = _log(r2)
+        t_min = lr if lr > -math.inf else log_r2 - _TAIL_CUTOFF
+        ends = _panel_ends(t_min, log_r2 - _log(1.0 - r2), finest)
+        terms = []
+        for start, end in zip(ends, ends[1:]):
+            half = (end - start) / 2.0
+            for x, w in zip(_LEGENDRE_NODES, _LEGENDRE_WEIGHTS):
+                t = (start + half) + half * x
+                s = lr - t  # log(rho/z)
+                try:
+                    offset = math.exp(log_r2 - t)
+                except OverflowError:  # r2/z beyond float range, far below log r2: b = 0
+                    continue
+                offset += (1.0 - r2) * math.exp(s)
+                terms.append(_bid(-math.expm1(s), offset, scale, r2) * weight(t) * (half * w))
+        return math.fsum(terms)
 
     def expected_bid(self) -> float:
         """E[B*] for B* ~ F*."""
@@ -341,7 +382,7 @@ class Equilibrium:
         scale = k / (m * one_minus_p)
 
         def density(t):
-            return scale * self._f_of_log_z(t) ** (k - 1) * np.exp(t / m)
+            return scale * self._f_of_log_z(t) ** (k - 1) * math.exp(t / m)
 
         return self._tail_integral(density, min(1.0, m * one_minus_p / k))
 

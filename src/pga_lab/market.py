@@ -15,6 +15,7 @@ versus adverse-selection loss), and sequencer revenue.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -46,7 +47,7 @@ class MarketSimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_arbitrageurs, (int, np.integer)):
+        if not isinstance(self.num_arbitrageurs, numbers.Integral):
             raise ConfigInvalid("num_arbitrageurs must be an integer")
         if self.num_arbitrageurs > MAX_AGENTS:
             raise TooManyAgents(
@@ -64,7 +65,7 @@ class MarketSimConfig:
             (0.0 <= self.revert_rate_priority <= 1.0, "revert_rate_priority must lie in [0, 1]"),
             (self.num_arbitrageurs >= 2, "num_arbitrageurs must be >= 2"),
             (
-                isinstance(self.seed, (int, np.integer)) and self.seed >= 0,
+                isinstance(self.seed, numbers.Integral) and self.seed >= 0,
                 "seed must be a non-negative integer",
             ),
         ]

@@ -14,8 +14,6 @@ import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-import numpy as np
-
 from .errors import (
     IndexOutOfRange,
     NonPositiveFee,
@@ -40,8 +38,8 @@ class AuctionParams:
     base_fee: flat fee g every included transaction pays.
     revert_rate_base: fraction r1 of g paid by a losing participant.
     revert_rate_priority: fraction r2 of the bid paid by a losing participant.
-    num_agents: number of competing agents, an int or a numpy integer with
-        2 <= N <= MAX_AGENTS.
+    num_agents: number of competing agents, a numbers.Integral (an int or a
+        numpy integer) with 2 <= N <= MAX_AGENTS.
     """
 
     value: float
@@ -61,11 +59,14 @@ class AuctionParams:
             r = getattr(self, name)
             if not (math.isfinite(r) and 0.0 <= r <= 1.0):
                 raise RateOutOfRange(f"{name} must lie in [0, 1], got {r}")
-        # a non-number such as "5" or None is not an integer: TooFewAgents below
-        if isinstance(self.num_agents, numbers.Real) and self.num_agents > MAX_AGENTS:
-            raise TooManyAgents(f"num_agents must be <= {MAX_AGENTS}, got {self.num_agents}")
-        if not (isinstance(self.num_agents, (int, np.integer)) and self.num_agents >= 2):
-            raise TooFewAgents(f"num_agents must be an integer >= 2, got {self.num_agents}")
+        n = self.num_agents
+        # a non-number such as "5" or None is not an integer: TooFewAgents below,
+        # shown by its repr so that "5" does not read as the number 5
+        if isinstance(n, numbers.Real) and n > MAX_AGENTS:
+            raise TooManyAgents(f"num_agents must be <= {MAX_AGENTS}, got {n}")
+        if not (isinstance(n, numbers.Integral) and n >= 2):
+            shown = n if isinstance(n, numbers.Real) else repr(n)
+            raise TooFewAgents(f"num_agents must be an integer >= 2, got {shown}")
 
     @property
     def breakeven_bid(self) -> float:
@@ -190,6 +191,8 @@ def expected_payoff_vs_symmetric(
     alternative. entry_cost is subtracted when bidding carries a flat
     participation charge.
     """
+    import numpy as np
+
     b = np.asarray(own_bid, dtype=float)
     bad = b[~(np.isfinite(b) & (b >= 0.0))]
     if bad.size:

@@ -14,10 +14,9 @@ import enum
 import json
 import os
 import stat
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
-
-import numpy as np
 
 SCHEMA_VERSION = "1"
 
@@ -77,12 +76,17 @@ def _scalar(v: Any, text: Callable[[Optional[str]], str]) -> Optional[str]:
 
 
 def _floats(values: Sequence[float]) -> list[str]:
-    """fmt_float of each value, with one "%" over the distinct values.
+    """fmt_float of each value: with numpy loaded, one "%" over the distinct
+    values; before that, fmt_float value by value, which gives the same text
+    without loading numpy for a command that holds no array.
 
     Values are told apart by their bits, so -0.0 and 0.0, and NaNs of
     different payloads, are formatted each on their own; each cell then looks
     up its value's text.
     """
+    np = sys.modules.get("numpy")
+    if np is None:
+        return list(map(fmt_float, values))
     bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
                               return_inverse=True)
     distinct = bits.view(np.float64).tolist()
@@ -95,13 +99,15 @@ def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list
     """One column's cells as text, as _scalar writes them.
 
     A float64 ndarray goes to _floats as it is; any other ndarray is written
-    as its tolist() would be. A column of exact ints takes map(str) (bool and
+    as its tolist() would be. While numpy is not loaded no value can be an
+    ndarray. A column of exact ints takes map(str) (bool and
     IntEnum are not exact ints). Otherwise the float cells (floats and float
     subclasses) take one _floats call, which tells them apart by their bits,
     and every other cell takes one _scalar call per distinct (type, value).
     A non-scalar cell raises TypeError.
     """
-    if isinstance(values, np.ndarray):
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(values, np.ndarray):
         if values.dtype == np.float64:
             return _floats(values)
         values = values.tolist()

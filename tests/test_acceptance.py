@@ -52,7 +52,7 @@ def test_criterion_1_boundary_conditions():
         eq = solve_equilibrium(random_params(rng))
         # the raw formula, as cdf pins both ends; with r1 = 0, rho = 0 and log 0 = -inf
         with np.errstate(divide="ignore"):
-            ends = eq._f_star(np.array([0.0, eq.support_max]))
+            ends = eq._f_star(np.array([0.0, eq.support_max]), np)
         worst = max(worst, abs(float(ends[0])), abs(float(ends[1]) - 1.0), abs(eq.boundary_gap))
     _criterion(
         1,
@@ -64,8 +64,8 @@ def test_criterion_1_boundary_conditions():
 
 def test_criterion_1_sees_a_shift_of_f_star_at_zero(monkeypatch, capsys):
     raw = Equilibrium._f_star
-    monkeypatch.setattr(Equilibrium, "_f_star",
-                        lambda self, b: raw(self, b) + np.where(np.asarray(b) == 0.0, 1e-9, 0.0))
+    monkeypatch.setattr(Equilibrium, "_f_star", lambda self, b, *xp: raw(self, b, *xp)
+                        + np.where(np.asarray(b) == 0.0, 1e-9, 0.0))
     with pytest.raises(AssertionError, match="criterion 1"):
         test_criterion_1_boundary_conditions()
     assert "max residue 1.00e-09" in capsys.readouterr().out  # kept off the PASS/FAIL lines

@@ -381,7 +381,7 @@ def test_verify_boundary_check_reads_the_raw_formula(monkeypatch):
     # cdf pins F*(0) = 0 and F*(V - g - c) = 1, so the check reads _f_star
     assert verify._check_boundary_conditions(42) == (True, "max boundary residue 1.16e-16")
     raw = Equilibrium._f_star
-    monkeypatch.setattr(Equilibrium, "_f_star", lambda self, b: raw(self, b) + 1e-9)
+    monkeypatch.setattr(Equilibrium, "_f_star", lambda self, b, *xp: raw(self, b, *xp) + 1e-9)
     passed, detail = verify._check_boundary_conditions(42)
     assert not passed and detail.startswith("max boundary residue 1.00e-09")
 

@@ -15,6 +15,7 @@ from pga_lab import (
     pure_equilibrium,
     solve_equilibrium,
 )
+from pga_lab.equilibrium import _LEGENDRE_NODES, _LEGENDRE_WEIGHTS
 from pga_lab.numerics import bisection_inverse
 from pga_lab.oracle import bisection_quantile
 
@@ -178,6 +179,13 @@ class TestExpectedBid:
         lo = solve_equilibrium(AuctionParams(10, 1, 0.1, 0.5, 5)).expected_bid()
         hi = solve_equilibrium(AuctionParams(10, 1, 0.1, 0.1, 5)).expected_bid()
         assert lo < hi
+
+    def test_legendre_table_is_leggauss_bit_for_bit(self):
+        from numpy.polynomial.legendre import leggauss
+
+        nodes, weights = leggauss(48)
+        assert nodes.tolist() == list(_LEGENDRE_NODES)
+        assert weights.tolist() == list(_LEGENDRE_WEIGHTS)
 
 
 class TestEntryCostSupport:

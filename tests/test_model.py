@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -40,11 +41,16 @@ class TestValidation:
         with pytest.raises(TooFewAgents):
             AuctionParams(10, 1, 0.1, 0.1, 1)
 
-    @pytest.mark.parametrize("n, error", [(2.5, TooFewAgents), (math.nan, TooFewAgents),
-                                          (20.0, TooFewAgents), (math.inf, TooManyAgents),
-                                          ("5", TooFewAgents), (None, TooFewAgents)])
-    def test_agent_count_must_be_a_whole_number_in_range(self, n, error):
-        with pytest.raises(error):
+    # a number is shown as str shows it, anything else by its repr
+    @pytest.mark.parametrize("n, error, shown", [
+        (2.5, TooFewAgents, "2.5"), (math.nan, TooFewAgents, "nan"),
+        (20.0, TooFewAgents, "20.0"), (math.inf, TooManyAgents, "inf"),
+        ("5", TooFewAgents, "'5'"), (None, TooFewAgents, "None"),
+        (np.int64(1), TooFewAgents, "1"),
+    ], ids=["2.5-TooFewAgents", "nan-TooFewAgents", "20.0-TooFewAgents", "inf-TooManyAgents",
+            "5-TooFewAgents", "None-TooFewAgents", "int64-1-TooFewAgents"])
+    def test_agent_count_must_be_a_whole_number_in_range(self, n, error, shown):
+        with pytest.raises(error, match=f"got {re.escape(shown)}$"):
             AuctionParams(10, 1, 0.1, 0.1, n)
 
     def test_non_positive_fee(self):

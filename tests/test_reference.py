@@ -4,7 +4,7 @@ The reference evaluates the textbook expressions (p* = rho^(1/(N-1)),
 F* = (z^(1/(N-1)) - p*)/(1 - p*), the algebraic quantile, the tail
 integrals over b) at 40 significant digits, so their cancellation at large N
 costs it nothing. The grid reaches r1 -> 0 and c -> V - g; the expected bids
-also r1 = 0, r2 in {0, 1} and r2 = 1e-300.
+also r1 = 0, r2 in {0, 1}, r2 = 1e-300 and r1 = 1e-310 at r2 = 1.
 """
 
 import itertools
@@ -30,7 +30,12 @@ INTEGRAL_GRID = [
     for n, r1, r2, c in itertools.product(NS, (0.0, *R1S), (R2, 0.0, 1.0), CS)
     if r1 + r2 + c > 0.0
 ] + [pytest.param(n, 0.0, 1e-300, c, id=f"N={n:g}-r1=0-r2=1e-300-c={c:g}")
-     for n, c in itertools.product(NS, CS)]
+     for n, c in itertools.product(NS, CS)
+] + [
+    # log rho = -716 lies below log r2 - 709.78, so r2 e^-t overflows at the
+    # lowest nodes of the tail integral, where b = 0
+    pytest.param(n, 1e-310, 1.0, 0.0, id=f"N={n:g}-r1=1e-310-r2=1-c=0") for n in NS
+]
 MAX_OF_K_GRID = list(itertools.product((2, 10**6, 10**12), (0.0, 0.1), (2, 5)))
 
 CLOSED_REL = 1e-12

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import stat
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -190,6 +191,19 @@ def test_column_fast_paths_match_scalar_cell_by_cell(values, text):
     expected = [_scalar(v, text) for v in cells]
     assert _column(values, text) == expected
     assert _column(tuple(cells), text) == expected
+
+
+def test_text_is_the_same_before_numpy_loads(monkeypatch):
+    # a command that holds no array formats its floats without loading numpy
+    lists = {name: values for name, values in COLUMNS.items() if isinstance(values, list)}
+
+    def texts():
+        return [(csv_text([name], [values]), json_text(values),
+                 json_text({"t": Records([name], [values])})) for name, values in lists.items()]
+
+    with_numpy = texts()
+    monkeypatch.delitem(sys.modules, "numpy")
+    assert texts() == with_numpy
 
 
 def test_float_cells_beside_other_cells_keep_their_bits():

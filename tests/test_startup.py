@@ -64,12 +64,47 @@ def test_import_loads_no_numpy(statement):
     assert proc.stdout.split() == ["False"]
 
 
+def _imported(proc: subprocess.CompletedProcess) -> list[str]:
+    """The modules a run imported: -X importtime lists each on stderr."""
+    return [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+
+
 def test_cli_help_loads_no_numpy():
-    # -X importtime lists every module the interpreter imports on stderr
     proc = _python("-X", "importtime", "-m", "pga_lab.cli", "--help")
     assert proc.stdout.startswith("usage: pga-lab")
-    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    imported = _imported(proc)
     assert "pga_lab.errors" in imported
+    assert not [name for name in imported if name.split(".")[0] == "numpy"]
+
+
+AUCTION = ["--V", "10", "--g", "1", "--r1", "0.1", "--r2", "0.1"]
+SCALAR_COMMANDS = {
+    "equilibrium": ["equilibrium", *AUCTION, "--N", "5"],
+    "equilibrium-json-entry-cost": ["equilibrium", *AUCTION, "--N", "5", "--c", "0.5",
+                                    "--json", "{out}.json"],
+    "revenue-json": ["revenue", *AUCTION, "--N", "5", "--json", "{out}.json"],
+    "compare-schemes-json": ["compare-schemes", *AUCTION, "--N", "5", "--c", "0.5",
+                             "--json", "{out}.json"],
+    "sweep-abstention": ["sweep", "--target", "abstention", *AUCTION, "--vary", "N=2,5",
+                         "--vary2", "c=0,0.5", "--out", "{out}.csv"],
+    "sweep-revenue": ["sweep", "--target", "revenue", *AUCTION, "--vary", "N=2,5",
+                      "--vary2", "r1=0.01,0.1", "--out", "{out}.csv"],
+    "sweep-scheme-compare": ["sweep", "--target", "scheme_compare", *AUCTION, "--N", "5",
+                             "--vary", "c=0.1,0.5", "--out", "{out}.csv"],
+    "sweep-mev-tax": ["sweep", "--target", "mev_tax", *AUCTION, "--vary2", "tau=0,0.5,2",
+                      "--vary", "N=2,5,100000", "--out", "{out}.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", SCALAR_COMMANDS.values(), ids=SCALAR_COMMANDS.keys())
+def test_scalar_commands_load_no_numpy(argv, tmp_path):
+    # these commands compute a handful of scalars, all in math
+    out = str(tmp_path / "out")
+    proc = _python("-X", "importtime", "-m", "pga_lab.cli",
+                   *(arg.format(out=out) for arg in argv))
+    assert proc.stdout
+    imported = _imported(proc)
+    assert "pga_lab.serialize" in imported
     assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
