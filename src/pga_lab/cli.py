@@ -45,7 +45,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, product, repeat
+from itertools import product
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ArgumentOutOfRange, PgaLabError
@@ -241,7 +241,8 @@ def _parse_axis(spec: str, names: Sequence[str]) -> tuple[str, Sequence]:
             _check_rows(count)
             import numpy as np
 
-            values = np.linspace(real(lo), real(hi), count).tolist()
+            with np.errstate(all="ignore"):  # a non-finite span fails below, not here
+                values = np.linspace(real(lo), real(hi), count).tolist()
     except ArgumentOutOfRange:
         raise
     except (TypeError, ValueError, OverflowError):
@@ -251,46 +252,50 @@ def _parse_axis(spec: str, names: Sequence[str]) -> tuple[str, Sequence]:
     return name, values
 
 
-def _cdf_columns(params: AuctionParams, point: dict, grid: int):
+def _cdf_columns(points: list[tuple[AuctionParams, dict]], grid: int):
     import numpy as np
 
     from .equilibrium import solve_equilibrium
 
-    eq = solve_equilibrium(params, point["c"] or 0.0)
-    bids = np.linspace(0.0, eq.support_max, grid)
-    return bids.tolist(), eq._cdf_arr(bids).tolist()
+    bids, cdf = [], []
+    for params, point in points:
+        eq = solve_equilibrium(params, point["c"] or 0.0)
+        bids.append(np.linspace(0.0, eq.support_max, grid))
+        cdf.append(eq._cdf_arr(bids[-1]))
+    return np.concatenate(bids), np.concatenate(cdf)
 
 
-def _abstention_columns(params: AuctionParams, point: dict, grid: int):
+def _abstention_columns(points: list[tuple[AuctionParams, dict]], grid: int):
     from .equilibrium import solve_equilibrium
 
-    return [solve_equilibrium(params, point["c"] or 0.0).abstain_prob],
+    return [solve_equilibrium(params, point["c"] or 0.0).abstain_prob for params, point in points],
 
 
-def _revenue_columns(params: AuctionParams, point: dict, grid: int):
+def _revenue_columns(points: list[tuple[AuctionParams, dict]], grid: int):
     from . import analytics
 
-    rep = analytics.revenue_report(params)
-    return [rep.abstain_prob], [rep.expected_revenue], [rep.expected_submitted_txs]
+    reps = [analytics.revenue_report(params) for params, _ in points]
+    return ([rep.abstain_prob for rep in reps], [rep.expected_revenue for rep in reps],
+            [rep.expected_submitted_txs for rep in reps])
 
 
-def _scheme_columns(params: AuctionParams, point: dict, grid: int):
+def _scheme_columns(points: list[tuple[AuctionParams, dict]], grid: int):
     from . import analytics
 
-    cmp = analytics.compare_schemes(params, point["c"])
-    return ([cmp.optimal_r1], [cmp.scheme1_profit_at_optimum], [cmp.scheme2_revenue_at_r1_zero],
-            [cmp.winner.value])
+    cmps = [analytics.compare_schemes(params, point["c"]) for params, point in points]
+    return ([cmp.optimal_r1 for cmp in cmps], [cmp.scheme1_profit_at_optimum for cmp in cmps],
+            [cmp.scheme2_revenue_at_r1_zero for cmp in cmps], [cmp.winner.value for cmp in cmps])
 
 
-def _mev_tax_columns(params: AuctionParams, point: dict, grid: int):
+def _mev_tax_columns(points: list[tuple[AuctionParams, dict]], grid: int):
     from . import analytics
 
-    r2, tax, bound = analytics.expected_mev_tax(params, point["tau"])
-    return [params.revert_rate_base], [r2], [tax], [bound]
+    taxes = [analytics.expected_mev_tax(params, point["tau"]) for params, point in points]
+    return [params.revert_rate_base for params, _ in points], *zip(*taxes)  # r2, tax, bound
 
 
-# target -> (columns, parameters it needs beyond the auction, the columns of
-# one point as lists: grid-long (cdf) or of one element)
+# target -> (columns, parameters it needs beyond the auction, the function of
+# every (params, point) and the grid that returns the columns in their own type)
 SWEEPS = {
     "cdf": (["b", "F"], (), _cdf_columns),
     "abstention": (["p_star"], (), _abstention_columns),
@@ -308,28 +313,27 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if args.grid < 1:
         raise PgaLabError(f"--grid must be >= 1, got {args.grid}")
-    columns, needs, point_columns = SWEEPS[args.target]
+    columns, needs, target_columns = SWEEPS[args.target]
     axes = [_parse_axis(spec, args.parameters) for spec in (args.vary2, args.vary) if spec]
     axis_names = [name for name, _ in axes]
     if len(set(axis_names)) < len(axis_names):
         raise PgaLabError(f"--vary and --vary2 both vary {axis_names[0]}")
-    _check_rows(math.prod(len(axis) for _, axis in axes)
-                * (args.grid if args.target == "cdf" else 1))
+    rows_per_point = args.grid if args.target == "cdf" else 1
+    _check_rows(math.prod(len(axis) for _, axis in axes) * rows_per_point)
     unneeded = set(args.parameters) - set(AUCTION) - set(needs)
     values = _values(args, optional=unneeded | set(axis_names))
 
     combos = list(product(*(axis for _, axis in axes)))
-    chunks = []
+    points = []
     for combo in combos:
         point = {**values, **dict(zip(axis_names, combo))}
-        params = _build(AuctionParams, AUCTION, point)
-        chunks.append(point_columns(params, point, args.grid))
+        points.append((_build(AuctionParams, AUCTION, point), point))
     # each axis column repeats a point's value once per row of that point
-    counts = [len(chunk[0]) for chunk in chunks]
-    table = [list(chain.from_iterable(map(repeat, axis, counts))) for axis in zip(*combos)]
-    table += [list(chain.from_iterable(column)) for column in zip(*chunks)]
+    axis_columns = [[value for value in axis for _ in range(rows_per_point)]
+                    for axis in zip(*combos)]
+    table = axis_columns + list(target_columns(points, args.grid))
     write_csv(args.out, axis_names + columns, table)
-    print(f"wrote {sum(counts)} rows to {args.out}")
+    print(f"wrote {rows_per_point * len(points)} rows to {args.out}")
     return 0
 
 

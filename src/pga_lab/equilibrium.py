@@ -413,27 +413,22 @@ def solve_equilibrium(params: AuctionParams, entry_cost: float = 0.0) -> Equilib
 @dataclass(frozen=True)
 class PureEquilibrium:
     """Characterization of the pure equilibria when losing costs nothing:
-    the two highest bids both equal top_bid = V - g - c, everything else
+    the two highest bids both equal top_bid = V - g, everything else
     arbitrary (necessarily at or below top_bid once ordered)."""
 
     params: AuctionParams
-    entry_cost: float
     top_bid: float
 
 
-def pure_equilibrium(params: AuctionParams, entry_cost: float = 0.0) -> PureEquilibrium:
-    """Pure-strategy equilibrium description, valid only when r1 = r2 = 0.
+def pure_equilibrium(params: AuctionParams) -> PureEquilibrium:
+    """Pure-strategy equilibrium description, valid only when r1 = r2 = c = 0.
 
-    Any nonzero revert rate destroys all pure equilibria (some agent always
-    has a strictly profitable unilateral deviation).
+    Any nonzero revert rate or entry cost destroys all pure equilibria (some
+    agent always has a strictly profitable unilateral deviation); there
+    solve_equilibrium gives the mixed one.
     """
     if params.revert_rate_base != 0.0 or params.revert_rate_priority != 0.0:
         raise NotApplicable(
             "no pure-strategy equilibrium exists when a revert rate is nonzero"
         )
-    check_entry_cost(params, entry_cost)
-    return PureEquilibrium(
-        params=params,
-        entry_cost=float(entry_cost),
-        top_bid=params.breakeven_bid - entry_cost,
-    )
+    return PureEquilibrium(params=params, top_bid=params.breakeven_bid)

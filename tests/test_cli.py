@@ -90,9 +90,10 @@ def test_out_of_range_cost_or_tax_is_exit_1(argv, tmp_path, capsys):
      ["--vary", "N=2:3", "--grid", "1000000000000"],
      ["--vary", "N=2:100000000000", "--grid", "2"],
      ["--vary", "c=0:1:100000000000"],
-     ["--vary2", "r1=0:1:3000", "--vary", "N=2:3000", "--grid", "1"]],
+     ["--vary2", "r1=0:1:3000", "--vary", "N=2:3000", "--grid", "1"],
+     ["--vary", "c=0:1:-2"]],
     ids=["non-integer-bound", "zero-step", "negative-grid", "zero-grid", "huge-grid",
-         "huge-range-axis", "huge-linspace-axis", "huge-axis-product"],
+         "huge-range-axis", "huge-linspace-axis", "huge-axis-product", "negative-linspace-count"],
 )
 def test_malformed_sweep_is_exit_1(extra, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -300,6 +301,57 @@ def test_sweep_matches_the_row_loop_byte_for_byte(target, axes, grid, tmp_path, 
     expected = _reference_sweep(target, fixed, [(name, values) for name, _, values in axes], grid)
     assert out.read_text(encoding="utf-8") == expected
     assert capsys.readouterr().out == f"wrote {expected.count(chr(10)) - 1} rows to {out}\n"
+
+
+def _written_columns(monkeypatch, argv) -> dict:
+    """The columns that one sweep hands write_csv, by header name."""
+    from pga_lab import serialize
+
+    written = {}
+    monkeypatch.setattr(serialize, "write_csv",
+                        lambda path, header, columns: written.update(zip(header, columns)))
+    assert run(argv) == 0
+    return written
+
+
+SWEEP_TWO_AXES = ["--V", "10", "--g", "1", "--r2", "0.1", "--c", "0.5", "--tau", "0.5",
+                  "--vary2", "N=2,5", "--vary", "r1=0.05,0.5,1", "--out", "unused.csv"]
+
+
+def test_cdf_sweep_hands_the_writer_float64_arrays(monkeypatch, capsys):
+    columns = _written_columns(monkeypatch, ["sweep", "--target", "cdf", "--grid", "7",
+                                             *SWEEP_TWO_AXES])
+    assert list(columns) == ["N", "r1", "b", "F"]
+    for name in ("b", "F"):
+        assert isinstance(columns[name], np.ndarray) and columns[name].dtype == np.float64
+        assert columns[name].shape == (6 * 7,)
+    assert columns["N"] == [2] * 21 + [5] * 21
+    assert capsys.readouterr().out == "wrote 42 rows to unused.csv\n"
+
+
+@pytest.mark.parametrize("target", ["abstention", "revenue", "scheme_compare", "mev_tax"])
+def test_scalar_sweep_hands_the_writer_no_array(target, monkeypatch, capsys):
+    columns = _written_columns(monkeypatch, ["sweep", "--target", target, *SWEEP_TWO_AXES])
+    for name, column in columns.items():
+        assert not isinstance(column, np.ndarray), name
+        assert len(column) == 6, name
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("axis", ["r1=0:inf:3", "V=1e308:-1e308:3"],
+                         ids=["infinite-span", "overflowing-span"])
+def test_non_finite_linspace_axis_prints_one_error_line(axis, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pga_lab.cli", "sweep", "--target", "abstention", *AUCTION,
+         "--vary", axis, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    assert not out.exists()
 
 
 def test_config_file_precedence(tmp_path, capsys):

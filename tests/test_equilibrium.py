@@ -17,7 +17,7 @@ from pga_lab import (
 )
 from pga_lab.equilibrium import _LEGENDRE_NODES, _LEGENDRE_WEIGHTS
 from pga_lab.numerics import bisection_inverse
-from pga_lab.oracle import bisection_quantile
+from pga_lab.oracle import bisection_quantile, certify_equilibrium
 
 from _util import philox, random_params
 
@@ -224,9 +224,13 @@ class TestPureEquilibrium:
         pure = pure_equilibrium(AuctionParams(10, 1, 0.0, 0.0, 5))
         assert pure.top_bid == 9.0
 
-    def test_entry_cost_lowers_the_top_bid(self):
-        pure = pure_equilibrium(AuctionParams(10, 1, 0.0, 0.0, 5), entry_cost=0.5)
-        assert pure.top_bid == 8.5
+    def test_entry_cost_leaves_only_the_mixed_equilibrium(self):
+        # with c = 0.5 a top-two tie at V - g - c = 8.5 would earn
+        # (9 - 8.5 - 0.5)/2 - 0.5/2 = -0.25, less than abstaining
+        params = AuctionParams(10, 1, 0.0, 0.0, 5)
+        eq = solve_equilibrium(params, entry_cost=0.5)
+        assert eq.abstain_prob == pytest.approx((0.5 / 9.0) ** 0.25, rel=1e-15)
+        assert certify_equilibrium(params, eq).passed
 
     def test_not_applicable_with_penalties(self):
         with pytest.raises(NotApplicable):
