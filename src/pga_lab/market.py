@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
-from typing import Literal, NamedTuple, Optional
+from typing import Literal, NamedTuple, Optional, get_args
 
 import numpy as np
 
@@ -151,17 +151,19 @@ class BlockEvent:
     lp_adverse_loss_gross: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarketSimReport:
     """The simulation's summary metrics and its per-block events.
 
-    event_columns holds the events column by column: one tuple per
-    EVENT_CSV_HEADER name, one entry per block. events builds the BlockEvent
-    rows from them on first access.
+    event_columns holds one ndarray per EVENT_CSV_HEADER name, one entry per
+    block: int64 block_index and participants, object outcome and winning_bid
+    (None where no bid won), float64 otherwise. events builds BlockEvent rows
+    of Python scalars from them. Reports are equal when their other fields
+    are, and their event columns have the same dtypes and values.
     """
 
     config: MarketSimConfig
-    event_columns: tuple[tuple, ...]
+    event_columns: tuple[np.ndarray, ...]
     opportunities: int
     executed: int
     abstained: int
@@ -176,9 +178,18 @@ class MarketSimReport:
     era_series: tuple[float, ...]
     revenue_histogram: tuple[tuple[int, ...], tuple[float, ...]]
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MarketSimReport):
+            return NotImplemented
+        return all(
+            a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in zip(self.event_columns, other.event_columns, strict=True)
+        ) and all(getattr(self, f.name) == getattr(other, f.name)
+                  for f in fields(self) if f.name != "event_columns")
+
     @cached_property
     def events(self) -> tuple[BlockEvent, ...]:
-        return tuple(map(BlockEvent, *self.event_columns))
+        return tuple(map(BlockEvent, *(column.tolist() for column in self.event_columns)))
 
 
 EVENT_CSV_HEADER = [f.name for f in fields(BlockEvent)]
@@ -186,21 +197,13 @@ EVENT_CSV_HEADER = [f.name for f in fields(BlockEvent)]
 
 def event_csv_rows(report: MarketSimReport) -> list[tuple]:
     """One row per event in EVENT_CSV_HEADER order; a missing winning bid is None."""
-    return list(zip(*report.event_columns))
+    return list(zip(*(column.tolist() for column in report.event_columns)))
 
 
 def _running_total(values: np.ndarray) -> float:
     """0.0 + v[0] + v[1] + ... added in order, as a loop adds them (np.sum
     adds pairwise, and the builtin sum compensates from Python 3.12 on)."""
     return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
-
-
-def _spread(n: int, at: list[int], values: list, fill=0.0) -> tuple:
-    """A column of n entries: values at the positions at, fill elsewhere."""
-    column = [fill] * n
-    for i, v in zip(at, values):
-        column[i] = v
-    return tuple(column)
 
 
 # uniforms the block loop keeps before it prices them: with r1 = 0 every one of
@@ -276,25 +279,22 @@ def simulate(config: MarketSimConfig) -> MarketSimReport:
 
     true = path[1:]
     n = true.size
-    before: list[float] = []
-    outcome = ["no_opportunity"] * n
-    participants = [0] * n
-    block_values = [0.0] * n  # opportunity value where it exceeds g
+    before = np.empty(n)
+    values = np.zeros(n)  # opportunity value where it exceeds g (> 0), else 0
     executed_at: list[int] = []  # blocks whose auction executed
+    takers: list[int] = []  # their participant counts
     volumes: list[float] = []  # their trade volumes
     draws: list[tuple] = []  # their (EquilibriumState, uniforms), unless full_rp
     pending = 0  # uniforms in draws
     priced: list[tuple] = []  # (winning bids, fees) of the auctions priced so far
-    opportunities = 0
 
     onchain = float(path[0])
     for t, price in enumerate(true.tolist()):
-        before.append(onchain)
+        before[t] = onchain
         opp = opportunity_value(onchain, price, f, depth)
         if not opp.value > g:
             continue
-        opportunities += 1
-        block_values[t] = opp.value
+        values[t] = opp.value
         if full_rp:
             # losing is free: everyone enters and the top bids hit breakeven
             k = n_agents
@@ -314,19 +314,16 @@ def simulate(config: MarketSimConfig) -> MarketSimReport:
                     draws.clear()
                     pending = 0
         if k:
-            participants[t] = k
-            outcome[t] = "executed"
             executed_at.append(t)
+            takers.append(k)
             volumes.append(opp.volume)
             onchain = price * (1.0 + f) if opp.direction == "sell_dex" else price * (1.0 - f)
-        else:
-            outcome[t] = "all_abstained"
 
     # the array pass overflows to inf without a warning, as the Python floats
     # of a per-block loop do; a non-finite bid or fee raises NumericsError
     with np.errstate(all="ignore"):
         at = np.array(executed_at, dtype=np.intp)
-        value = np.array(block_values)[at]
+        value = values[at]
         if full_rp:
             winning, fees = value - g, value
         else:
@@ -342,9 +339,9 @@ def simulate(config: MarketSimConfig) -> MarketSimReport:
                 f"({float(fees[j])})"
             )
 
-        after = before[1:] + [onchain]
-        discrepancy = np.abs(true - np.array(before))
-        dev = np.abs(np.array(after) - true)
+        after = np.append(before[1:], onchain)
+        discrepancy = np.abs(true - before)
+        dev = np.abs(after - true)
         deviations = np.concatenate(([0.0], dev))  # the initial point sits on the CEX price
         volume = np.array(volumes)
         lp_fees = f * volume
@@ -360,28 +357,30 @@ def simulate(config: MarketSimConfig) -> MarketSimReport:
                 raise NumericsError(
                     f"the total {name} over {n} blocks is not finite ({total})")
         cfe, casl = totals["cfe"], totals["casl"]
-        executed_columns = [
-            _spread(n, executed_at, column.tolist(), fill)
-            for column, fill in ((winning, None), (fees, 0.0), (lp_fees, 0.0), (lp_loss, 0.0),
-                                 (value, 0.0))
-        ]
-        columns = (
-            tuple(range(1, n + 1)),
-            tuple(true.tolist()),
-            tuple(before),
-            tuple(after),
-            tuple(outcome),
-            tuple(block_values),
-            tuple(discrepancy.tolist()),
-            tuple(participants),
-            *executed_columns,
-        )
+
+        def executed_column(column, fill=0.0, dtype=np.float64) -> np.ndarray:
+            out = np.full(n, fill, dtype)
+            out[at] = column
+            return out
+
+        outcome = (values > 0.0) + executed_column(1, 0, np.intp)  # codes into Outcome
         return MarketSimReport(
             config=config,
-            event_columns=columns,
-            opportunities=opportunities,
+            event_columns=(
+                np.arange(1, n + 1),
+                true,
+                before,
+                after,
+                np.array(get_args(Outcome), dtype=object)[outcome],
+                values,
+                discrepancy,
+                executed_column(takers, 0, np.int64),
+                executed_column(winning, None, object),
+                *map(executed_column, (fees, lp_fees, lp_loss, value)),
+            ),
+            opportunities=int(np.count_nonzero(values)),
             executed=len(executed_at),
-            abstained=opportunities - len(executed_at),
+            abstained=int(np.count_nonzero(outcome == 1)),
             mad=float(deviations.mean()),
             dbf=int(np.count_nonzero(dev > f * true)) / deviations.size,
             max_deviation=float(deviations.max()),

@@ -8,7 +8,9 @@ suite; the battery keeps trial counts small enough for interactive use.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -211,11 +213,16 @@ def _check_market_accounting(seed: int) -> tuple[bool, str]:
     )
     rep = simulate(config)
     column = dict(zip(EVENT_CSV_HEADER, rep.event_columns))
+
+    def in_block_order(name: str) -> float:
+        # as the totals are added; the builtin sum compensates from Python 3.12 on
+        return functools.reduce(operator.add, column[name].tolist(), 0.0)
+
     ok = (
-        rep.csr == sum(column["sequencer_fees"])
+        rep.csr == in_block_order("sequencer_fees")
         and rep.nlp == rep.cfe - rep.casl
-        and rep.cfe == sum(column["lp_fees"])
-        and rep.casl == sum(column["lp_adverse_loss"])
+        and rep.cfe == in_block_order("lp_fees")
+        and rep.casl == in_block_order("lp_adverse_loss")
         and rep.executed > 0
     )
     band_ok = all(

@@ -33,7 +33,7 @@ from pga_lab.equilibrium import Equilibrium
 from pga_lab.serialize import csv_text, json_text
 from pga_lab.market import EVENT_CSV_HEADER
 
-from _util import philox, random_params
+from _util import in_order, philox, random_params
 
 REF = AuctionParams(10, 1, 0.1, 0.1, 20)
 
@@ -316,7 +316,7 @@ def test_criterion_11_market_sim_properties():
             for rep in (no_rp, full_rp):
                 identities_ok = identities_ok and (
                     rep.nlp == rep.cfe - rep.casl
-                    and rep.csr == sum(e.sequencer_fees for e in rep.events)
+                    and rep.csr == in_order(e.sequencer_fees for e in rep.events)
                 )
     _criterion(
         11,

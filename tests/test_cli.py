@@ -438,6 +438,24 @@ def test_verify_boundary_check_reads_the_raw_formula(monkeypatch):
     assert not passed and detail.startswith("max boundary residue 1.00e-09")
 
 
+def _compensated_sum(values, start=0):
+    """The builtin sum of floats from Python 3.12 on: Neumaier's compensated
+    summation, which a block-order running total need not match."""
+    total, compensation = float(start), 0.0
+    for x in values:
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
+
+
+def test_verify_market_accounting_holds_under_a_compensated_sum(monkeypatch):
+    assert _compensated_sum([0.1] * 10 + [1e16, 1.0, -1e16]) == 2.0
+    monkeypatch.setattr(verify, "sum", _compensated_sum, raising=False)
+    passed, detail = verify._check_market_accounting(42)
+    assert passed, detail
+
+
 class TestFloatSerialization:
     def test_round_trip_17_digits(self):
         rng = philox(2)

@@ -20,7 +20,7 @@ from pga_lab.market import EVENT_CSV_HEADER, BlockEvent, event_csv_rows
 from pga_lab.numerics import adaptive_simpson
 from pga_lab.serialize import csv_text
 
-from _util import philox
+from _util import in_order, philox
 
 BASE = MarketSimConfig(
     drift=0.0,
@@ -140,10 +140,10 @@ class TestSimulate:
 
     def test_accounting_identities_exact(self):
         rep = simulate(BASE)
-        assert rep.csr == sum(e.sequencer_fees for e in rep.events)
-        assert rep.cfe == sum(e.lp_fees for e in rep.events)
-        assert rep.casl == sum(e.lp_adverse_loss for e in rep.events)
-        assert rep.casl_gross == sum(e.lp_adverse_loss_gross for e in rep.events)
+        assert rep.csr == in_order(e.sequencer_fees for e in rep.events)
+        assert rep.cfe == in_order(e.lp_fees for e in rep.events)
+        assert rep.casl == in_order(e.lp_adverse_loss for e in rep.events)
+        assert rep.casl_gross == in_order(e.lp_adverse_loss_gross for e in rep.events)
         assert rep.nlp == rep.cfe - rep.casl
         assert len(rep.era_series) == rep.executed
 
@@ -231,6 +231,42 @@ class TestEventExport:
         blank = [i for i, r in enumerate(rows) if r[4] != "executed"]
         assert blank and all(rows[i][8] is None for i in blank)
         assert all(lines[i + 1].split(",")[8] == "" for i in blank)
+
+
+class TestEventColumns:
+    @pytest.mark.parametrize("r1, r2", [(0.0, 0.0), (0.3, 0.7)], ids=["full_rp", "p_star_positive"])
+    def test_column_types(self, r1, r2):
+        rep = simulate(replace(BASE, horizon=2.0, revert_rate_base=r1, revert_rate_priority=r2))
+        assert rep.executed > 0 and (r1 == 0.0 or rep.abstained > 0)
+        columns = dict(zip(EVENT_CSV_HEADER, rep.event_columns))
+        assert all(isinstance(c, np.ndarray) and c.shape == (rep.config.num_blocks,)
+                   for c in columns.values())
+        kinds = {name: c.dtype.kind for name, c in columns.items()}
+        assert kinds == dict.fromkeys(EVENT_CSV_HEADER, "f") | {
+            "block_index": "i", "participants": "i", "outcome": "O", "winning_bid": "O"}
+        assert all(c.dtype == np.float64 for c in columns.values() if c.dtype.kind == "f")
+        executed = rep.events[int(np.argmax(columns["outcome"] == "executed"))]
+        assert [type(getattr(executed, name)) for name in EVENT_CSV_HEADER] == [
+            int, float, float, float, str, float, float, int, float, float, float, float, float]
+
+    def test_reports_are_equal_only_cell_for_cell(self):
+        config = replace(BASE, horizon=2.0)
+        rep = simulate(config)
+        assert rep == simulate(config)
+
+        def changed(name, column):
+            return replace(rep, event_columns=tuple(
+                column if key == name else c for key, c in zip(EVENT_CSV_HEADER, rep.event_columns)))
+
+        columns = dict(zip(EVENT_CSV_HEADER, rep.event_columns))
+        lp_fees = columns["lp_fees"].copy()
+        i = int(np.flatnonzero(lp_fees)[-1])
+        lp_fees[i] = np.nextafter(lp_fees[i], np.inf)
+        assert rep != changed("lp_fees", lp_fees)
+        participants = columns["participants"].astype(np.float64)
+        assert np.array_equal(participants, columns["participants"])
+        assert rep != changed("participants", participants)
+        assert rep == changed("participants", columns["participants"].copy())
 
 
 def _reference_simulate(config: MarketSimConfig) -> tuple[tuple[BlockEvent, ...], dict]:
@@ -322,7 +358,7 @@ class TestColumnarSimulator:
         assert rep.executed > 0
         columns = tuple(zip(*map(astuple_event, events)))
         for name, column, expected in zip(EVENT_CSV_HEADER, rep.event_columns, columns):
-            assert column == expected, name
+            assert tuple(column.tolist()) == expected, name
         assert rep.events == events
         for name, expected in summary.items():
             assert getattr(rep, name) == expected, name
