@@ -8,8 +8,8 @@ quantile by bisection against the CDF.
 
 Randomness comes from numpy's Philox counter-based generator. Work is split
 into chunks whose size depends only on N, each driven by a SeedSequence-spawned
-child stream, so results are reproducible bit for bit regardless of how chunks
-are scheduled.
+child stream made as its chunk starts, so results are reproducible bit for bit
+regardless of how chunks are scheduled.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -54,9 +54,12 @@ def _chunk_rows(num_agents: int) -> int:
     return min(_CHUNK, MAX_DRAWS // num_agents)
 
 
-def _chunk_rngs(seed: int, n_chunks: int) -> list[np.random.Generator]:
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    return [np.random.Generator(np.random.Philox(ss)) for ss in children]
+def _chunk_rngs(seed: int, n_chunks: int) -> Iterator[np.random.Generator]:
+    """The streams of SeedSequence(seed).spawn(n_chunks), each made only when
+    its chunk starts, so the generators alive do not grow with the trials."""
+    for i in range(n_chunks):
+        child = np.random.SeedSequence(seed, spawn_key=(i,))
+        yield np.random.Generator(np.random.Philox(child))
 
 
 @dataclass(frozen=True)
@@ -124,9 +127,10 @@ def monte_carlo_replay(
     for agent 0; by symmetry its mean estimates every agent's payoff.
 
     Trials run in chunks of min(2^16, 2^22 // N) rows, each on its own child
-    stream, so one chunk array holds at most 2^22 agent-draws (32 MiB) and
-    memory stays bounded in N and trials. N above 2^22 raises
-    ArgumentOutOfRange before any draw. A chunk draws its participation
+    stream (the i-th of SeedSequence(seed).spawn, made only as chunk i
+    starts), so one chunk array holds at most 2^22 agent-draws (32 MiB), no
+    generator is made ahead of its chunk, and memory stays bounded in N and
+    trials. N above 2^22 raises ArgumentOutOfRange before any draw. A chunk draws its participation
     uniforms, then its bid uniforms, then one tie draw per tied row; only
     the participants' bid uniforms go through the quantile.
     """
@@ -342,20 +346,36 @@ class SignCheck:
     passed: bool
 
 
-def _sign_ok(derivative: float, expected: str) -> bool:
-    if expected == "+":
-        return derivative > 0.0
-    if expected == "-":
-        return derivative < 0.0
-    return derivative == 0.0
+_SIGN = {"+": 1.0, "-": -1.0, "0": 0.0}
 
 
-def _p_star(params: AuctionParams) -> float:
-    return solve_equilibrium(params).abstain_prob
-
-
-def _expected_bid(params: AuctionParams) -> float:
-    return solve_equilibrium(params).expected_bid()
+def _signs(
+    base: AuctionParams,
+    quantity: str,
+    fn: Callable[[AuctionParams], Union[float, np.ndarray]],
+    expected: dict[str, str],
+) -> list[SignCheck]:
+    """One SignCheck per parameter of `expected`, in its order, from the
+    finite difference of fn: a unit forward difference in N, a central one
+    over 2e-5 in a real parameter. A rate's stencil is clipped to [0, 1] and
+    divided by the span actually taken, so it goes one-sided at the edges of
+    the rate box. An array reports its extreme against the expected sign:
+    the minimum for "+", else the maximum."""
+    checks = []
+    for field, sign in expected.items():
+        x = getattr(base, field)
+        if field == "num_agents":
+            lo, hi, span = x, x + 1, 1.0
+        else:
+            lo, hi, span = x - _STEP, x + _STEP, 2.0 * _STEP
+            if field.startswith("revert_rate") and (lo < 0.0 or hi > 1.0):
+                lo, hi = max(lo, 0.0), min(hi, 1.0)
+                span = hi - lo
+        d = (fn(replace(base, **{field: hi})) - fn(replace(base, **{field: lo}))) / span
+        extreme = float(np.min(d) if sign == "+" else np.max(d))
+        checks.append(SignCheck(quantity=quantity, parameter=field, derivative=extreme,
+                                expected=sign, passed=bool(np.sign(extreme) == _SIGN[sign])))
+    return checks
 
 
 def comparative_statics_check(base: AuctionParams) -> list[SignCheck]:
@@ -371,29 +391,15 @@ def comparative_statics_check(base: AuctionParams) -> list[SignCheck]:
     dominates and E[B*] rises with r1. The check reports the true sign either
     way.
     """
-    def central(fn, field: str) -> float:
-        hi = fn(replace(base, **{field: getattr(base, field) + _STEP}))
-        lo = fn(replace(base, **{field: getattr(base, field) - _STEP}))
-        return (hi - lo) / (2.0 * _STEP)
-
-    def unit_n(fn) -> float:
-        return fn(replace(base, num_agents=base.num_agents + 1)) - fn(base)
-
-    expectations = [
-        ("abstain_prob", "num_agents", unit_n(_p_star), "+"),
-        ("abstain_prob", "base_fee", central(_p_star, "base_fee"), "+"),
-        ("abstain_prob", "revert_rate_base", central(_p_star, "revert_rate_base"), "+"),
-        ("abstain_prob", "value", central(_p_star, "value"), "-"),
-        ("abstain_prob", "revert_rate_priority", central(_p_star, "revert_rate_priority"), "0"),
-        ("expected_bid", "value", central(_expected_bid, "value"), "+"),
-        ("expected_bid", "num_agents", unit_n(_expected_bid), "-"),
-        ("expected_bid", "revert_rate_base", central(_expected_bid, "revert_rate_base"), "-"),
-        ("expected_bid", "revert_rate_priority", central(_expected_bid, "revert_rate_priority"), "-"),
-    ]
-    return [
-        SignCheck(quantity=q, parameter=par, derivative=d, expected=e, passed=_sign_ok(d, e))
-        for q, par, d, e in expectations
-    ]
+    return _signs(
+        base, "abstain_prob", lambda p: solve_equilibrium(p).abstain_prob,
+        {"num_agents": "+", "base_fee": "+", "revert_rate_base": "+", "value": "-",
+         "revert_rate_priority": "0"},
+    ) + _signs(
+        base, "expected_bid", lambda p: solve_equilibrium(p).expected_bid(),
+        {"value": "+", "num_agents": "-", "revert_rate_base": "-",
+         "revert_rate_priority": "-"},
+    )
 
 
 def cdf_sensitivity_check(base: AuctionParams) -> list[SignCheck]:
@@ -403,37 +409,12 @@ def cdf_sensitivity_check(base: AuctionParams) -> list[SignCheck]:
     The r1 direction carries the same caveat as comparative_statics_check:
     away from low markups the abstention response flips the pointwise sign
     on part of the support."""
-    eq = solve_equilibrium(base)
-    grid = np.linspace(0.1, 0.9, _SENSITIVITY_BIDS) * eq.support_max
-
-    def delta(field: str) -> np.ndarray:
-        hi = solve_equilibrium(replace(base, **{field: getattr(base, field) + _STEP}))
-        lo = solve_equilibrium(replace(base, **{field: getattr(base, field) - _STEP}))
-        return hi._cdf_arr(grid) - lo._cdf_arr(grid)
-
-    def delta_n() -> np.ndarray:
-        hi = solve_equilibrium(replace(base, num_agents=base.num_agents + 1))
-        return hi._cdf_arr(grid) - eq._cdf_arr(grid)
-
-    cases = [
-        ("num_agents", delta_n(), "+"),
-        ("value", delta("value"), "-"),
-        ("revert_rate_base", delta("revert_rate_base"), "+"),
-        ("revert_rate_priority", delta("revert_rate_priority"), "+"),
-    ]
-    out = []
-    for par, d, expected in cases:
-        extreme = float(d.min() if expected == "+" else d.max())
-        out.append(
-            SignCheck(
-                quantity="cdf_pointwise",
-                parameter=par,
-                derivative=extreme,
-                expected=expected,
-                passed=_sign_ok(extreme, expected),
-            )
-        )
-    return out
+    grid = np.linspace(0.1, 0.9, _SENSITIVITY_BIDS) * solve_equilibrium(base).support_max
+    return _signs(
+        base, "cdf_pointwise", lambda p: solve_equilibrium(p)._cdf_arr(grid),
+        {"num_agents": "+", "value": "-", "revert_rate_base": "+",
+         "revert_rate_priority": "+"},
+    )
 
 
 def bisection_quantile(eq: Equilibrium, u: float) -> float:

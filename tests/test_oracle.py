@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 
@@ -9,6 +10,7 @@ from pga_lab import (
     Abstain,
     AuctionParams,
     Bid,
+    Equilibrium,
     MixedStrategy,
     PureProfile,
     best_response_scan,
@@ -97,6 +99,33 @@ class TestMonteCarloReplay:
         rep = monte_carlo_replay(params, solve_equilibrium(params), trials=5000, seed=3)
         assert spawned == [2]  # 4194 rows per chunk
         assert rep.revenue.within(revenue_report(params).expected_revenue)
+
+    @pytest.mark.parametrize("seed", [0, 9, 2**40])
+    def test_chunk_streams_are_the_spawned_children(self, seed):
+        made = list(oracle._chunk_rngs(seed, 1000))
+        children = np.random.SeedSequence(seed).spawn(1000)
+        for i in (0, 1, 2, 3, 999):
+            spawned = np.random.Generator(np.random.Philox(children[i]))
+            assert made[i].random(8).tobytes() == spawned.random(8).tobytes()
+
+    def test_chunk_streams_are_made_as_their_chunks_start(self, monkeypatch):
+        # 20,000 one-row chunks: a list of every chunk's generator, built
+        # before the first draw, would take about 19 MB
+        eq = solve_equilibrium(REF)
+
+        def first_quantile(self, u):
+            raise RuntimeError("first quantile")
+
+        monkeypatch.setattr(oracle, "_chunk_rows", lambda n: 1)
+        monkeypatch.setattr(Equilibrium, "_quantile_arr", first_quantile)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="first quantile"):
+                monte_carlo_replay(REF, eq, trials=20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
     def test_too_many_agents_raise_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(oracle, "_chunk_rngs", None)
@@ -247,6 +276,58 @@ class TestComparativeStatics:
         lo = solve_equilibrium(replace(base, revert_rate_base=0.05)).expected_bid()
         hi = solve_equilibrium(replace(base, revert_rate_base=0.20)).expected_bid()
         assert hi > lo
+
+    def test_sign_table(self):
+        base = AuctionParams(2.0, 1.0, 0.5, 0.05, 20)
+        table = [(c.quantity, c.parameter, c.expected)
+                 for c in comparative_statics_check(base) + cdf_sensitivity_check(base)]
+        assert table == [
+            ("abstain_prob", "num_agents", "+"),
+            ("abstain_prob", "base_fee", "+"),
+            ("abstain_prob", "revert_rate_base", "+"),
+            ("abstain_prob", "value", "-"),
+            ("abstain_prob", "revert_rate_priority", "0"),
+            ("expected_bid", "value", "+"),
+            ("expected_bid", "num_agents", "-"),
+            ("expected_bid", "revert_rate_base", "-"),
+            ("expected_bid", "revert_rate_priority", "-"),
+            ("cdf_pointwise", "num_agents", "+"),
+            ("cdf_pointwise", "value", "-"),
+            ("cdf_pointwise", "revert_rate_base", "+"),
+            ("cdf_pointwise", "revert_rate_priority", "+"),
+        ]
+
+    @pytest.mark.parametrize("base", [AuctionParams(2.0, 1.0, 0.5, 0.05, 20),
+                                      AuctionParams(10, 1, 0.1, 0.1, 5)])
+    def test_cdf_pointwise_derivatives_are_derivative_estimates(self, base):
+        grid = np.linspace(0.1, 0.9, 9) * solve_equilibrium(base).support_max
+
+        def cdf(**change):
+            return solve_equilibrium(replace(base, **change)).cdf(grid)
+
+        for check in cdf_sensitivity_check(base):
+            field = check.parameter
+            if field == "num_agents":
+                d = cdf(num_agents=base.num_agents + 1) - cdf()
+            else:
+                x = getattr(base, field)
+                d = (cdf(**{field: x + 1e-5}) - cdf(**{field: x - 1e-5})) / 2e-5
+            assert check.derivative == (d.min() if check.expected == "+" else d.max())
+
+    @pytest.mark.parametrize("base", [AuctionParams(10, 1, 0.5, 0.0, 5),
+                                      AuctionParams(10, 1, 1.0, 0.3, 5),
+                                      AuctionParams(10, 1, 0.0, 0.3, 5)])
+    def test_rate_box_edges_take_one_sided_differences(self, base):
+        # no sign is asserted: at r1 = 0, p* is identically 0, so its N, g
+        # and V differences truly read 0
+        statics = comparative_statics_check(base)
+        assert len(statics) == 9 and len(cdf_sensitivity_check(base)) == 4
+        if base.revert_rate_priority == 0.0:
+            checks = {(c.quantity, c.parameter): c.derivative for c in statics}
+            assert checks[("abstain_prob", "revert_rate_priority")] == 0.0
+            forward = solve_equilibrium(replace(base, revert_rate_priority=1e-5)).expected_bid()
+            assert checks[("expected_bid", "revert_rate_priority")] == (
+                (forward - solve_equilibrium(base).expected_bid()) / 1e-5)
 
     def test_cdf_pointwise_signs_at_low_markup_point(self):
         base = AuctionParams(2.0, 1.0, 0.5, 0.05, 20)
