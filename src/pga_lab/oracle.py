@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .equilibrium import Equilibrium, solve_equilibrium
+from .equilibrium import Equilibrium, check_losing_cost, solve_equilibrium
 from .model import (
     ABSTAIN,
     Action,
@@ -33,7 +33,7 @@ from .model import (
     expected_payoff_vs_symmetric,
     pure_payoff,
 )
-from .errors import ArgumentOutOfRange, IndexOutOfRange, NumericsError
+from .errors import ArgumentOutOfRange, IndexOutOfRange, NumericsError, PgaLabError
 from .numerics import bisection_inverse
 
 _CHUNK = 1 << 16  # replay rows per chunk, at most
@@ -93,16 +93,23 @@ class ReplayReport:
 
 
 class _Acc:
-    """Streaming mean/variance accumulator (sum and sum of squares)."""
+    """Streaming mean/variance accumulator (sum and sum of squares) of x / 2^e.
 
-    __slots__ = ("s", "s2", "n")
+    A power-of-two scale is exact, so the estimate has the bits of the
+    unscaled sums wherever those neither overflow nor underflow; with 2^e
+    near the size of x they do neither, at any scale the validators accept.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("s", "s2", "n", "e")
+
+    def __init__(self, e: int = 0) -> None:
         self.s = 0.0
         self.s2 = 0.0
         self.n = 0
+        self.e = e
 
     def add(self, x: np.ndarray) -> None:
+        x = np.ldexp(x, -self.e)
         self.s += float(x.sum())
         self.s2 += float((x * x).sum())
         self.n += x.size
@@ -111,7 +118,8 @@ class _Acc:
         mean = self.s / self.n
         var = max(self.s2 / self.n - mean * mean, 0.0)
         se = math.sqrt(var / self.n)
-        return McEstimate(mean=mean, std_error=se, trials=self.n, seed=seed)
+        return McEstimate(mean=math.ldexp(mean, self.e), std_error=math.ldexp(se, self.e),
+                          trials=self.n, seed=seed)
 
 
 def monte_carlo_replay(
@@ -144,21 +152,21 @@ def monte_carlo_replay(
     c = eq.entry_cost
     p_star = eq.abstain_prob
 
-    acc = {k: _Acc() for k in ("rev", "base", "prio", "sub", "pay")}
+    # the money sums run in units of V's binary exponent, the count unscaled
+    e = math.frexp(p.value)[1]
+    acc = {k: _Acc(e) for k in ("rev", "base", "prio", "pay")}
+    acc["sub"] = _Acc()
     n_chunks = (trials + rows - 1) // rows
     for i, rng in enumerate(_chunk_rngs(seed, n_chunks)):
         m = min(rows, trials - i * rows)
         part = rng.random((m, n)) >= p_star
-        if p_star == 0.0:  # everyone takes part: no gather or scatter
-            bids = eq._quantile_arr(rng.random((m, n)))
-        else:
-            bids = np.zeros((m, n))  # an abstainer adds nothing to the bid sums
-            # only the participants' bid uniforms go through the quantile;
-            # compress and flat indices cost a fraction of a boolean mask over
-            # a random pattern, and the full uniform array is freed before the
-            # quantile runs
-            bids.reshape(-1)[np.flatnonzero(part)] = eq._quantile_arr(
-                rng.random((m, n)).compress(part.reshape(-1)))
+        bids = np.zeros((m, n))  # an abstainer adds nothing to the bid sums
+        # only the participants' bid uniforms go through the quantile;
+        # compress and flat indices cost a fraction of a boolean mask over
+        # a random pattern, and the full uniform array is freed before the
+        # quantile runs
+        bids.reshape(-1)[np.flatnonzero(part)] = eq._quantile_arr(
+            rng.random((m, n)).compress(part.reshape(-1)))
         k = part.sum(axis=1)
         any_part = k > 0
         winner = bids.argmax(axis=1)
@@ -349,6 +357,34 @@ class SignCheck:
 _SIGN = {"+": 1.0, "-": -1.0, "0": 0.0}
 
 
+def _stencils(x, field: str) -> Iterator[tuple]:
+    """(lo, hi, step) of the differences in `field` at x, best first: in N one
+    agent up, else one down; in a real parameter central over 2h, else
+    forward, else backward over h, halving h from 1e-5 only when none of the
+    three fits."""
+    if field == "num_agents":
+        yield x, x + 1, 1.0
+        yield x - 1, x, 1.0
+        return
+    h = _STEP
+    while True:
+        yield x - h, x + h, 2.0 * h
+        yield x, x + h, h
+        yield x - h, x, h
+        h *= 0.5
+
+
+def _admitted(base: AuctionParams, field: str, x) -> Optional[AuctionParams]:
+    """base with `field` set to x, or None where solve_equilibrium rejects
+    that point at c = 0: AuctionParams refuses it, or losing is free."""
+    try:
+        p = replace(base, **{field: x})
+        check_losing_cost(p.revert_rate_base * p.base_fee, p.revert_rate_priority)
+    except PgaLabError:
+        return None
+    return p
+
+
 def _signs(
     base: AuctionParams,
     quantity: str,
@@ -356,22 +392,21 @@ def _signs(
     expected: dict[str, str],
 ) -> list[SignCheck]:
     """One SignCheck per parameter of `expected`, in its order, from the
-    finite difference of fn: a unit forward difference in N, a central one
-    over 2e-5 in a real parameter. A rate's stencil is clipped to [0, 1] and
-    divided by the span actually taken, so it goes one-sided at the edges of
-    the rate box. An array reports its extreme against the expected sign:
-    the minimum for "+", else the maximum."""
+    finite difference of fn over the first stencil of _stencils whose two
+    ends solve_equilibrium admits: the validators, not this routine, say
+    where a stencil may go. The difference is divided by its nominal step
+    (2h, h or one agent). An array reports its extreme against the expected
+    sign: the minimum for "+", else the maximum."""
+    f_base = fn(base)  # raises where the base itself is rejected
     checks = []
     for field, sign in expected.items():
         x = getattr(base, field)
-        if field == "num_agents":
-            lo, hi, span = x, x + 1, 1.0
-        else:
-            lo, hi, span = x - _STEP, x + _STEP, 2.0 * _STEP
-            if field.startswith("revert_rate") and (lo < 0.0 or hi > 1.0):
-                lo, hi = max(lo, 0.0), min(hi, 1.0)
-                span = hi - lo
-        d = (fn(replace(base, **{field: hi})) - fn(replace(base, **{field: lo}))) / span
+        for lo, hi, step in _stencils(x, field):
+            ends = [base if v == x else _admitted(base, field, v) for v in (lo, hi)]
+            if None not in ends:
+                break
+        f_lo, f_hi = (f_base if q is base else fn(q) for q in ends)
+        d = (f_hi - f_lo) / step
         extreme = float(np.min(d) if sign == "+" else np.max(d))
         checks.append(SignCheck(quantity=quantity, parameter=field, derivative=extreme,
                                 expected=sign, passed=bool(np.sign(extreme) == _SIGN[sign])))

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 from itertools import product
 
@@ -27,7 +28,7 @@ from pga_lab import (
 )
 
 from pga_lab import oracle
-from pga_lab.errors import ArgumentOutOfRange
+from pga_lab.errors import ArgumentOutOfRange, DegenerateNoRevertCost
 from pga_lab.oracle import _chunk_rows
 
 from _util import philox, random_params
@@ -126,6 +127,31 @@ class TestMonteCarloReplay:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize("params", [AuctionParams(1e300, 1, 1e-100, 0.0, 2),
+                                        AuctionParams(3e-300, 1e-300, 0.5, 0.5, 3)])
+    def test_standard_errors_are_finite_at_the_ends_of_the_value_scale(self, params):
+        # x^2 overflows near V = 1e300 and underflows near V = 3e-300 unless
+        # the sums run in units of V
+        eq = solve_equilibrium(params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = monte_carlo_replay(params, eq, trials=20_000, seed=0)
+        estimates = (rep.revenue, rep.base_revenue, rep.priority_revenue, rep.submitted_txs,
+                     rep.per_agent_payoff)
+        assert all(np.isfinite(e.std_error) for e in estimates)
+        assert rep.per_agent_payoff.std_error > 0.0
+
+    def test_agreement_with_closed_forms_at_a_tiny_value(self):
+        params = AuctionParams(3e-300, 1e-300, 0.5, 0.5, 3)
+        rep = monte_carlo_replay(params, solve_equilibrium(params), trials=20_000, seed=0)
+        closed = revenue_report(params)
+        assert rep.revenue.std_error > 0.0
+        assert rep.revenue.within(closed.expected_revenue)
+        assert rep.submitted_txs.within(closed.expected_submitted_txs)
+        assert rep.base_revenue.within(closed.base_revenue)
+        assert rep.priority_revenue.within(closed.priority_revenue)
+        assert rep.per_agent_payoff.within(0.0)
 
     def test_too_many_agents_raise_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(oracle, "_chunk_rngs", None)
@@ -314,20 +340,61 @@ class TestComparativeStatics:
                 d = (cdf(**{field: x + 1e-5}) - cdf(**{field: x - 1e-5})) / 2e-5
             assert check.derivative == (d.min() if check.expected == "+" else d.max())
 
-    @pytest.mark.parametrize("base", [AuctionParams(10, 1, 0.5, 0.0, 5),
-                                      AuctionParams(10, 1, 1.0, 0.3, 5),
-                                      AuctionParams(10, 1, 0.0, 0.3, 5)])
+    @pytest.mark.parametrize("base", [
+        AuctionParams(10, 1, 0.5, 0.0, 5),
+        AuctionParams(10, 1, 1.0, 0.3, 5),
+        AuctionParams(10, 1, 0.0, 0.3, 5),
+        # each stencil end below was once rejected by a validator
+        AuctionParams(1 + 5e-6, 1, 0.5, 0.1, 5),  # V - 1e-5 < g and g + 1e-5 > V
+        AuctionParams(10, 5e-6, 0.5, 0.1, 5),  # g - 1e-5 < 0
+        AuctionParams(10, 1, 3e-6, 0.0, 5),  # r1 - 1e-5 < 0, and r1 = r2 = 0 is free
+        AuctionParams(10, 1, 1e-5, 0.0, 5),  # r1 - 1e-5 = r2 = 0 is free
+        AuctionParams(10, 1, 0.5, 0.1, 10**12),  # N + 1 > MAX_AGENTS
+        AuctionParams(1e-5, 5e-6, 0.5, 0.1, 5),  # g's box is narrower than 1e-5 each way
+    ])
     def test_rate_box_edges_take_one_sided_differences(self, base):
         # no sign is asserted: at r1 = 0, p* is identically 0, so its N, g
         # and V differences truly read 0
         statics = comparative_statics_check(base)
-        assert len(statics) == 9 and len(cdf_sensitivity_check(base)) == 4
+        sensitivity = cdf_sensitivity_check(base)
+        assert len(statics) == 9 and len(sensitivity) == 4
+        assert all(np.isfinite(c.derivative) for c in statics + sensitivity)
         if base.revert_rate_priority == 0.0:
             checks = {(c.quantity, c.parameter): c.derivative for c in statics}
             assert checks[("abstain_prob", "revert_rate_priority")] == 0.0
             forward = solve_equilibrium(replace(base, revert_rate_priority=1e-5)).expected_bid()
             assert checks[("expected_bid", "revert_rate_priority")] == (
                 (forward - solve_equilibrium(base).expected_bid()) / 1e-5)
+
+    @pytest.mark.parametrize("base, quantity, field, lo, hi, step", [
+        # r1 - 1e-5 < 0 though r1 > 0: forward over 1e-5
+        (AuctionParams(10, 1, 3e-6, 0.1, 5), "abstain_prob", "revert_rate_base",
+         3e-6, 3e-6 + 1e-5, 1e-5),
+        (AuctionParams(10, 1, 1.0, 0.3, 5), "abstain_prob", "revert_rate_base",
+         1.0 - 1e-5, 1.0, 1e-5),
+        # g's box is narrower than 1e-5 each way: central over 2 x 2.5e-6
+        (AuctionParams(1e-5, 5e-6, 0.5, 0.1, 5), "abstain_prob", "base_fee",
+         5e-6 - 2.5e-6, 5e-6 + 2.5e-6, 5e-6),
+        (AuctionParams(10, 1, 0.5, 0.1, 10**12), "expected_bid", "num_agents",
+         10**12 - 1, 10**12, 1),
+    ])
+    def test_stencil_is_the_first_the_validators_admit(self, base, quantity, field, lo, hi,
+                                                       step):
+        def f(x):
+            eq = solve_equilibrium(replace(base, **{field: x}))
+            return eq.abstain_prob if quantity == "abstain_prob" else eq.expected_bid()
+
+        checks = {(c.quantity, c.parameter): c.derivative for c in comparative_statics_check(base)}
+        assert checks[(quantity, field)] == (f(hi) - f(lo)) / step
+
+    @pytest.mark.parametrize("base", [AuctionParams(10, 1, 0.0, 0.0, 5),
+                                      AuctionParams(1.5, 0.5, 5e-324, 0.0, 2)])
+    def test_free_losing_base_still_raises(self, base):
+        # r1 g = r2 = 0 (the second r1 g rounds to 0): no mixed equilibrium
+        with pytest.raises(DegenerateNoRevertCost):
+            comparative_statics_check(base)
+        with pytest.raises(DegenerateNoRevertCost):
+            cdf_sensitivity_check(base)
 
     def test_cdf_pointwise_signs_at_low_markup_point(self):
         base = AuctionParams(2.0, 1.0, 0.5, 0.05, 20)

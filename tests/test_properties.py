@@ -8,7 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pga_lab import AuctionParams, expected_winning_bid, solve_equilibrium
+from pga_lab import (
+    AuctionParams,
+    cdf_sensitivity_check,
+    comparative_statics_check,
+    expected_winning_bid,
+    solve_equilibrium,
+)
 from pga_lab.equilibrium import check_entry_cost, equilibrium_state
 from pga_lab.errors import (
     CostOutOfRange,
@@ -98,6 +104,20 @@ def test_expected_bids_lie_in_the_support(point):
     assert 0.0 <= mean <= mean_of_max2 * rounding
     assert mean_of_max2 <= eq.support_max * rounding
     assert 0.0 <= winning <= eq.support_max * rounding
+
+
+@BOX
+@given(points())
+def test_sign_checks_give_a_verdict_on_the_whole_box(point):
+    """Both sign checks return all 9 + 4 rows with finite derivatives wherever
+    losing costs something at c = 0. The verdicts are not asserted: at r1 = 0
+    p* is identically 0, above N = 1e9 p*(N + 1) - p*(N) rounds to 0, and the
+    r1 rows hold only at low markups."""
+    params, _ = point
+    assume(params.revert_rate_base * params.base_fee > 0.0 or params.revert_rate_priority > 0.0)
+    checks = comparative_statics_check(params) + cdf_sensitivity_check(params)
+    assert len(checks) == 13
+    assert all(math.isfinite(c.derivative) for c in checks)
 
 
 @BOX
