@@ -9,7 +9,9 @@ quantile by bisection against the CDF.
 Randomness comes from numpy's Philox counter-based generator. Work is split
 into chunks whose size depends only on N, each driven by a SeedSequence-spawned
 child stream made as its chunk starts, so results are reproducible bit for bit
-regardless of how chunks are scheduled.
+regardless of how chunks are scheduled. A replay chunk holds a 1-byte
+participation mask and per-row columns; its float64 draws exist one block of
+rows at a time, so memory is bounded in N and trials.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .errors import ArgumentOutOfRange, IndexOutOfRange, NumericsError, PgaLabEr
 from .numerics import bisection_inverse
 
 _CHUNK = 1 << 16  # replay rows per chunk, at most
+_BLOCK = 1 << 17  # agent-draws per replay block, at most (one row where N exceeds it)
 _N_SE = 3.0  # standard errors a McEstimate may sit off its target
 _CERT_GRID = 1000  # bids in each scan of best_response_scan and certify_equilibrium
 _CERT_TOL = 1e-9  # how far certify_equilibrium lets a supported bid's payoff sit off 0
@@ -47,8 +50,8 @@ _HILLMAN_SAMET_POINTS = 1001  # effective bids at which hillman_samet_check comp
 
 
 def _chunk_rows(num_agents: int) -> int:
-    """Replay rows per chunk: 2^16, fewer above N = 64 so a chunk array holds
-    at most MAX_DRAWS = 2^22 draws (32 MiB of float64)."""
+    """Replay rows per chunk: 2^16, fewer above N = 64 so a chunk holds at
+    most MAX_DRAWS = 2^22 agent-draws (a 4 MiB participation mask)."""
     if num_agents > MAX_DRAWS:
         raise ArgumentOutOfRange(f"replay needs num_agents <= {MAX_DRAWS}, got {num_agents}")
     return min(_CHUNK, MAX_DRAWS // num_agents)
@@ -122,6 +125,51 @@ class _Acc:
                           trials=self.n, seed=seed)
 
 
+def _chunk_columns(eq: Equilibrium, rng: np.random.Generator, m: int, n: int) -> tuple:
+    """Per-row columns of one replay chunk of m auctions among n agents: the
+    participant count, agent 0's participation, the winner, the top bid, the
+    bid sum and agent 0's bid (0 where it abstains).
+
+    The uniforms come in monte_carlo_replay's order, drawn in blocks of
+    max(1, _BLOCK // n) rows that continue the one stream; each block of bid
+    uniforms is priced and reduced to its rows' columns before the next is
+    drawn.
+    """
+    step = max(1, _BLOCK // n)
+    blocks = [slice(r, min(r + step, m)) for r in range(0, m, step)]
+    part = np.empty((m, n), dtype=bool)
+    for s in blocks:
+        np.greater_equal(rng.random((s.stop - s.start, n)), eq.abstain_prob, out=part[s])
+    k = part.sum(axis=1)
+    # bids are >= 0, so an abstainer's 0 can tie only a top bid of 0: a row
+    # with no tie to draw has one bid at its top, or n zeros if nobody enters
+    untied = np.where(k > 0, 1, n)
+    winner = np.empty(m, dtype=np.intp)
+    b_max, sum_bids, b0 = np.empty(m), np.empty(m), np.empty(m)
+    tied = []  # (row, the participants at its top bid) of each tie row
+    for s in blocks:
+        mask = part[s]
+        # only the participants' bid uniforms go through the quantile; flat
+        # indices cost a fraction of a boolean mask over a random pattern,
+        # and the block's uniforms are freed before the quantile runs
+        at = np.flatnonzero(mask)
+        priced = eq._quantile_arr(rng.random(mask.shape).reshape(-1).take(at))
+        bids = np.zeros(mask.shape)  # an abstainer adds nothing to the bid sums
+        bids.reshape(-1)[at] = priced
+        w = bids.argmax(axis=1, out=winner[s])
+        top = bids[np.arange(len(w)), w]
+        b_max[s], b0[s] = top, bids[:, 0]
+        bids.sum(axis=1, out=sum_bids[s])
+        at_top = bids == top[:, None]
+        if np.count_nonzero(at_top) > untied[s].sum():  # a tie, rare: find its rows
+            for row in np.nonzero(at_top.sum(axis=1) > untied[s])[0]:
+                # the tie draw is among the participants at the top bid
+                tied.append((s.start + row, np.nonzero(mask[row] & at_top[row])[0]))
+    for row, idxs in tied:
+        winner[row] = idxs[rng.integers(len(idxs))] if len(idxs) > 1 else idxs[0]
+    return k, part[:, 0].copy(), winner, b_max, sum_bids, b0
+
+
 def monte_carlo_replay(
     params: AuctionParams, eq: Equilibrium, trials: int, seed: int
 ) -> ReplayReport:
@@ -136,11 +184,15 @@ def monte_carlo_replay(
 
     Trials run in chunks of min(2^16, 2^22 // N) rows, each on its own child
     stream (the i-th of SeedSequence(seed).spawn, made only as chunk i
-    starts), so one chunk array holds at most 2^22 agent-draws (32 MiB), no
-    generator is made ahead of its chunk, and memory stays bounded in N and
-    trials. N above 2^22 raises ArgumentOutOfRange before any draw. A chunk draws its participation
-    uniforms, then its bid uniforms, then one tie draw per tied row; only
-    the participants' bid uniforms go through the quantile.
+    starts), so no generator is made ahead of its chunk. A chunk draws all
+    its participation uniforms, then all its bid uniforms, then one tie draw
+    per tied row in row order; only the participants' bid uniforms go
+    through the quantile. A chunk holds a 1-byte participation mask (at most
+    2^22 agent-draws, 4 MiB) and per-row columns; its float64 draws exist one
+    block of at most 2^17 agent-draws (1 MiB an array) at a time, or one row
+    where N exceeds 2^17. So memory stays bounded in N and trials, and the
+    reports do not depend on the block size. N above 2^22 raises
+    ArgumentOutOfRange before any draw.
     """
     if trials < 1:
         raise ArgumentOutOfRange(f"trials must be >= 1, got {trials}")
@@ -150,7 +202,6 @@ def monte_carlo_replay(
     rg = p.revert_rate_base * p.base_fee
     r2 = p.revert_rate_priority
     c = eq.entry_cost
-    p_star = eq.abstain_prob
 
     # the money sums run in units of V's binary exponent, the count unscaled
     e = math.frexp(p.value)[1]
@@ -158,34 +209,13 @@ def monte_carlo_replay(
     acc["sub"] = _Acc()
     n_chunks = (trials + rows - 1) // rows
     for i, rng in enumerate(_chunk_rngs(seed, n_chunks)):
-        m = min(rows, trials - i * rows)
-        part = rng.random((m, n)) >= p_star
-        bids = np.zeros((m, n))  # an abstainer adds nothing to the bid sums
-        # only the participants' bid uniforms go through the quantile;
-        # compress and flat indices cost a fraction of a boolean mask over
-        # a random pattern, and the full uniform array is freed before the
-        # quantile runs
-        bids.reshape(-1)[np.flatnonzero(part)] = eq._quantile_arr(
-            rng.random((m, n)).compress(part.reshape(-1)))
-        k = part.sum(axis=1)
+        k, part0, winner, b_max, sum_bids, b0 = _chunk_columns(
+            eq, rng, min(rows, trials - i * rows), n)
         any_part = k > 0
-        winner = bids.argmax(axis=1)
-        b_max = bids[np.arange(m), winner]
-        sum_bids = bids.sum(axis=1)
-
-        # bids are >= 0, so an abstainer's 0 can tie only a top bid of 0;
-        # the tie draw is among the participants at the top bid
-        ties = (bids == b_max[:, None]).sum(axis=1)
-        for row in np.nonzero(any_part & (ties > 1))[0]:
-            idxs = np.nonzero(part[row] & (bids[row] == b_max[row]))[0]
-            winner[row] = idxs[rng.integers(len(idxs))] if len(idxs) > 1 else idxs[0]
-
         base = np.where(any_part, p.base_fee + (k - 1) * rg, 0.0)
         prio = np.where(any_part, b_max + r2 * (sum_bids - b_max), 0.0)
         rev = base + prio + c * k
 
-        b0 = bids[:, 0]
-        part0 = part[:, 0]
         win0 = part0 & (winner == 0)
         payoff0 = np.where(
             part0,
@@ -193,6 +223,8 @@ def monte_carlo_replay(
             0.0,
         )
 
+        # once per chunk: added per block, the pairwise sums would round
+        # differently and the reports would depend on the block size
         acc["rev"].add(rev)
         acc["base"].add(base)
         acc["prio"].add(prio)
@@ -425,9 +457,20 @@ def comparative_statics_check(base: AuctionParams) -> list[SignCheck]:
     toward higher bids); at high markups V - g >> g the abstention channel
     dominates and E[B*] rises with r1. The check reports the true sign either
     way.
+
+    p* is differenced as p* where it is at most 1/2 at the base, else as
+    -(1 - p*): the same derivative, taken from whichever side holds its
+    relative accuracy. Above N = 1e9, p* = 1 - 3e-9 and a step in p* itself
+    falls below one ulp of 1; at p* = 1e-13 a step in 1 - p* does.
     """
+    near_one = solve_equilibrium(base).abstain_prob > 0.5
+
+    def abstention(p: AuctionParams) -> float:
+        state = solve_equilibrium(p).state
+        return -state.one_minus_p if near_one else state.p_star
+
     return _signs(
-        base, "abstain_prob", lambda p: solve_equilibrium(p).abstain_prob,
+        base, "abstain_prob", abstention,
         {"num_agents": "+", "base_fee": "+", "revert_rate_base": "+", "value": "-",
          "revert_rate_priority": "0"},
     ) + _signs(

@@ -91,6 +91,21 @@ class TestMonteCarloReplay:
         assert _chunk_rows(1 << 22) == 1
         assert all(_chunk_rows(n) * n <= 1 << 22 for n in (65, 1000, 12_345, 1 << 21))
 
+    @pytest.mark.parametrize("n", [32, 1000])
+    def test_replay_memory_is_bounded_by_its_blocks(self, n):
+        # a chunk keeps a 1-byte participation mask and per-row columns, and
+        # its float64 draws live one block at a time; float64 arrays over the
+        # whole chunk would peak near 29 MiB at N = 32 and 105 MiB at N = 1000
+        params = replace(REF, num_agents=n)
+        eq = solve_equilibrium(params)
+        tracemalloc.start()
+        try:
+            monte_carlo_replay(params, eq, trials=50_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_large_field_replays_in_bounded_chunks(self, monkeypatch):
         spawned = []
         original = oracle._chunk_rngs
@@ -380,12 +395,29 @@ class TestComparativeStatics:
     ])
     def test_stencil_is_the_first_the_validators_admit(self, base, quantity, field, lo, hi,
                                                        step):
+        near_one = solve_equilibrium(base).abstain_prob > 0.5
+
         def f(x):
             eq = solve_equilibrium(replace(base, **{field: x}))
-            return eq.abstain_prob if quantity == "abstain_prob" else eq.expected_bid()
+            if quantity == "expected_bid":
+                return eq.expected_bid()
+            # above p* = 1/2, p* is differenced as -(1 - p*)
+            return -eq.state.one_minus_p if near_one else eq.abstain_prob
 
         checks = {(c.quantity, c.parameter): c.derivative for c in comparative_statics_check(base)}
         assert checks[(quantity, field)] == (f(hi) - f(lo)) / step
+
+    @pytest.mark.parametrize("base", [
+        # p* = 1 - 3e-9: a step in p* itself falls below one ulp of 1
+        AuctionParams(10, 1, 0.5, 0.1, 10**9),
+        AuctionParams(10, 1, 0.5, 0.1, 10**12),
+        # p* = 1.1e-13: a step in 1 - p* would fall below one ulp of 1
+        AuctionParams(10, 1, 1e-12, 0.1, 2),
+    ])
+    def test_abstention_signs_hold_where_p_star_nears_0_or_1(self, base):
+        checks = [c for c in comparative_statics_check(base) if c.quantity == "abstain_prob"]
+        assert len(checks) == 5
+        assert all(c.passed for c in checks), checks
 
     @pytest.mark.parametrize("base", [AuctionParams(10, 1, 0.0, 0.0, 5),
                                       AuctionParams(1.5, 0.5, 5e-324, 0.0, 2)])

@@ -173,10 +173,12 @@ def _replay_reference(params, eq, trials, seed):
     "n, cost, trials",
     [
         (2, 0.2, 70_001),
+        (5, 0.2, 70_001),  # 2^16-row chunks in blocks of 26,214, 26,214 and 13,108 rows
         (20, 0.2, 70_001),
         (64, 0.2, 70_001),  # 2^16-row chunks
         (65, 0.2, 70_001),  # 64,527-row chunks
         (1000, 0.2, 9_001),  # 4,194-row chunks
+        (300_000, 0.2, 50),  # 13-row chunks, one row a block (N > 2^17 draws)
         # r1 = c = 0: p* = 0, everyone bids, and the quantile runs on the bid
         # uniforms in place, with no gather or scatter
         (8, 0.0, 70_001),
@@ -203,3 +205,25 @@ def test_replay_equals_reference_loop_on_forced_ties(bid, monkeypatch):
         report = monte_carlo_replay(params, eq, 70_001, seed=3)
         assert report == _replay_reference(params, eq, 70_001, seed=3)
         assert report.per_agent_payoff.std_error > 0.0
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5, 6])
+def test_replay_equals_reference_loop_on_a_single_tie(seed, monkeypatch):
+    # at cost 0 (p* = 0) everyone bids, and agents 0 and 1 of the first
+    # auction bid the same top bid: the first block holds one bid at the top
+    # more than a block without a tie, and that row alone draws its winner
+    first = []
+
+    def quantile(self, u):
+        x = np.array(u, dtype=float)
+        if not first:
+            x.reshape(-1)[:2] = 2.0
+        first.append(False)
+        return x
+
+    monkeypatch.setattr(Equilibrium, "_quantile_arr", quantile)
+    params = AuctionParams(10.0, 1.0, 0.0, 0.3, 20)
+    eq = solve_equilibrium(params, 0.0)
+    report = monte_carlo_replay(params, eq, 20_000, seed=seed)
+    first.clear()
+    assert report == _replay_reference(params, eq, 20_000, seed=seed)
