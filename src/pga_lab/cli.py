@@ -257,10 +257,14 @@ def _cdf_columns(points: list[tuple[AuctionParams, dict]], grid: int):
 
     from .equilibrium import solve_equilibrium
 
+    grids = {}  # one bid grid per support top: with c = 0 every point shares one
     bids, cdf = [], []
     for params, point in points:
         eq = solve_equilibrium(params, point["c"] or 0.0)
-        bids.append(np.linspace(0.0, eq.support_max, grid))
+        top = eq.support_max
+        if top not in grids:
+            grids[top] = np.linspace(0.0, top, grid)
+        bids.append(grids[top])
         cdf.append(eq._cdf_arr(bids[-1]))
     return np.concatenate(bids), np.concatenate(cdf)
 

@@ -281,13 +281,15 @@ class Equilibrium:
         top = self.support_max
         b = np.clip(b, 0.0, top)
         with np.errstate(divide="ignore"):
-            raw = self._f_star(b, np)
-        bad = raw < -_NEG_CLAMP
-        if np.any(bad):
-            raise NumericsError(
-                f"CDF residue below clamp window: min raw value {raw[bad].min():.3e}"
-            )
-        return np.where(b >= top, 1.0, np.where(b > 0.0, np.clip(raw, 0.0, 1.0), 0.0))
+            raw = np.asarray(self._f_star(b, np))  # a 0-d b gives a scalar
+        # fmin passes over NaN, where min would return it
+        low = np.fmin.reduce(raw, axis=None, initial=np.inf)
+        if low < -_NEG_CLAMP:
+            raise NumericsError(f"CDF residue below clamp window: min raw value {low:.3e}")
+        np.clip(raw, 0.0, 1.0, out=raw)
+        raw[~(b > 0.0)] = 0.0
+        raw[b >= top] = 1.0
+        return raw
 
     def cdf(self, b):
         """F*(b) for a bid or an array of bids in [0, V - g], through _cdf_arr:

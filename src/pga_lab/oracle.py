@@ -71,14 +71,20 @@ class McEstimate:
     std_error: float
     trials: int
     seed: int
+    max_abs: float = 0.0  # the largest |x| summed, or term an x was a difference of
 
     def within(self, target: float) -> bool:
-        """|mean - target| is at most three standard errors plus four ulps.
+        """|mean - target| is at most three standard errors plus four ulps of
+        the largest of |mean|, |target| and max_abs.
 
         The ulps matter where every trial gives the same x, so the standard
         error is 0: the mean of the copies of x can be off x in its last bits.
+        Where each x is a difference of larger terms (a payoff V - g - b), x
+        carries their rounding, up to an ulp of max_abs each, and at a huge V
+        the mean of those roundings can sit several standard errors off.
         """
-        rounding = 4.0 * sys.float_info.epsilon * max(abs(self.mean), abs(target))
+        size = max(abs(self.mean), abs(target), self.max_abs)
+        rounding = 4.0 * sys.float_info.epsilon * size
         return abs(self.mean - target) <= _N_SE * self.std_error + rounding
 
 
@@ -96,33 +102,37 @@ class ReplayReport:
 
 
 class _Acc:
-    """Streaming mean/variance accumulator (sum and sum of squares) of x / 2^e.
+    """Streaming mean/variance accumulator (sum and sum of squares) of x / 2^e,
+    with the largest |x| / 2^e or term / 2^e that an x was a difference of.
 
     A power-of-two scale is exact, so the estimate has the bits of the
     unscaled sums wherever those neither overflow nor underflow; with 2^e
     near the size of x they do neither, at any scale the validators accept.
     """
 
-    __slots__ = ("s", "s2", "n", "e")
+    __slots__ = ("s", "s2", "n", "e", "top")
 
     def __init__(self, e: int = 0) -> None:
         self.s = 0.0
         self.s2 = 0.0
         self.n = 0
         self.e = e
+        self.top = 0.0
 
-    def add(self, x: np.ndarray) -> None:
+    def add(self, x: np.ndarray, term: float = 0.0) -> None:
+        """Add the values x, each a difference of terms at most term in size."""
         x = np.ldexp(x, -self.e)
         self.s += float(x.sum())
         self.s2 += float((x * x).sum())
         self.n += x.size
+        self.top = max(self.top, float(x.max()), -float(x.min()), math.ldexp(term, -self.e))
 
     def estimate(self, seed: int) -> McEstimate:
         mean = self.s / self.n
         var = max(self.s2 / self.n - mean * mean, 0.0)
         se = math.sqrt(var / self.n)
         return McEstimate(mean=math.ldexp(mean, self.e), std_error=math.ldexp(se, self.e),
-                          trials=self.n, seed=seed)
+                          trials=self.n, seed=seed, max_abs=math.ldexp(self.top, self.e))
 
 
 def _chunk_columns(eq: Equilibrium, rng: np.random.Generator, m: int, n: int) -> tuple:
@@ -229,7 +239,7 @@ def monte_carlo_replay(
         acc["base"].add(base)
         acc["prio"].add(prio)
         acc["sub"].add(k.astype(float))
-        acc["pay"].add(payoff0)
+        acc["pay"].add(payoff0, p.breakeven_bid)  # V - g - b0 at its largest term
 
     return ReplayReport(
         revenue=acc["rev"].estimate(seed),

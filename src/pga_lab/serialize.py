@@ -6,6 +6,12 @@ significant digits, which round-trips IEEE doubles exactly, so repeated runs
 with identical seeds produce byte-identical CSV and JSON files. JSON strings
 and keys are escaped per RFC 8259 by the stdlib encoder, None is a blank CSV
 cell and JSON null, and every JSON document starts with schema_version.
+
+A table (a CSV, a Records table or a JSON list of scalars) is written in
+blocks of rows. A block is formatted column by column, each column to a list
+of cell texts, and then assembled in one join: the columns are slotted into
+the rows' fixed separators (commas and newlines in CSV, the object keys in
+JSON) by one slice assignment each.
 """
 
 from __future__ import annotations
@@ -20,10 +26,10 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 SCHEMA_VERSION = "1"
 
-# rows per block: a block of a table (a CSV, a Records table or a JSON list of
-# scalars) is formatted column by column, each float column with its distinct
-# values formatted once, and written before the next is formatted, so the
-# text held does not grow with the table
+# rows per block: a block of a table is formatted column by column, each float
+# or exact-int column with its distinct values formatted once, assembled by one
+# join and written before the next block is formatted, so the text held does
+# not grow with the table
 _BLOCK_ROWS = 4096
 
 # a JSON string literal, or null for None; non-ASCII text stays UTF-8, as in
@@ -82,17 +88,23 @@ def _floats(values: Sequence[float]) -> list[str]:
 
     Values are told apart by their bits, so -0.0 and 0.0, and NaNs of
     different payloads, are formatted each on their own; each cell then looks
-    up its value's text.
+    up its value's text. "%.17g" leaves out "." and "e" exactly for the
+    values that are nan, inf, or whole and below 1e17 in size, and those
+    take _whole.
     """
     np = sys.modules.get("numpy")
     if np is None:
         return list(map(fmt_float, values))
     bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
                               return_inverse=True)
-    distinct = bits.view(np.float64).tolist()
-    cells = (",".join(["%.17g"] * len(distinct)) % tuple(distinct)).split(",")
-    text = np.array([s if "." in s or "e" in s else _whole(s) for s in cells], dtype=object)
-    return text[inverse].tolist()
+    distinct = bits.view(np.float64)
+    cells = (",".join(["%.17g"] * len(distinct)) % tuple(distinct.tolist())).split(",")
+    size = np.abs(distinct)
+    with np.errstate(invalid="ignore"):  # trunc flags a signaling NaN
+        bare = ~(size < np.inf) | ((size < 1e17) & (np.trunc(distinct) == distinct))
+    for i in np.flatnonzero(bare).tolist():
+        cells[i] = _whole(cells[i])
+    return np.array(cells, dtype=object)[inverse].tolist()
 
 
 def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list[str]:
@@ -100,8 +112,8 @@ def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list
 
     A float64 ndarray goes to _floats as it is; any other ndarray is written
     as its tolist() would be. While numpy is not loaded no value can be an
-    ndarray. A column of exact ints takes map(str) (bool and
-    IntEnum are not exact ints). Otherwise the float cells (floats and float
+    ndarray. A column of exact ints takes one str per distinct value (bool
+    and IntEnum are not exact ints). Otherwise the float cells (floats and float
     subclasses) take one _floats call, which tells them apart by their bits,
     and every other cell takes one _scalar call per distinct (type, value).
     A non-scalar cell raises TypeError.
@@ -116,7 +128,8 @@ def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list
         if not issubclass(kind, _SCALAR_TYPES):
             raise TypeError(f"cannot serialize {kind.__name__}")
     if kinds == {int}:
-        return list(map(str, values))
+        memo = {v: str(v) for v in set(values)}
+        return list(map(memo.__getitem__, values))
     floaty = {kind for kind in kinds if issubclass(kind, float)}
     if floaty == kinds:
         return _floats(values)
@@ -131,25 +144,39 @@ def _all_scalar(values: Iterable[Any]) -> bool:
     return all(issubclass(kind, _SCALAR_TYPES) for kind in set(map(type, values)))
 
 
-def _rows(columns: Sequence[Sequence[Any]],
-          text: Callable[[Optional[str]], str]) -> Iterator[Iterator[tuple[str, ...]]]:
-    """The table given by its columns, cut into blocks of _BLOCK_ROWS rows:
-    each block's rows as tuples of cell text, each column of a block
-    formatted by one _column call before the block is yielded. Columns of
-    unequal length raise ValueError."""
+def _block_text(texts: list[list[str]], seps: Sequence[str], lead: str) -> str:
+    """One block's text in one join: row i is seps[0], texts[0][i], seps[1],
+    ..., texts[-1][i], seps[-1], except that row 0 starts with lead. Each
+    column goes in by one slice assignment into the rows' separators."""
+    width = 2 * len(texts) + 1
+    pieces = [*(s for sep in seps[:-1] for s in (sep, "")), seps[-1]] * len(texts[0])
+    pieces[0] = lead
+    for j, column in enumerate(texts):
+        pieces[2 * j + 1::width] = column
+    return "".join(pieces)
+
+
+def _blocks(columns: Sequence[Sequence[Any]], text: Callable[[Optional[str]], str],
+            seps: Sequence[str], first: str) -> Iterator[str]:
+    """The table given by its columns, one _block_text a block of _BLOCK_ROWS
+    rows; the table's first row starts with first. Each column of a block is
+    formatted by one _column call, and the cell texts are dropped before the
+    block's text is yielded. Columns of unequal length raise ValueError."""
     lengths = set(map(len, columns))
     if len(lengths) > 1:
         raise ValueError(f"columns have unequal lengths {sorted(lengths)}")
     n = lengths.pop() if lengths else 0
+    lead = first
     for start in range(0, n, _BLOCK_ROWS):
-        yield zip(*[_column(column[start:start + _BLOCK_ROWS], text) for column in columns])
+        yield _block_text([_column(column[start:start + _BLOCK_ROWS], text) for column in columns],
+                          seps, lead)
+        lead = seps[0]
 
 
 def _csv_chunks(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> Iterator[str]:
-    """The CSV text: the header line, then the lines of each block of _rows."""
+    """The CSV text: the header line, then the lines of each block."""
     yield ",".join(header) + "\n"
-    for rows in _rows(columns, _csv_cell):
-        yield "\n".join(map(",".join, rows)) + "\n"
+    yield from _blocks(columns, _csv_cell, ["", *[","] * (len(columns) - 1), "\n"], "")
 
 
 def csv_text(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:
@@ -208,17 +235,17 @@ class Records:
     columns: Sequence[Sequence[Any]]
 
 
-def _json_table(columns: Sequence[Sequence[Any]], template: str, level: int) -> Iterator[str]:
-    """A JSON array at level with one item per row of the table: the row's
-    cells filled into template. Each block of _rows is one chunk."""
+def _json_table(columns: Sequence[Sequence[Any]], heads: Sequence[str], tail: str,
+                level: int) -> Iterator[str]:
+    """A JSON array at level with one item per row of the table: heads[j]
+    before the row's cell j, and tail after its last. Each block is one
+    chunk."""
     if not any(map(len, columns)):
         yield "[]"
         return
     pad_in = _INDENT * (level + 1)
-    opener, sep = "[\n" + pad_in, ",\n" + pad_in
-    for rows in _rows(columns, _quote):
-        yield opener + sep.join(map(template.__mod__, rows))
-        opener = sep
+    yield from _blocks(columns, _quote, [",\n" + pad_in + heads[0], *heads[1:], tail],
+                       "[\n" + pad_in + heads[0])
     yield "\n" + _INDENT * level + "]"
 
 
@@ -229,12 +256,14 @@ def _json_fragment(obj: Any, level: int) -> Iterator[str]:
         return
     pad, pad_in = _INDENT * level, _INDENT * (level + 1)
     if isinstance(obj, Records):
-        keys = ",\n".join(f"{pad_in}{_INDENT}{_quote(name)}: %s" for name in obj.names)
-        yield from _json_table(obj.columns, f"{{\n{keys}\n{pad_in}}}", level)
+        heads = [f",\n{pad_in}{_INDENT}{_quote(name)}: " for name in obj.names]
+        if heads:  # the first key opens the object
+            heads[0] = "{" + heads[0][1:]
+        yield from _json_table(obj.columns, heads, f"\n{pad_in}}}", level)
         return
     if isinstance(obj, (list, tuple)):
         if _all_scalar(obj):
-            yield from _json_table([obj], "%s", level)
+            yield from _json_table([obj], [""], "", level)
             return
         items, brackets = [("", v) for v in obj], "[]"
     elif isinstance(obj, dict):

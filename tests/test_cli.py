@@ -329,6 +329,22 @@ def test_cdf_sweep_hands_the_writer_float64_arrays(monkeypatch, capsys):
     assert capsys.readouterr().out == "wrote 42 rows to unused.csv\n"
 
 
+def test_cdf_sweep_points_that_share_a_support_top_get_its_grid(monkeypatch, capsys):
+    """N = 2 and 5 share the top V - g - c at each c: each point's rows are
+    still its own _cdf_arr over linspace(0, V - g - c, 7), bit for bit."""
+    columns = _written_columns(monkeypatch, [
+        "sweep", "--target", "cdf", *AUCTION[:-2], "--vary2", "c=0,0.5", "--vary", "N=2,5",
+        "--grid", "7", "--out", "unused.csv"])
+    assert columns["c"] == [0.0] * 14 + [0.5] * 14 and columns["N"] == ([2] * 7 + [5] * 7) * 2
+    for i, (c, n) in enumerate([(0.0, 2), (0.0, 5), (0.5, 2), (0.5, 5)]):
+        eq = solve_equilibrium(AuctionParams(10, 1, 0.1, 0.1, n), c)
+        bids = np.linspace(0.0, eq.support_max, 7)
+        rows = slice(7 * i, 7 * i + 7)
+        assert columns["b"][rows].tobytes() == bids.tobytes()
+        assert columns["F"][rows].tobytes() == eq._cdf_arr(bids).tobytes()
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("target", ["abstention", "revenue", "scheme_compare", "mev_tax"])
 def test_scalar_sweep_hands_the_writer_no_array(target, monkeypatch, capsys):
     columns = _written_columns(monkeypatch, ["sweep", "--target", target, *SWEEP_TWO_AXES])

@@ -91,6 +91,17 @@ class TestCdf:
             values = eq._cdf_arr(np.linspace(0.0, eq.support_max, 300))
             assert np.all(np.diff(values) >= -1e-15)
 
+    def test_clamp_window_is_checked_beside_nan(self, monkeypatch):
+        eq = solve_equilibrium(AuctionParams(10, 1, 0.1, 0.1, 5))
+        bids = np.array([0.0, 1.0, 2.0, 3.0, 9.0])
+        raw = np.array([0.5, np.nan, -1e-9, 1.5, 0.5])
+        monkeypatch.setattr(type(eq), "_f_star", lambda self, b, xp: raw.copy())
+        with pytest.raises(NumericsError, match="min raw value -1.000e-09"):
+            eq._cdf_arr(bids)
+        raw[2] = -1e-13  # inside the window: clipped to 0, NaN kept, the ends pinned
+        assert eq._cdf_arr(bids).tolist()[1:4] == pytest.approx([np.nan, 0.0, 1.0], nan_ok=True)
+        assert eq._cdf_arr(bids)[[0, 4]].tolist() == [0.0, 1.0]
+
     def test_out_of_support_raises(self):
         eq = solve_equilibrium(AuctionParams(10, 1, 0.1, 0.1, 5))
         with pytest.raises(OutOfSupport):

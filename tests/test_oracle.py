@@ -50,6 +50,17 @@ class TestMonteCarloReplay:
         assert mc.priority_revenue.within(closed.priority_revenue)
         assert not mc.base_revenue.within(closed.base_revenue * (1 + 1e-14))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_payoff_rounding_at_a_huge_value_is_allowed(self, seed):
+        # each payoff V - g - b is rounded at the ulp of V (1.5e284), and the
+        # mean of 20,000 of them sits 5-6 standard errors off 0
+        params = AuctionParams(1e300, 1, 1e-100, 0, 2)
+        payoff = monte_carlo_replay(params, solve_equilibrium(params), 20_000, seed).per_agent_payoff
+        assert abs(payoff.mean) > 4 * payoff.std_error
+        assert payoff.within(0.0)
+        assert not payoff.within(1e290)
+        assert payoff.max_abs == params.breakeven_bid
+
     def test_bit_identical_given_seed(self):
         eq = solve_equilibrium(REF)
         a = monte_carlo_replay(REF, eq, trials=50_000, seed=9)

@@ -164,7 +164,7 @@ def _replay_reference(params, eq, trials, seed):
         acc["base"].add(base)
         acc["prio"].add(prio)
         acc["sub"].add(k.astype(float))
-        acc["pay"].add(payoff0)
+        acc["pay"].add(payoff0, p.breakeven_bid)
     return ReplayReport(*(acc[k].estimate(seed) for k in ("rev", "base", "prio", "sub", "pay")),
                         trials=trials, seed=seed)
 

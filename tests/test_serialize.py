@@ -178,6 +178,9 @@ COLUMNS = {
     "float64-array-strided": np.array(FLOATS[:6000])[::3],
     "float64-array-empty": np.array([], dtype=np.float64),
     "int64-array": np.array([0, -1, 7, 2**62, -(2**63), 7, 0], dtype=np.int64),
+    # exact ints repeat within a block: each distinct value takes one str
+    "ints-repeated": [7, 0, 7, -1, 10**20, 7],
+    "int64-array-repeated": np.array([3, -3, 3, 0, 2**63 - 1, 3, -3] * 40, dtype=np.int64),
     "float32-array": np.arange(-250, 250, dtype=np.float32) / np.float32(7),
     "str-array": np.array(["executed", "tie", "executed"]),
 }
@@ -231,6 +234,13 @@ def test_tables_given_by_column_match_the_rows(tmp_path):
     assert json_text({"t": Records("abcd", [(), (), (), ()])}) == json_text({"t": []})
     with pytest.raises(ValueError, match="unequal lengths"):
         write_csv(str(path), ["a", "b"], [(1, 2), (3,)])
+
+
+@pytest.mark.parametrize("name", ["50%", "a%sb", "%d"])
+def test_records_names_are_text_not_templates(name):
+    columns = [[1, 3], [2.5, None]]
+    dicts = [{name: 1, "x": 2.5}, {name: 3, "x": None}]
+    assert json_text({"t": Records([name, "x"], columns)}) == json_text({"t": dicts})
 
 
 def test_lists_with_nested_values_recurse():
