@@ -30,7 +30,6 @@ _EXPORTS = {
     ),
     "equilibrium": (
         "Equilibrium",
-        "PureEquilibrium",
         "pure_equilibrium",
         "solve_equilibrium",
     ),
@@ -61,11 +60,7 @@ _EXPORTS = {
         "simulate",
     ),
     "model": (
-        "ABSTAIN",
-        "Abstain",
-        "Action",
         "AuctionParams",
-        "Bid",
         "MixedStrategy",
         "PureProfile",
         "expected_payoff_vs_symmetric",

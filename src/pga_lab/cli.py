@@ -342,25 +342,25 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_equilibrium(args: argparse.Namespace) -> int:
-    from .equilibrium import pure_equilibrium, solve_equilibrium
+    from .equilibrium import losing_is_free, pure_equilibrium, solve_equilibrium
     from .model import AuctionParams
     from .serialize import fmt_float, write_json
 
     values = _values(args, defaults={"c": 0.0}, optional=("N",))
     entry_cost = values["c"]
-    pure_case = values["r1"] == 0.0 and values["r2"] == 0.0 and entry_cost == 0.0
+    pure_case = losing_is_free(values["r1"] * values["g"], values["r2"], entry_cost)
     if values["N"] is None:
         if not pure_case:
             raise MissingParameters(["N"])
         values["N"] = 2  # the pure characterization does not depend on N
     params = _build(AuctionParams, AUCTION, values)
     if pure_case:
-        pure = pure_equilibrium(params)
+        top_bid = pure_equilibrium(params)
         print(
-            f"pure-strategy equilibrium: top two bids = {fmt_float(pure.top_bid)}"
+            f"pure-strategy equilibrium: top two bids = {fmt_float(top_bid)}"
             " (remaining bids arbitrary at or below)"
         )
-        doc = {"type": "pure", "top_bid": pure.top_bid, "params": params}
+        doc = {"type": "pure", "top_bid": top_bid, "params": params}
     else:
         eq = solve_equilibrium(params, entry_cost)
         expected_bid = eq.expected_bid()

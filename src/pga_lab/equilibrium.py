@@ -20,9 +20,9 @@ All of it is evaluated from log rho = log z(0), rho = p*^(N-1), through
 log1p/expm1, so 1 - p*, F* and the quantile do not cancel as p* -> 1 at
 large N.
 
-With r1 = r2 = 0 and c = 0 losing is free and the game instead has the pure
-equilibria characterized by pure_equilibrium: the top two bids both equal the
-breakeven bid V - g.
+With r1 g = r2 = 0 and c = 0 losing is free and the game instead has the pure
+equilibria whose top bid pure_equilibrium returns: the top two bids both equal
+the breakeven bid V - g.
 """
 
 from __future__ import annotations
@@ -147,15 +147,20 @@ def _panel_ends(t_min: float, kink: float, finest: float) -> list[float]:
     return sorted(e for e in ends if t_min <= e <= 0.0)
 
 
-def check_losing_cost(rg: float, r2: float, entry_cost: float = 0.0) -> None:
-    """The mixed equilibrium needs a positive losing cost: r1 g + c > 0 or r2 > 0.
+def losing_is_free(rg: float, r2: float, entry_cost: float = 0.0) -> bool:
+    """r1 g + c = 0 and r2 = 0: the pure equilibria hold, not the mixed one.
 
     It takes r1 g, not r1: a subnormal r1 times g can round to 0, leaving rho = 0.
     """
-    if rg + entry_cost == 0.0 and r2 == 0.0:
+    return rg + entry_cost == 0.0 and r2 == 0.0
+
+
+def check_losing_cost(rg: float, r2: float, entry_cost: float = 0.0) -> None:
+    """The mixed equilibrium needs a positive losing cost: r1 g + c > 0 or r2 > 0."""
+    if losing_is_free(rg, r2, entry_cost):
         raise DegenerateNoRevertCost(
             "losing is free (r1 g = r2 = 0, no entry cost), so there is no mixed "
-            "equilibrium; pure_equilibrium describes the game at r1 = r2 = 0"
+            "equilibrium; pure_equilibrium describes the game at r1 g = r2 = 0"
         )
 
 
@@ -412,25 +417,15 @@ def solve_equilibrium(params: AuctionParams, entry_cost: float = 0.0) -> Equilib
     return Equilibrium(params, c, equilibrium_state(rg, params.breakeven_bid, params.num_agents, c))
 
 
-@dataclass(frozen=True)
-class PureEquilibrium:
-    """Characterization of the pure equilibria when losing costs nothing:
-    the two highest bids both equal top_bid = V - g, everything else
-    arbitrary (necessarily at or below top_bid once ordered)."""
+def pure_equilibrium(params: AuctionParams) -> float:
+    """The top bid V - g of the pure equilibria, valid only when losing is free
+    (r1 g = r2 = 0): the two highest bids both equal it, and every other bid
+    is arbitrary at or below it.
 
-    params: AuctionParams
-    top_bid: float
-
-
-def pure_equilibrium(params: AuctionParams) -> PureEquilibrium:
-    """Pure-strategy equilibrium description, valid only when r1 = r2 = c = 0.
-
-    Any nonzero revert rate or entry cost destroys all pure equilibria (some
+    Any positive revert cost or entry cost destroys all pure equilibria (some
     agent always has a strictly profitable unilateral deviation); there
     solve_equilibrium gives the mixed one.
     """
-    if params.revert_rate_base != 0.0 or params.revert_rate_priority != 0.0:
-        raise NotApplicable(
-            "no pure-strategy equilibrium exists when a revert rate is nonzero"
-        )
-    return PureEquilibrium(params=params, top_bid=params.breakeven_bid)
+    if not losing_is_free(params.revert_rate_base * params.base_fee, params.revert_rate_priority):
+        raise NotApplicable("no pure-strategy equilibrium exists when r1 g or r2 is nonzero")
+    return params.breakeven_bid

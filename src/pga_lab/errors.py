@@ -42,7 +42,7 @@ class ArgumentOutOfRange(PgaLabError, ValueError):
 
 
 class DegenerateNoRevertCost(PgaLabError):
-    """r1 = r2 = 0 with zero entry cost: the mixed closed form is undefined.
+    """r1 g = r2 = 0 with zero entry cost: the mixed closed form is undefined.
 
     Use pure_equilibrium for this regime.
     """

@@ -24,7 +24,7 @@ from typing import Literal, NamedTuple, Optional, get_args
 
 import numpy as np
 
-from .equilibrium import EquilibriumState, bid_quantile, check_losing_cost, equilibrium_state
+from .equilibrium import EquilibriumState, bid_quantile, equilibrium_state, losing_is_free
 from .errors import ArgumentOutOfRange, ConfigInvalid, NumericsError, TooManyAgents
 from .model import MAX_AGENTS, MAX_DRAWS
 
@@ -273,9 +273,7 @@ def simulate(config: MarketSimConfig) -> MarketSimReport:
     depth = config.liquidity_depth
     n_agents = config.num_arbitrageurs
     rg = config.revert_rate_base * g
-    full_rp = config.revert_rate_base == 0.0 and config.revert_rate_priority == 0.0
-    if not full_rp:
-        check_losing_cost(rg, config.revert_rate_priority)
+    full_rp = losing_is_free(rg, config.revert_rate_priority)
 
     true = path[1:]
     n = true.size

@@ -1,10 +1,11 @@
-"""Core auction model: parameters, actions, strategies, and exact payoffs.
+"""Core auction model: parameters, pure profiles, strategies, and exact payoffs.
 
 The game: N agents compete for a single opportunity of common value V in a
 block whose base fee is g. Each agent either abstains or submits a bid b >= 0
 (a priority fee). The highest participating bid wins, ties broken uniformly at
 random; the winner extracts V and pays g + b. Every losing participant pays a
 revert penalty r1*g + r2*b on the base and priority components of its fee.
+A pure profile holds one action per agent: a bid (a float) or None (abstain).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable
 
 from .errors import (
     IndexOutOfRange,
@@ -75,42 +76,20 @@ class AuctionParams:
 
 
 @dataclass(frozen=True)
-class Abstain:
-    """The no-bid action."""
+class PureProfile:
+    """One action per agent: a bid amount, or None to abstain.
 
+    Each bid is stored as a float and must be finite and non-negative.
+    """
 
-@dataclass(frozen=True)
-class Bid:
-    amount: float
+    actions: tuple[float | None, ...]
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.amount) and self.amount >= 0.0):
-            raise OutOfSupport(f"bid amount must be finite and non-negative, got {self.amount}")
-
-
-Action = Union[Abstain, Bid]
-
-ABSTAIN = Abstain()
-
-
-@dataclass(frozen=True)
-class PureProfile:
-    """One action per agent."""
-
-    actions: tuple[Action, ...]
-
-    @staticmethod
-    def of(actions: Sequence[Union[Action, float, None]]) -> "PureProfile":
-        """Build a profile from Actions, bare bid amounts, or None (abstain)."""
-        converted: list[Action] = []
-        for a in actions:
-            if a is None:
-                converted.append(ABSTAIN)
-            elif isinstance(a, (Abstain, Bid)):
-                converted.append(a)
-            else:
-                converted.append(Bid(float(a)))
-        return PureProfile(tuple(converted))
+        actions = tuple(None if a is None else float(a) for a in self.actions)
+        for b in actions:
+            if b is not None and not (math.isfinite(b) and b >= 0.0):
+                raise OutOfSupport(f"bid amount must be finite and non-negative, got {b}")
+        object.__setattr__(self, "actions", actions)
 
 
 @dataclass(frozen=True)
@@ -149,20 +128,14 @@ def pure_payoff(params: AuctionParams, profile: PureProfile, agent: int) -> floa
         raise IndexOutOfRange(
             f"profile has {len(profile.actions)} actions, expected {params.num_agents}"
         )
-    action = profile.actions[agent]
-    if isinstance(action, Abstain):
+    b = profile.actions[agent]
+    if b is None:
         return 0.0
-    b = action.amount
-    bids = [a.amount for a in profile.actions if isinstance(a, Bid)]
-    b_max = max(bids)
+    b_max = max(a for a in profile.actions if a is not None)
     if b < b_max:
         p_win = 0.0
     else:
-        ties_among_others = sum(
-            1
-            for j, a in enumerate(profile.actions)
-            if j != agent and isinstance(a, Bid) and a.amount == b
-        )
+        ties_among_others = profile.actions.count(b) - 1
         p_win = 1.0 / (1.0 + ties_among_others)
     win_part = (params.value - params.base_fee - b) * p_win
     lose_part = (params.revert_rate_base * params.base_fee + params.revert_rate_priority * b) * (

@@ -23,12 +23,9 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-from .equilibrium import Equilibrium, check_losing_cost, solve_equilibrium
+from .equilibrium import Equilibrium, check_losing_cost, losing_is_free, solve_equilibrium
 from .model import (
-    ABSTAIN,
-    Action,
     AuctionParams,
-    Bid,
     MAX_DRAWS,
     MixedStrategy,
     PureProfile,
@@ -309,7 +306,7 @@ def certify_equilibrium(params: AuctionParams, eq: Equilibrium) -> EquilibriumCe
 @dataclass(frozen=True)
 class PureDeviation:
     agent: int
-    action: Action
+    action: Optional[float]  # the new bid, or None to abstain
     original_payoff: float
     new_payoff: float
 
@@ -319,12 +316,12 @@ class PureDeviation:
 
 
 def _deviation(
-    params: AuctionParams, profile: PureProfile, agent: int, action: Action
+    params: AuctionParams, profile: PureProfile, agent: int, action: Optional[float]
 ) -> PureDeviation:
     original = pure_payoff(params, profile, agent)
     actions = list(profile.actions)
     actions[agent] = action
-    new = pure_payoff(params, PureProfile(tuple(actions)), agent)
+    new = pure_payoff(params, PureProfile(actions), agent)
     dev = PureDeviation(agent=agent, action=action, original_payoff=original, new_payoff=new)
     if not dev.gain > 0.0:
         raise NumericsError(
@@ -336,7 +333,7 @@ def _deviation(
 
 def find_pure_deviation(params: AuctionParams, profile: PureProfile) -> Optional[PureDeviation]:
     """A strictly profitable unilateral deviation, or None exactly when losing
-    is free (r1 = r2 = 0) and the profile's top two bids equal V - g.
+    is free (r1 g = r2 = 0) and the profile's top two bids equal V - g.
 
     The construction mirrors the case analysis that rules out pure equilibria
     under any positive losing cost: overbidders abstain, a beatable top bid
@@ -344,47 +341,40 @@ def find_pure_deviation(params: AuctionParams, profile: PureProfile) -> Optional
     a breakeven tie abstains (which only breaks even when losing is free).
     """
     b_star = params.breakeven_bid
-    zero_rates = params.revert_rate_base == 0.0 and params.revert_rate_priority == 0.0
+    free = losing_is_free(params.revert_rate_base * params.base_fee, params.revert_rate_priority)
     n = params.num_agents
-    bids = [
-        (a.amount, i) for i, a in enumerate(profile.actions) if isinstance(a, Bid)
-    ]
+    bids = [(b, i) for i, b in enumerate(profile.actions) if b is not None]
     if len(profile.actions) != n:
         raise IndexOutOfRange(f"profile has {len(profile.actions)} actions, expected {n}")
 
     if not bids:
         # empty auction: any agent wins for sure at half the breakeven bid
-        return _deviation(params, profile, 0, Bid(0.5 * b_star))
+        return _deviation(params, profile, 0, 0.5 * b_star)
 
     b_max = max(amount for amount, _ in bids)
     top = [i for amount, i in bids if amount == b_max]
 
     if b_max > b_star + _BID_TOL:
         # winning loses money; a top bidder walks away
-        return _deviation(params, profile, top[0], ABSTAIN)
+        return _deviation(params, profile, top[0], None)
 
     if b_max < b_star - _BID_TOL:
         non_top = [j for j in range(n) if j not in top]
         if non_top:
             # beat the current top at the midpoint toward breakeven
-            return _deviation(params, profile, non_top[0], Bid(0.5 * (b_max + b_star)))
+            return _deviation(params, profile, non_top[0], 0.5 * (b_max + b_star))
         # everyone ties at the top: one of them escapes the tie cheaply
-        return _deviation(params, profile, top[0], Bid(b_max + 0.25 * (b_star - b_max)))
+        return _deviation(params, profile, top[0], b_max + 0.25 * (b_star - b_max))
 
     # top bid at breakeven
     if len(top) >= 2:
-        if zero_rates:
+        if free:
             return None  # exactly the pure equilibria
-        return _deviation(params, profile, top[0], ABSTAIN)
-    runner_up = max(
-        (amount for amount, i in bids if i != top[0]), default=None
-    )
-    if runner_up is None:
-        new_bid = 0.0
-    else:
-        new_bid = 0.5 * (runner_up + b_star)
+        return _deviation(params, profile, top[0], None)
+    runner_up = max((amount for amount, i in bids if i != top[0]), default=None)
+    new_bid = 0.0 if runner_up is None else 0.5 * (runner_up + b_star)
     # the lone breakeven bidder still wins, now at a profit
-    return _deviation(params, profile, top[0], Bid(new_bid))
+    return _deviation(params, profile, top[0], new_bid)
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,7 @@ def _check_pure_deviations(seed: int) -> tuple[bool, str]:
     free_losing = AuctionParams(v, g, 0.0, 0.0, 3)
     checked = 0
     for actions in product(grid, repeat=3):
-        profile = PureProfile.of(actions)
+        profile = PureProfile(actions)
         dev = oracle.find_pure_deviation(with_penalty, profile)
         if dev is None or not dev.gain > 0.0:
             return False, f"no deviation under penalties for {actions}"

@@ -244,7 +244,7 @@ def test_criterion_10_pure_strategy_theorems():
     with_penalty = AuctionParams(v, g, 0.1, 0.1, 3)
     all_deviate = True
     for actions in actions_list:
-        dev = find_pure_deviation(with_penalty, PureProfile.of(actions))
+        dev = find_pure_deviation(with_penalty, PureProfile(actions))
         if dev is None or not dev.gain > 0.0:
             all_deviate = False
             break
@@ -254,7 +254,7 @@ def test_criterion_10_pure_strategy_theorems():
     classify_ok = True
     equilibria = 0
     for actions in actions_list:
-        profile = PureProfile.of(actions)
+        profile = PureProfile(actions)
         dev = find_pure_deviation(free_losing, profile)
         bids = sorted((a for a in actions if a is not None), reverse=True)
         is_eq = len(bids) >= 2 and bids[0] == bids[1] == v - g
@@ -270,7 +270,7 @@ def test_criterion_10_pure_strategy_theorems():
                     alt_actions = list(actions)
                     alt_actions[agent] = alt
                     alt_payoff = pure_payoff(
-                        free_losing, PureProfile.of(alt_actions), agent
+                        free_losing, PureProfile(alt_actions), agent
                     )
                     if alt_payoff > base_payoff + 1e-12:
                         classify_ok = False

@@ -527,17 +527,24 @@ R1_G_UNDERFLOWS = ["--V", "1.5", "--g", "0.5", "--r1", "5e-324", "--r2", "0", "-
         lambda t: ["equilibrium", *C_ONE_ULP_BELOW],
         lambda t: ["sweep", "--target", "cdf", *C_ONE_ULP_BELOW[:-2], "--vary", "N=2,3",
                    "--out", str(t / "x.csv")],
-        lambda t: ["equilibrium", *R1_G_UNDERFLOWS],
     ],
     ids=["config-N-text", "config-V-text", "config-N-fraction", "config-malformed-json",
          "config-list", "axis-N-fraction", "axis-varied-twice", "simulate-negative-seed",
          "verify-negative-seed", "N-400-digits", "simulate-N-1e20", "equilibrium-c-one-ulp-below",
-         "cdf-sweep-c-one-ulp-below", "equilibrium-r1-g-underflows"],
+         "cdf-sweep-c-one-ulp-below"],
 )
 def test_malformed_parameter_is_exit_1(make_argv, tmp_path, capsys):
     assert run(make_argv(tmp_path)) == 1
     _assert_one_line_error(capsys)
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_equilibrium_where_r1_g_underflows_is_pure(tmp_path, capsys):
+    assert run(["equilibrium", *R1_G_UNDERFLOWS, "--json", str(tmp_path / "eq.json")]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("pure-strategy equilibrium: top two bids = 1.0 ")
+    doc = json.loads((tmp_path / "eq.json").read_text())
+    assert doc["type"] == "pure" and doc["top_bid"] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -547,7 +554,6 @@ def test_malformed_parameter_is_exit_1(make_argv, tmp_path, capsys):
         (["--g", "inf"], "base_fee must be finite"),
         (["--L", "1e308"], "non-finite winning bid"),  # the bid kernel overflows
         (["--r1", "1e-320", "--r2", "0"], "non-finite winning bid"),  # Q(u) is 0/0
-        (["--r1", "5e-324", "--r2", "0"], "losing is free"),  # r1 g rounds to 0
         # gbm_path draws one normal per block in one call, up to model.MAX_DRAWS
         (["--T", "1e300", "--block-time", "1e-300"], "must not exceed 4194304 blocks"),
         (["--block-time", "5e-324"], "must not exceed 4194304 blocks"),
@@ -556,9 +562,8 @@ def test_malformed_parameter_is_exit_1(make_argv, tmp_path, capsys):
         # each block's log step is finite, but the path's running sum overflows
         (["--mu", "1e308"], "non-finite winning bid"),
     ],
-    ids=["L-inf", "g-inf", "bids-overflow", "r1-g-subnormal", "r1-g-underflows",
-         "blocks-overflow", "block-time-subnormal", "blocks-past-draw-cap", "sigma-squared-inf",
-         "path-overflows"],
+    ids=["L-inf", "g-inf", "bids-overflow", "r1-g-subnormal", "blocks-overflow",
+         "block-time-subnormal", "blocks-past-draw-cap", "sigma-squared-inf", "path-overflows"],
 )
 def test_simulate_bad_inputs_are_exit_1(extra, message, tmp_path, capsys):
     with warnings.catch_warnings():

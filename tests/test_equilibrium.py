@@ -232,8 +232,7 @@ class TestEntryCostSupport:
 
 class TestPureEquilibrium:
     def test_top_two_bid_breakeven(self):
-        pure = pure_equilibrium(AuctionParams(10, 1, 0.0, 0.0, 5))
-        assert pure.top_bid == 9.0
+        assert pure_equilibrium(AuctionParams(10, 1, 0.0, 0.0, 5)) == 9.0
 
     def test_entry_cost_leaves_only_the_mixed_equilibrium(self):
         # with c = 0.5 a top-two tie at V - g - c = 8.5 would earn
@@ -242,6 +241,10 @@ class TestPureEquilibrium:
         eq = solve_equilibrium(params, entry_cost=0.5)
         assert eq.abstain_prob == pytest.approx((0.5 / 9.0) ** 0.25, rel=1e-15)
         assert certify_equilibrium(params, eq).passed
+
+    def test_r1_g_underflow_is_free_losing(self):
+        # r1 passes the validators but r1 g rounds to 0: losing is free, as with r1 = 0
+        assert pure_equilibrium(AuctionParams(1.5, 0.5, 5e-324, 0.0, 2)) == 1.0
 
     def test_not_applicable_with_penalties(self):
         with pytest.raises(NotApplicable):

@@ -249,6 +249,13 @@ class TestEventColumns:
         assert [type(getattr(executed, name)) for name in EVENT_CSV_HEADER] == [
             int, float, float, float, str, float, float, int, float, float, float, float, float]
 
+    def test_r1_g_underflow_is_the_free_losing_case(self):
+        # r1 passes the validators but r1 g rounds to 0: losing is free, as with r1 = 0
+        zero = simulate(replace(BASE, horizon=2.0, revert_rate_base=0.0, revert_rate_priority=0.0))
+        tiny = simulate(replace(zero.config, revert_rate_base=5e-324))
+        assert zero.config.revert_rate_base * zero.config.base_fee == 0.0 < 5e-324
+        assert replace(tiny, config=zero.config) == zero
+
     def test_reports_are_equal_only_cell_for_cell(self):
         config = replace(BASE, horizon=2.0)
         rep = simulate(config)

@@ -7,10 +7,10 @@ import pytest
 
 from pga_lab import (
     AuctionParams,
-    Bid,
     IndexOutOfRange,
     MixedStrategy,
     NonPositiveFee,
+    OutOfSupport,
     PureProfile,
     RateOutOfRange,
     TooFewAgents,
@@ -61,39 +61,57 @@ class TestValidation:
 
     def test_bid_rejects_negative_amounts(self):
         with pytest.raises(ValueError):
-            Bid(-0.5)
+            PureProfile([-0.5])
+
+
+class TestPureProfile:
+    def test_bids_are_stored_as_floats(self):
+        profile = PureProfile([1, None, np.float64(2.5), True])
+        assert profile.actions == (1.0, None, 2.5, 1.0)
+        assert all(type(b) is float for b in profile.actions if b is not None)
+        (zero,) = PureProfile([-0.0]).actions
+        assert zero == 0.0 and math.copysign(1.0, zero) == -1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_rejects_bids_outside_the_support(self, bad):
+        with pytest.raises(OutOfSupport):
+            PureProfile([1.0, None, bad])
+
+    def test_list_and_tuple_build_equal_profiles(self):
+        from_list, from_tuple = PureProfile([1, None, 2.5]), PureProfile((1, None, 2.5))
+        assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
 
 
 class TestPurePayoff:
     def test_sure_loser_pays_revert_cost_only(self):
         params = AuctionParams(10, 1, 0.1, 0.1, 2)
-        profile = PureProfile.of([3, 5])
+        profile = PureProfile([3, 5])
         assert pure_payoff(params, profile, 0) == pytest.approx(-0.4, abs=1e-15)
 
     def test_symmetric_tie_without_revert_cost(self):
         params = AuctionParams(10, 1, 0.0, 0.0, 2)
-        profile = PureProfile.of([5, 5])
+        profile = PureProfile([5, 5])
         for agent in (0, 1):
             assert pure_payoff(params, profile, agent) == pytest.approx(2.0, abs=1e-15)
 
     def test_breakeven_bid_nets_zero(self):
         params = AuctionParams(10, 1, 0.0, 0.0, 3)
-        profile = PureProfile.of([None, 9, 9])
+        profile = PureProfile([None, 9, 9])
         assert pure_payoff(params, profile, 1) == 0.0
 
     def test_abstain_is_exactly_zero(self):
         params = AuctionParams(10, 1, 0.7, 0.3, 3)
         for others in product([None, 0.0, 4.0, 9.0, 12.0], repeat=2):
-            profile = PureProfile.of([None, *others])
+            profile = PureProfile([None, *others])
             assert pure_payoff(params, profile, 0) == 0.0
 
     def test_agent_index_checked(self):
         params = AuctionParams(10, 1, 0.1, 0.1, 2)
-        profile = PureProfile.of([1, 2])
+        profile = PureProfile([1, 2])
         with pytest.raises(IndexOutOfRange):
             pure_payoff(params, profile, 2)
         with pytest.raises(IndexOutOfRange):
-            pure_payoff(params, PureProfile.of([1, 2, 3]), 0)
+            pure_payoff(params, PureProfile([1, 2, 3]), 0)
 
     def test_conservation_on_enumerated_profiles(self):
         # total payoff == value extracted - expected total payments
@@ -102,7 +120,7 @@ class TestPurePayoff:
         r1, r2 = params.revert_rate_base, params.revert_rate_priority
         grid = [None, 0.0, 2.0, 4.5, 9.0]
         for actions in product(grid, repeat=3):
-            profile = PureProfile.of(actions)
+            profile = PureProfile(actions)
             total = sum(pure_payoff(params, profile, i) for i in range(3))
             bids = [a for a in actions if a is not None]
             if not bids:
@@ -123,7 +141,7 @@ class TestPurePayoff:
         params = AuctionParams(10, 1, 0.0, 0.0, 3)
         grid = [None, 0.0, 3.0, 6.0, 9.0]
         for actions in product(grid, repeat=3):
-            profile = PureProfile.of(actions)
+            profile = PureProfile(actions)
             for i in range(3):
                 assert pure_payoff(params, profile, i) >= 0.0
 

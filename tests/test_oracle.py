@@ -7,10 +7,7 @@ import numpy as np
 import pytest
 
 from pga_lab import (
-    ABSTAIN,
-    Abstain,
     AuctionParams,
-    Bid,
     Equilibrium,
     MixedStrategy,
     PureProfile,
@@ -250,37 +247,41 @@ class TestFindPureDeviation:
         params = AuctionParams(10, 1, 0.1, 0.0, 3)
         grid = [None] + [i * 0.9 for i in range(11)]
         for actions in product(grid, repeat=3):
-            dev = find_pure_deviation(params, PureProfile.of(actions))
+            dev = find_pure_deviation(params, PureProfile(actions))
             assert dev is not None
             assert dev.gain > 0.0
 
     def test_breakeven_pair_is_equilibrium_without_penalties(self):
         params = AuctionParams(10, 1, 0.0, 0.0, 3)
-        assert find_pure_deviation(params, PureProfile.of([9, 9, None])) is None
-        assert find_pure_deviation(params, PureProfile.of([9, 9, 3])) is None
+        assert find_pure_deviation(params, PureProfile([9, 9, None])) is None
+        assert find_pure_deviation(params, PureProfile([9, 9, 3])) is None
+
+    def test_breakeven_pair_is_equilibrium_where_r1_g_underflows(self):
+        params = AuctionParams(1.5, 0.5, 5e-324, 0.0, 3)
+        assert find_pure_deviation(params, PureProfile([1.0, 1.0, None])) is None
 
     def test_unique_top_bid_attracts_an_overbid(self):
         params = AuctionParams(10, 1, 0.0, 0.0, 3)
-        dev = find_pure_deviation(params, PureProfile.of([8, 2, None]))
+        dev = find_pure_deviation(params, PureProfile([8, 2, None]))
         assert dev is not None
-        assert isinstance(dev.action, Bid)
-        assert dev.action.amount == pytest.approx(8.5)
+        assert isinstance(dev.action, float)
+        assert dev.action == pytest.approx(8.5)
         assert dev.agent != 0
 
     def test_overbidder_prefers_to_abstain(self):
         params = AuctionParams(10, 1, 0.2, 0.2, 3)
-        dev = find_pure_deviation(params, PureProfile.of([10, 1, None]))
+        dev = find_pure_deviation(params, PureProfile([10, 1, None]))
         assert dev is not None
-        assert isinstance(dev.action, Abstain)
+        assert dev.action is None
 
     def test_constructed_deviations_verified_exhaustively(self):
         # the claimed deviation must beat every grid alternative's guarantee:
         # cross-check gains against an exhaustive scan of grid actions
         params = AuctionParams(10, 1, 0.1, 0.1, 3)
-        grid_actions = [ABSTAIN] + [Bid(i * 0.9) for i in range(11)]
+        grid_actions = [None] + [i * 0.9 for i in range(11)]
         rng = philox(14)
         profiles = [
-            PureProfile.of([rng.choice([None, 0.0, 2.7, 5.4, 8.1, 9.0, 9.9]) for _ in range(3)])
+            PureProfile([rng.choice([None, 0.0, 2.7, 5.4, 8.1, 9.0, 9.9]) for _ in range(3)])
             for _ in range(60)
         ]
         for profile in profiles:
@@ -290,7 +291,7 @@ class TestFindPureDeviation:
             for alt in grid_actions:
                 actions = list(profile.actions)
                 actions[dev.agent] = alt
-                gain = pure_payoff(params, PureProfile(tuple(actions)), dev.agent) - dev.original_payoff
+                gain = pure_payoff(params, PureProfile(actions), dev.agent) - dev.original_payoff
                 best_grid_gain = max(best_grid_gain, gain)
             # the construction may use off-grid bids, so it can beat the grid,
             # but it must be strictly profitable whenever the grid scan is

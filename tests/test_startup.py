@@ -21,7 +21,7 @@ EXPORTS = {
         "expected_mev_tax", "expected_winning_bid", "revenue_report", "scheme1_optimal_r1",
         "scheme1_optimal_r1_scan", "scheme1_profit", "scheme2_revenue",
     ],
-    "equilibrium": ["Equilibrium", "PureEquilibrium", "pure_equilibrium", "solve_equilibrium"],
+    "equilibrium": ["Equilibrium", "pure_equilibrium", "solve_equilibrium"],
     "errors": [
         "ArgumentOutOfRange", "ConfigInvalid", "CostOutOfRange", "CostTooLarge",
         "DegenerateNoRevertCost", "IndexOutOfRange", "NonPositiveFee", "NotApplicable",
@@ -33,8 +33,8 @@ EXPORTS = {
         "opportunity_value", "simulate",
     ],
     "model": [
-        "ABSTAIN", "Abstain", "Action", "AuctionParams", "Bid", "MixedStrategy", "PureProfile",
-        "expected_payoff_vs_symmetric", "pure_payoff",
+        "AuctionParams", "MixedStrategy", "PureProfile", "expected_payoff_vs_symmetric",
+        "pure_payoff",
     ],
     "oracle": [
         "EquilibriumCertificate", "McEstimate", "PureDeviation", "ReplayReport", "SignCheck",
