@@ -72,7 +72,6 @@ _EXPORTS = {
         "PureDeviation",
         "ReplayReport",
         "SignCheck",
-        "best_response_scan",
         "bisection_quantile",
         "cdf_sensitivity_check",
         "certify_equilibrium",

@@ -1,10 +1,10 @@
 """Independent numerical verification of the closed forms.
 
 Nothing here reuses an analytics formula as its own check: revenue and payoffs
-are re-derived by replaying auctions draw by draw, the equilibrium is certified
-by scanning deviation payoffs, pure-strategy claims are checked by explicit
-deviation construction, comparative statics by finite differences, and the
-quantile by bisection against the CDF.
+are re-derived by replaying auctions draw by draw, a candidate strategy is
+certified by one call scoring its deviation payoffs, pure-strategy claims are
+checked by explicit deviation construction, comparative statics by finite
+differences, and the quantile by bisection against the CDF.
 
 Randomness comes from numpy's Philox counter-based generator. Work is split
 into chunks whose size depends only on N, each driven by a SeedSequence-spawned
@@ -38,7 +38,7 @@ from .numerics import bisection_inverse
 _CHUNK = 1 << 16  # replay rows per chunk, at most
 _BLOCK = 1 << 17  # agent-draws per replay block, at most (one row where N exceeds it)
 _N_SE = 3.0  # standard errors a McEstimate may sit off its target
-_CERT_GRID = 1000  # bids in each scan of best_response_scan and certify_equilibrium
+_CERT_GRID = 1000  # bids in certify_equilibrium's deviation grid, and in its support grid
 _CERT_TOL = 1e-9  # how far certify_equilibrium lets a supported bid's payoff sit off 0
 _BID_TOL = 1e-12  # bid resolution of find_pure_deviation and bisection_quantile
 _STEP = 1e-5  # finite-difference step of the comparative statics and the CDF sensitivity
@@ -249,27 +249,6 @@ def monte_carlo_replay(
     )
 
 
-def best_response_scan(
-    params: AuctionParams, strategy: Union[Equilibrium, MixedStrategy]
-) -> float:
-    """Maximum deviation payoff against N-1 opponents playing `strategy`,
-    over a uniform 1,000-bid grid on [0, V - g] plus the abstain action.
-
-    The entry cost is the equilibrium's, or 0 for a bare MixedStrategy. For
-    an equilibrium this maximum must not exceed ~1e-9; any strategy whose
-    abstention probability is off shows a strictly positive value here.
-    """
-    entry_cost = 0.0
-    if isinstance(strategy, Equilibrium):
-        entry_cost = strategy.entry_cost
-        strategy = strategy.strategy
-    grid = np.linspace(0.0, params.breakeven_bid, _CERT_GRID)
-    payoffs = expected_payoff_vs_symmetric(params, strategy, grid, entry_cost)
-    # abstaining is always available and pays exactly zero; a NaN payoff
-    # stays NaN, so no certificate passes on it
-    return max(float(payoffs.max()), 0.0)
-
-
 @dataclass(frozen=True)
 class EquilibriumCertificate:
     max_payoff: float
@@ -278,23 +257,26 @@ class EquilibriumCertificate:
     passed: bool
 
 
-def certify_equilibrium(params: AuctionParams, eq: Equilibrium) -> EquilibriumCertificate:
-    """Indifference certificate, two-sided: each of 1,000 supported bids earns
-    within 1e-9 of the zero abstention payoff (so no deviation gains, and no
-    supported action loses), and probes above the breakeven bid earn strictly
-    negative payoffs. Either direction of a mis-set abstention probability
-    fails it: too much abstention makes low bids strictly profitable, too
-    little makes every supported bid strictly worse than abstaining."""
-    max_payoff = best_response_scan(params, eq)
-    support = np.linspace(0.0, eq.support_max, _CERT_GRID)
-    strategy = eq.strategy
-    min_support = float(
-        expected_payoff_vs_symmetric(params, strategy, support, eq.entry_cost).min()
-    )
+def certify_equilibrium(
+    params: AuctionParams, strategy: MixedStrategy, entry_cost: float = 0.0
+) -> EquilibriumCertificate:
+    """Two-sided indifference certificate of a candidate symmetric strategy:
+    against N-1 opponents playing it, no bid of a 1,000-bid grid on [0, V - g]
+    earns over 1e-9 above the zero abstention payoff, none of 1,000 bids across
+    strategy.support earns under -1e-9, and probes above the breakeven bid
+    earn strictly less than 0. Too much abstention makes low bids strictly
+    profitable; too little makes every supported bid strictly worse than
+    abstaining. All 2,004 bids take one payoff call. An equilibrium is
+    certified as certify_equilibrium(params, eq.strategy, eq.entry_cost)."""
     probes = params.breakeven_bid * (1.0 + np.array([1e-6, 1e-3, 0.1, 1.0]))
-    overbid = float(
-        expected_payoff_vs_symmetric(params, strategy, probes, eq.entry_cost).max()
-    )
+    bids = np.concatenate([np.linspace(0.0, params.breakeven_bid, _CERT_GRID),
+                           np.linspace(*strategy.support, _CERT_GRID), probes])
+    payoffs = expected_payoff_vs_symmetric(params, strategy, bids, entry_cost)
+    deviation, support, probed = np.split(payoffs, [_CERT_GRID, 2 * _CERT_GRID])
+    # abstaining is always available and pays exactly zero; a NaN payoff
+    # stays NaN, so no certificate passes on it
+    max_payoff = max(float(deviation.max()), 0.0)
+    min_support, overbid = float(support.min()), float(probed.max())
     return EquilibriumCertificate(
         max_payoff=max_payoff,
         min_support_payoff=min_support,
@@ -509,9 +491,8 @@ def hillman_samet_check(value: float, min_outlay: float, num_agents: int) -> flo
     minimum outlay; in terms of the effective bid x = g + b its equilibrium
     CDF is (x/V)^(1/(N-1)) on [g, V]. Returns the maximum absolute deviation
     between our effective-bid CDF and that closed form over the grid.
+    AuctionParams rejects a min_outlay outside (0, value).
     """
-    if not 0.0 < min_outlay < value:
-        raise ArgumentOutOfRange("need 0 < min_outlay < value")
     params = AuctionParams(value, min_outlay, 1.0, 1.0, num_agents)
     eq = solve_equilibrium(params)
     p = eq.abstain_prob

@@ -67,7 +67,7 @@ def _check_indifference(seed: int) -> tuple[bool, str]:
     worst = -math.inf
     for _ in range(25):
         params = random_params(rng)
-        cert = oracle.certify_equilibrium(params, solve_equilibrium(params))
+        cert = oracle.certify_equilibrium(params, solve_equilibrium(params).strategy)
         if not cert.passed:
             return False, f"certificate failed at {params}"
         worst = max(worst, cert.max_payoff)

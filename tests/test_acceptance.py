@@ -77,7 +77,7 @@ def test_criterion_2_indifference_certificate():
     ok = True
     for _ in range(100):
         params = random_params(rng)
-        cert = certify_equilibrium(params, solve_equilibrium(params))
+        cert = certify_equilibrium(params, solve_equilibrium(params).strategy)
         worst = max(worst, cert.max_payoff)
         ok = ok and cert.passed
     _criterion(

@@ -240,7 +240,7 @@ class TestPureEquilibrium:
         params = AuctionParams(10, 1, 0.0, 0.0, 5)
         eq = solve_equilibrium(params, entry_cost=0.5)
         assert eq.abstain_prob == pytest.approx((0.5 / 9.0) ** 0.25, rel=1e-15)
-        assert certify_equilibrium(params, eq).passed
+        assert certify_equilibrium(params, eq.strategy, eq.entry_cost).passed
 
     def test_r1_g_underflow_is_free_losing(self):
         # r1 passes the validators but r1 g rounds to 0: losing is free, as with r1 = 0

@@ -11,7 +11,6 @@ from pga_lab import (
     Equilibrium,
     MixedStrategy,
     PureProfile,
-    best_response_scan,
     certify_equilibrium,
     cdf_sensitivity_check,
     comparative_statics_check,
@@ -25,7 +24,12 @@ from pga_lab import (
 )
 
 from pga_lab import oracle
-from pga_lab.errors import ArgumentOutOfRange, DegenerateNoRevertCost
+from pga_lab.errors import (
+    ArgumentOutOfRange,
+    DegenerateNoRevertCost,
+    NonPositiveFee,
+    ValueNotAboveBaseFee,
+)
 from pga_lab.oracle import _chunk_rows
 
 from _util import philox, random_params
@@ -183,12 +187,19 @@ class TestMonteCarloReplay:
             monte_carlo_replay(params, solve_equilibrium(params), trials=1, seed=0)
 
 
+def _shifted(delta):
+    """REF's equilibrium strategy with its abstention probability moved by delta."""
+    eq = solve_equilibrium(REF)
+    return MixedStrategy(abstain_prob=eq.abstain_prob + delta, cdf=eq.cdf,
+                         support=(0.0, eq.support_max))
+
+
 class TestBestResponseScan:
     def test_equilibrium_certificate(self):
         rng = philox(55)
         for _ in range(10):
             params = random_params(rng)
-            cert = certify_equilibrium(params, solve_equilibrium(params))
+            cert = certify_equilibrium(params, solve_equilibrium(params).strategy)
             assert cert.passed
             assert cert.max_payoff <= 1e-9
             assert cert.max_overbid_payoff < 0.0
@@ -197,41 +208,44 @@ class TestBestResponseScan:
     def test_certificate_holds_at_large_n(self, n):
         # w = (p* + (1-p*)F)^(N-1) and 1 - w must not cancel as p* -> 1
         params = AuctionParams(10, 1, 0.1, 0.1, n)
-        cert = certify_equilibrium(params, solve_equilibrium(params))
+        cert = certify_equilibrium(params, solve_equilibrium(params).strategy)
         assert cert.passed
         assert cert.max_payoff <= 1e-14 and cert.min_support_payoff >= -1e-14
 
     def test_flags_overabstention(self):
-        eq = solve_equilibrium(REF)
-        shifted = MixedStrategy(
-            abstain_prob=eq.abstain_prob + 0.05,
-            cdf=eq.cdf,
-            support=(0.0, eq.support_max),
-        )
-        assert best_response_scan(REF, shifted) > 1e-4
+        cert = certify_equilibrium(REF, _shifted(+0.05))
+        assert cert.max_payoff > 1e-4
+        assert not cert.passed
 
     def test_flags_underabstention_via_support_payoffs(self):
-        eq = solve_equilibrium(REF)
-        shifted = MixedStrategy(
-            abstain_prob=eq.abstain_prob - 1e-3,
-            cdf=eq.cdf,
-            support=(0.0, eq.support_max),
-        )
+        shifted = _shifted(-1e-3)
         # opponents participate too often: every bid is now strictly losing
-        assert best_response_scan(REF, shifted) == 0.0
+        cert = certify_equilibrium(REF, shifted)
+        assert cert.max_payoff == 0.0
         assert expected_payoff_vs_symmetric(REF, shifted, 0.0) < -1e-9
+        assert cert.min_support_payoff < -1e-9
+        assert not cert.passed
 
     def test_flags_one_mil_shift_either_way(self):
-        eq = solve_equilibrium(REF)
         for delta in (+1e-3, -1e-3):
-            shifted = MixedStrategy(
-                abstain_prob=eq.abstain_prob + delta,
-                cdf=eq.cdf,
-                support=(0.0, eq.support_max),
-            )
-            max_payoff = best_response_scan(REF, shifted)
+            shifted = _shifted(delta)
+            cert = certify_equilibrium(REF, shifted)
             min_at_zero = expected_payoff_vs_symmetric(REF, shifted, 0.0)
-            assert max_payoff > 1e-9 or min_at_zero < -1e-9
+            assert cert.max_payoff > 1e-9 or min_at_zero < -1e-9
+            assert not cert.passed
+            if delta < 0.0:
+                assert cert.min_support_payoff < -1e-9
+
+    def test_flags_micro_underabstention(self):
+        # a shift of -1e-6 leaves every deviation unprofitable: only the
+        # support side of the certificate sees it
+        cert = certify_equilibrium(REF, _shifted(-1e-6))
+        assert cert.max_payoff == 0.0
+        assert cert.min_support_payoff < -1e-9
+        assert not cert.passed
+
+    def test_exact_strategy_passes(self):
+        assert certify_equilibrium(REF, _shifted(0.0)).passed
 
     def test_overbid_probes_strictly_negative(self):
         eq = solve_equilibrium(REF)
@@ -453,6 +467,14 @@ class TestHillmanSamet:
     def test_holds_for_larger_fields(self):
         for n in (5, 10):
             assert hillman_samet_check(1.0, 0.1, n) <= 1e-10
+
+    def test_outlay_outside_the_box_is_rejected_by_auction_params(self):
+        with pytest.raises(NonPositiveFee):
+            hillman_samet_check(1.0, 0.0, 2)
+        with pytest.raises(ValueNotAboveBaseFee):
+            hillman_samet_check(1.0, 1.0, 2)
+        with pytest.raises(ValueNotAboveBaseFee):
+            hillman_samet_check(1.0, 1.5, 2)
 
     def test_plateau_below_minimum_outlay(self):
         params = AuctionParams(1.0, 0.1, 1.0, 1.0, 2)

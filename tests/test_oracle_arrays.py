@@ -125,7 +125,8 @@ def test_certificate_equals_per_point_loop():
         params = random_params(rng)
         cost = rng.uniform(0.0, 0.5) * params.breakeven_bid if i % 2 else 0.0
         eq = solve_equilibrium(params, cost)
-        assert certify_equilibrium(params, eq) == _certify_per_point(params, eq)
+        assert (certify_equilibrium(params, eq.strategy, eq.entry_cost)
+                == _certify_per_point(params, eq))
 
 
 def _replay_reference(params, eq, trials, seed):

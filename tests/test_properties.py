@@ -13,6 +13,7 @@ from pga_lab import (
     cdf_sensitivity_check,
     comparative_statics_check,
     expected_winning_bid,
+    revenue_report,
     solve_equilibrium,
 )
 from pga_lab.equilibrium import check_entry_cost, equilibrium_state
@@ -104,6 +105,26 @@ def test_expected_bids_lie_in_the_support(point):
     assert 0.0 <= mean <= mean_of_max2 * rounding
     assert mean_of_max2 <= eq.support_max * rounding
     assert 0.0 <= winning <= eq.support_max * rounding
+
+
+@BOX
+@given(points())
+def test_rent_dissipation_ties_the_bid_quadratures_to_priority_revenue(point):
+    """At c = 0 the closed-form priority revenue is the sum of the priority
+    payments: the winner pays its bid and each losing participant r2 times
+    its own, so it equals (1 - r2) E[winning bid] + r2 N (1 - p*) E[B*].
+
+    The bound is 1e-10 of the largest of the three terms. Near rho = 1 both
+    quadratures lose digits to the cancellation in log rho; once ROADMAP
+    item 3 removes it, the bound should tighten."""
+    params, _ = point
+    r2 = params.revert_rate_priority
+    assume(params.revert_rate_base * params.base_fee > 0.0 or r2 > 0.0)
+    eq = solve_equilibrium(params)
+    priority = revenue_report(params).priority_revenue
+    winner = (1.0 - r2) * expected_winning_bid(params)
+    losers = r2 * params.num_agents * eq.state.one_minus_p * eq.expected_bid()
+    assert abs(priority - (winner + losers)) <= 1e-10 * max(priority, winner, losers)
 
 
 @BOX
