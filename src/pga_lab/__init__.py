@@ -73,7 +73,6 @@ _EXPORTS = {
         "ReplayReport",
         "SignCheck",
         "bisection_quantile",
-        "cdf_sensitivity_check",
         "certify_equilibrium",
         "comparative_statics_check",
         "find_pure_deviation",

@@ -3,8 +3,8 @@
 Nothing here reuses an analytics formula as its own check: revenue and payoffs
 are re-derived by replaying auctions draw by draw, a candidate strategy is
 certified by one call scoring its deviation payoffs, pure-strategy claims are
-checked by explicit deviation construction, comparative statics by finite
-differences, and the quantile by bisection against the CDF.
+checked by explicit deviation construction, the 13 signs of p*, E[B*] and F*
+by finite differences, and the quantile by bisection against the CDF.
 
 Randomness comes from numpy's Philox counter-based generator. Work is split
 into chunks whose size depends only on N, each driven by a SeedSequence-spawned
@@ -41,8 +41,8 @@ _N_SE = 3.0  # standard errors a McEstimate may sit off its target
 _CERT_GRID = 1000  # bids in certify_equilibrium's deviation grid, and in its support grid
 _CERT_TOL = 1e-9  # how far certify_equilibrium lets a supported bid's payoff sit off 0
 _BID_TOL = 1e-12  # bid resolution of find_pure_deviation and bisection_quantile
-_STEP = 1e-5  # finite-difference step of the comparative statics and the CDF sensitivity
-_SENSITIVITY_BIDS = 9  # interior bids at which cdf_sensitivity_check differences F*
+_STEP = 1e-5  # finite-difference step of comparative_statics_check
+_SENSITIVITY_BIDS = 9  # interior bids at which comparative_statics_check's F* rows difference F*
 _HILLMAN_SAMET_POINTS = 1001  # effective bids at which hillman_samet_check compares CDFs
 
 
@@ -178,16 +178,17 @@ def _chunk_columns(eq: Equilibrium, rng: np.random.Generator, m: int, n: int) ->
 
 
 def monte_carlo_replay(
-    params: AuctionParams, eq: Equilibrium, trials: int, seed: int
+    params: AuctionParams, trials: int, seed: int, entry_cost: float = 0.0
 ) -> ReplayReport:
-    """Replay independent auctions under the symmetric strategy.
+    """Replay independent auctions under the symmetric equilibrium
+    solve_equilibrium(params, entry_cost).
 
     Each agent independently abstains with probability p* or draws a bid from
     F*. The highest bid wins (ties, a probability-zero event, are broken at
     random); the sequencer collects g + b_w from the winner, r1 g + r2 b_j
-    from every losing participant, and the flat entry charge from every
-    participant when the equilibrium carries one. Per-agent payoff is tracked
-    for agent 0; by symmetry its mean estimates every agent's payoff.
+    from every losing participant, and the entry cost c from every
+    participant. Per-agent payoff is tracked for agent 0; by symmetry its
+    mean estimates every agent's payoff.
 
     Trials run in chunks of min(2^16, 2^22 // N) rows, each on its own child
     stream (the i-th of SeedSequence(seed).spawn, made only as chunk i
@@ -198,14 +199,15 @@ def monte_carlo_replay(
     2^22 agent-draws, 4 MiB) and per-row columns; its float64 draws exist one
     block of at most 2^17 agent-draws (1 MiB an array) at a time, or one row
     where N exceeds 2^17. So memory stays bounded in N and trials, and the
-    reports do not depend on the block size. N above 2^22 raises
-    ArgumentOutOfRange before any draw.
+    reports do not depend on the block size. A trials that is not an int of
+    at least 1, or N above 2^22, raises ArgumentOutOfRange before any draw.
     """
-    if trials < 1:
-        raise ArgumentOutOfRange(f"trials must be >= 1, got {trials}")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ArgumentOutOfRange(f"trials must be an int >= 1, got {trials!r}")
     p = params
     n = p.num_agents
     rows = _chunk_rows(n)
+    eq = solve_equilibrium(p, entry_cost)
     rg = p.revert_rate_base * p.base_fee
     r2 = p.revert_rate_priority
     c = eq.entry_cost
@@ -399,82 +401,66 @@ def _admitted(base: AuctionParams, field: str, x) -> Optional[AuctionParams]:
     return p
 
 
-def _signs(
-    base: AuctionParams,
-    quantity: str,
-    fn: Callable[[AuctionParams], Union[float, np.ndarray]],
-    expected: dict[str, str],
-) -> list[SignCheck]:
-    """One SignCheck per parameter of `expected`, in its order, from the
-    finite difference of fn over the first stencil of _stencils whose two
-    ends solve_equilibrium admits: the validators, not this routine, say
-    where a stencil may go. The difference is divided by its nominal step
-    (2h, h or one agent). An array reports its extreme against the expected
-    sign: the minimum for "+", else the maximum."""
-    f_base = fn(base)  # raises where the base itself is rejected
-    checks = []
-    for field, sign in expected.items():
-        x = getattr(base, field)
-        for lo, hi, step in _stencils(x, field):
-            ends = [base if v == x else _admitted(base, field, v) for v in (lo, hi)]
-            if None not in ends:
-                break
-        f_lo, f_hi = (f_base if q is base else fn(q) for q in ends)
-        d = (f_hi - f_lo) / step
-        extreme = float(np.min(d) if sign == "+" else np.max(d))
-        checks.append(SignCheck(quantity=quantity, parameter=field, derivative=extreme,
-                                expected=sign, passed=bool(np.sign(extreme) == _SIGN[sign])))
-    return checks
+def _difference(base: AuctionParams, field: str,
+                fn: Callable[[Equilibrium], Union[float, np.ndarray]], f_base):
+    """The finite difference in `field` of fn(solve_equilibrium(p)), where
+    f_base is its value at base, over the first stencil of _stencils whose two
+    ends solve_equilibrium admits: the validators, not this routine, say where
+    a stencil may go. The difference is divided by its nominal step (2h, h or
+    one agent)."""
+    x = getattr(base, field)
+    for lo, hi, step in _stencils(x, field):
+        ends = [base if v == x else _admitted(base, field, v) for v in (lo, hi)]
+        if None not in ends:
+            break
+    f_lo, f_hi = (f_base if q is base else fn(solve_equilibrium(q)) for q in ends)
+    return (f_hi - f_lo) / step
 
 
 def comparative_statics_check(base: AuctionParams) -> list[SignCheck]:
-    """Finite-difference signs of p* and E[B*] in every parameter.
+    """Finite-difference signs of p* and E[B*] in every parameter, and of F*
+    at 9 interior bids in N, V, r1 and r2: 13 SignCheck rows from one table.
 
     Expected directions: p* rises with N, g, r1, falls with V, and ignores r2
-    identically; the expected bid rises with V and falls with N, r1, r2.
+    identically; the expected bid rises with V and falls with N, r1, r2; F*
+    rises pointwise with N, r1, r2 and falls with V. An F* row reports its
+    extreme against the expected sign: the minimum for "+", else the maximum.
 
     Caveat established by these very checks: the r1 direction of the bid
     distribution is not global. Raising r1 both shifts the indifference ratio
     up (lower bids) and raises abstention (which pushes the remaining bidders
     toward higher bids); at high markups V - g >> g the abstention channel
-    dominates and E[B*] rises with r1. The check reports the true sign either
-    way.
+    dominates, E[B*] rises with r1 and F* falls with it on part of the
+    support. The check reports the true sign either way.
 
     p* is differenced as p* where it is at most 1/2 at the base, else as
     -(1 - p*): the same derivative, taken from whichever side holds its
     relative accuracy. Above N = 1e9, p* = 1 - 3e-9 and a step in p* itself
     falls below one ulp of 1; at p* = 1e-13 a step in 1 - p* does.
     """
-    near_one = solve_equilibrium(base).abstain_prob > 0.5
-
-    def abstention(p: AuctionParams) -> float:
-        state = solve_equilibrium(p).state
-        return -state.one_minus_p if near_one else state.p_star
-
-    return _signs(
-        base, "abstain_prob", abstention,
-        {"num_agents": "+", "base_fee": "+", "revert_rate_base": "+", "value": "-",
-         "revert_rate_priority": "0"},
-    ) + _signs(
-        base, "expected_bid", lambda p: solve_equilibrium(p).expected_bid(),
-        {"value": "+", "num_agents": "-", "revert_rate_base": "-",
-         "revert_rate_priority": "-"},
-    )
-
-
-def cdf_sensitivity_check(base: AuctionParams) -> list[SignCheck]:
-    """Pointwise finite-difference signs of F*(b) on an interior bid grid:
-    F* rises pointwise with N, r1, r2 and falls with V.
-
-    The r1 direction carries the same caveat as comparative_statics_check:
-    away from low markups the abstention response flips the pointwise sign
-    on part of the support."""
-    grid = np.linspace(0.1, 0.9, _SENSITIVITY_BIDS) * solve_equilibrium(base).support_max
-    return _signs(
-        base, "cdf_pointwise", lambda p: solve_equilibrium(p)._cdf_arr(grid),
-        {"num_agents": "+", "value": "-", "revert_rate_base": "+",
-         "revert_rate_priority": "+"},
-    )
+    eq = solve_equilibrium(base)  # raises where the base itself is rejected
+    near_one = eq.abstain_prob > 0.5
+    grid = np.linspace(0.1, 0.9, _SENSITIVITY_BIDS) * eq.support_max
+    table = [
+        ("abstain_prob", lambda e: -e.state.one_minus_p if near_one else e.state.p_star,
+         {"num_agents": "+", "base_fee": "+", "revert_rate_base": "+", "value": "-",
+          "revert_rate_priority": "0"}),
+        ("expected_bid", lambda e: e.expected_bid(),
+         {"value": "+", "num_agents": "-", "revert_rate_base": "-",
+          "revert_rate_priority": "-"}),
+        ("cdf_pointwise", lambda e: e._cdf_arr(grid),
+         {"num_agents": "+", "value": "-", "revert_rate_base": "+",
+          "revert_rate_priority": "+"}),
+    ]
+    checks = []
+    for quantity, fn, expected in table:
+        f_base = fn(eq)
+        for field, sign in expected.items():
+            d = _difference(base, field, fn, f_base)
+            extreme = float(np.min(d) if sign == "+" else np.max(d))
+            checks.append(SignCheck(quantity=quantity, parameter=field, derivative=extreme,
+                                    expected=sign, passed=bool(np.sign(extreme) == _SIGN[sign])))
+    return checks
 
 
 def bisection_quantile(eq: Equilibrium, u: float) -> float:

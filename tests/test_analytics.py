@@ -178,8 +178,7 @@ class TestScheme2:
     def test_monte_carlo_confirms_gross_inflow(self):
         # auction payments plus collected entry charges equal (1 - p*^N) V
         params = AuctionParams(10, 1, 0.0, 0.0, 2)
-        eq = solve_equilibrium(params, entry_cost=0.5)
-        rep = monte_carlo_replay(params, eq, trials=400_000, seed=21)
+        rep = monte_carlo_replay(params, trials=400_000, seed=21, entry_cost=0.5)
         assert rep.revenue.within(scheme2_revenue(params, 0.5))
         assert rep.per_agent_payoff.within(0.0)
 

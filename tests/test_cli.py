@@ -454,6 +454,18 @@ def test_verify_boundary_check_reads_the_raw_formula(monkeypatch):
     assert not passed and detail.startswith("max boundary residue 1.00e-09")
 
 
+def test_verify_r2_invariance_checks_the_priority_payments(monkeypatch):
+    # revenue_report never reads r2, but F* moves with it: at each r2 the
+    # winner's bid and r2 times each loser's must add up to the same revenue
+    passed, detail = verify._check_r2_invariance(42)
+    assert passed, detail
+    winning = analytics.expected_winning_bid
+    monkeypatch.setattr(analytics, "expected_winning_bid",
+                        lambda params, c=0.0: winning(params, c) * (1 + 1e-9))
+    passed, detail = verify._check_r2_invariance(42)
+    assert not passed and detail.endswith("max priority-payment residue 1.00e-09")
+
+
 def _compensated_sum(values, start=0):
     """The builtin sum of floats from Python 3.12 on: Neumaier's compensated
     summation, which a block-order running total need not match."""

@@ -12,7 +12,6 @@ from pga_lab import (
     MixedStrategy,
     PureProfile,
     certify_equilibrium,
-    cdf_sensitivity_check,
     comparative_statics_check,
     expected_payoff_vs_symmetric,
     find_pure_deviation,
@@ -43,7 +42,7 @@ class TestMonteCarloReplay:
         # revenue is exactly g, and the mean of 50,000 copies of g is one ulp
         # above g, which an exact match would call a failure
         params = AuctionParams(30.316751640427526, 0.6752489720550474, 0.0, 0.7721985313419948, 17)
-        mc = monte_carlo_replay(params, solve_equilibrium(params), trials=50_000, seed=9)
+        mc = monte_carlo_replay(params, trials=50_000, seed=9)
         closed = revenue_report(params)
         assert mc.base_revenue.std_error == 0.0
         assert mc.base_revenue.mean != closed.base_revenue
@@ -56,26 +55,24 @@ class TestMonteCarloReplay:
         # each payoff V - g - b is rounded at the ulp of V (1.5e284), and the
         # mean of 20,000 of them sits 5-6 standard errors off 0
         params = AuctionParams(1e300, 1, 1e-100, 0, 2)
-        payoff = monte_carlo_replay(params, solve_equilibrium(params), 20_000, seed).per_agent_payoff
+        payoff = monte_carlo_replay(params, 20_000, seed).per_agent_payoff
         assert abs(payoff.mean) > 4 * payoff.std_error
         assert payoff.within(0.0)
         assert not payoff.within(1e290)
         assert payoff.max_abs == params.breakeven_bid
 
     def test_bit_identical_given_seed(self):
-        eq = solve_equilibrium(REF)
-        a = monte_carlo_replay(REF, eq, trials=50_000, seed=9)
-        b = monte_carlo_replay(REF, eq, trials=50_000, seed=9)
+        a = monte_carlo_replay(REF, trials=50_000, seed=9)
+        b = monte_carlo_replay(REF, trials=50_000, seed=9)
         assert a == b
-        c = monte_carlo_replay(REF, eq, trials=50_000, seed=10)
+        c = monte_carlo_replay(REF, trials=50_000, seed=10)
         assert c.revenue.mean != a.revenue.mean
 
     def test_agreement_with_closed_forms(self):
         rng = philox(77)
         for i in range(5):
             params = random_params(rng, max_agents=24)
-            eq = solve_equilibrium(params)
-            rep = monte_carlo_replay(params, eq, trials=40_000, seed=100 + i)
+            rep = monte_carlo_replay(params, trials=40_000, seed=100 + i)
             closed = revenue_report(params)
             assert rep.revenue.within(closed.expected_revenue)
             assert rep.submitted_txs.within(closed.expected_submitted_txs)
@@ -88,13 +85,12 @@ class TestMonteCarloReplay:
         params = AuctionParams(1.0 + 1e-6, 1.0, 1.0, 1.0, 10)
         eq = solve_equilibrium(params)
         assert eq.abstain_prob > 0.999
-        rep = monte_carlo_replay(params, eq, trials=20_000, seed=4)
+        rep = monte_carlo_replay(params, trials=20_000, seed=4)
         assert rep.revenue.mean == pytest.approx(0.0, abs=1e-2)
 
     def test_standard_error_scales(self):
-        eq = solve_equilibrium(REF)
-        small = monte_carlo_replay(REF, eq, trials=10_000, seed=5)
-        large = monte_carlo_replay(REF, eq, trials=160_000, seed=5)
+        small = monte_carlo_replay(REF, trials=10_000, seed=5)
+        large = monte_carlo_replay(REF, trials=160_000, seed=5)
         assert large.revenue.std_error < small.revenue.std_error / 3
 
     def test_chunks_hold_at_most_2_22_draws(self):
@@ -109,10 +105,9 @@ class TestMonteCarloReplay:
         # its float64 draws live one block at a time; float64 arrays over the
         # whole chunk would peak near 29 MiB at N = 32 and 105 MiB at N = 1000
         params = replace(REF, num_agents=n)
-        eq = solve_equilibrium(params)
         tracemalloc.start()
         try:
-            monte_carlo_replay(params, eq, trials=50_000, seed=1)
+            monte_carlo_replay(params, trials=50_000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -124,7 +119,7 @@ class TestMonteCarloReplay:
         monkeypatch.setattr(oracle, "_chunk_rngs", lambda seed, n: spawned.append(n) or
                             original(seed, n))
         params = replace(REF, num_agents=1000)
-        rep = monte_carlo_replay(params, solve_equilibrium(params), trials=5000, seed=3)
+        rep = monte_carlo_replay(params, trials=5000, seed=3)
         assert spawned == [2]  # 4194 rows per chunk
         assert rep.revenue.within(revenue_report(params).expected_revenue)
 
@@ -139,8 +134,6 @@ class TestMonteCarloReplay:
     def test_chunk_streams_are_made_as_their_chunks_start(self, monkeypatch):
         # 20,000 one-row chunks: a list of every chunk's generator, built
         # before the first draw, would take about 19 MB
-        eq = solve_equilibrium(REF)
-
         def first_quantile(self, u):
             raise RuntimeError("first quantile")
 
@@ -149,7 +142,7 @@ class TestMonteCarloReplay:
         tracemalloc.start()
         try:
             with pytest.raises(RuntimeError, match="first quantile"):
-                monte_carlo_replay(REF, eq, trials=20_000, seed=1)
+                monte_carlo_replay(REF, trials=20_000, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -160,10 +153,9 @@ class TestMonteCarloReplay:
     def test_standard_errors_are_finite_at_the_ends_of_the_value_scale(self, params):
         # x^2 overflows near V = 1e300 and underflows near V = 3e-300 unless
         # the sums run in units of V
-        eq = solve_equilibrium(params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = monte_carlo_replay(params, eq, trials=20_000, seed=0)
+            rep = monte_carlo_replay(params, trials=20_000, seed=0)
         estimates = (rep.revenue, rep.base_revenue, rep.priority_revenue, rep.submitted_txs,
                      rep.per_agent_payoff)
         assert all(np.isfinite(e.std_error) for e in estimates)
@@ -171,7 +163,7 @@ class TestMonteCarloReplay:
 
     def test_agreement_with_closed_forms_at_a_tiny_value(self):
         params = AuctionParams(3e-300, 1e-300, 0.5, 0.5, 3)
-        rep = monte_carlo_replay(params, solve_equilibrium(params), trials=20_000, seed=0)
+        rep = monte_carlo_replay(params, trials=20_000, seed=0)
         closed = revenue_report(params)
         assert rep.revenue.std_error > 0.0
         assert rep.revenue.within(closed.expected_revenue)
@@ -180,11 +172,17 @@ class TestMonteCarloReplay:
         assert rep.priority_revenue.within(closed.priority_revenue)
         assert rep.per_agent_payoff.within(0.0)
 
+    @pytest.mark.parametrize("trials", [2.5, 1e3, True, 0])
+    def test_trials_must_be_an_int_of_at_least_one(self, trials):
+        # a float, even a whole one, and a bool are not trial counts
+        with pytest.raises(ArgumentOutOfRange, match="trials must be an int >= 1"):
+            monte_carlo_replay(REF, trials, seed=0)
+
     def test_too_many_agents_raise_before_any_draw(self, monkeypatch):
         monkeypatch.setattr(oracle, "_chunk_rngs", None)
         params = replace(REF, num_agents=(1 << 22) + 1)
         with pytest.raises(ArgumentOutOfRange):
-            monte_carlo_replay(params, solve_equilibrium(params), trials=1, seed=0)
+            monte_carlo_replay(params, trials=1, seed=0)
 
 
 def _shifted(delta):
@@ -313,10 +311,15 @@ class TestFindPureDeviation:
                 assert dev.gain > 0
 
 
+def _cdf_rows(base):
+    """The four F* rows of the sign check."""
+    return [c for c in comparative_statics_check(base) if c.quantity == "cdf_pointwise"]
+
+
 class TestComparativeStatics:
     def test_all_signs_pass_at_low_markup_point(self):
         base = AuctionParams(2.0, 1.0, 0.5, 0.05, 20)
-        checks = comparative_statics_check(base) + cdf_sensitivity_check(base)
+        checks = comparative_statics_check(base)
         assert all(c.passed for c in checks)
         assert len(checks) == 13
 
@@ -333,7 +336,8 @@ class TestComparativeStatics:
         # published directions hold and the (expected_bid, r1) check fails;
         # verified independently by quadrature and Monte Carlo
         base = AuctionParams(10, 1, 0.1, 0.1, 5)
-        checks = {(c.quantity, c.parameter): c for c in comparative_statics_check(base)}
+        checks = {(c.quantity, c.parameter): c for c in comparative_statics_check(base)
+                  if c.quantity != "cdf_pointwise"}
         failing = checks[("expected_bid", "revert_rate_base")]
         assert not failing.passed
         assert failing.derivative > 0.0
@@ -347,7 +351,7 @@ class TestComparativeStatics:
     def test_sign_table(self):
         base = AuctionParams(2.0, 1.0, 0.5, 0.05, 20)
         table = [(c.quantity, c.parameter, c.expected)
-                 for c in comparative_statics_check(base) + cdf_sensitivity_check(base)]
+                 for c in comparative_statics_check(base)]
         assert table == [
             ("abstain_prob", "num_agents", "+"),
             ("abstain_prob", "base_fee", "+"),
@@ -372,7 +376,7 @@ class TestComparativeStatics:
         def cdf(**change):
             return solve_equilibrium(replace(base, **change)).cdf(grid)
 
-        for check in cdf_sensitivity_check(base):
+        for check in _cdf_rows(base):
             field = check.parameter
             if field == "num_agents":
                 d = cdf(num_agents=base.num_agents + 1) - cdf()
@@ -396,10 +400,10 @@ class TestComparativeStatics:
     def test_rate_box_edges_take_one_sided_differences(self, base):
         # no sign is asserted: at r1 = 0, p* is identically 0, so its N, g
         # and V differences truly read 0
-        statics = comparative_statics_check(base)
-        sensitivity = cdf_sensitivity_check(base)
-        assert len(statics) == 9 and len(sensitivity) == 4
-        assert all(np.isfinite(c.derivative) for c in statics + sensitivity)
+        rows = comparative_statics_check(base)
+        statics = [c for c in rows if c.quantity != "cdf_pointwise"]
+        assert len(statics) == 9 and len(rows) == 13
+        assert all(np.isfinite(c.derivative) for c in rows)
         if base.revert_rate_priority == 0.0:
             checks = {(c.quantity, c.parameter): c.derivative for c in statics}
             assert checks[("abstain_prob", "revert_rate_priority")] == 0.0
@@ -451,12 +455,10 @@ class TestComparativeStatics:
         # r1 g = r2 = 0 (the second r1 g rounds to 0): no mixed equilibrium
         with pytest.raises(DegenerateNoRevertCost):
             comparative_statics_check(base)
-        with pytest.raises(DegenerateNoRevertCost):
-            cdf_sensitivity_check(base)
 
     def test_cdf_pointwise_signs_at_low_markup_point(self):
         base = AuctionParams(2.0, 1.0, 0.5, 0.05, 20)
-        for check in cdf_sensitivity_check(base):
+        for check in _cdf_rows(base):
             assert check.passed, check
 
 

@@ -190,7 +190,7 @@ def _replay_reference(params, eq, trials, seed):
 def test_replay_equals_reference_loop(n, cost, trials):
     params = AuctionParams(10.0, 1.0, 0.0, 0.3, n)
     eq = solve_equilibrium(params, cost)
-    assert monte_carlo_replay(params, eq, trials, seed=n) == _replay_reference(
+    assert monte_carlo_replay(params, trials, seed=n, entry_cost=cost) == _replay_reference(
         params, eq, trials, seed=n)
 
 
@@ -203,7 +203,7 @@ def test_replay_equals_reference_loop_on_forced_ties(bid, monkeypatch):
     params = AuctionParams(10.0, 1.0, 0.0, 0.3, 20)
     for cost in (0.2, 0.0):
         eq = solve_equilibrium(params, cost)
-        report = monte_carlo_replay(params, eq, 70_001, seed=3)
+        report = monte_carlo_replay(params, 70_001, seed=3, entry_cost=cost)
         assert report == _replay_reference(params, eq, 70_001, seed=3)
         assert report.per_agent_payoff.std_error > 0.0
 
@@ -225,6 +225,6 @@ def test_replay_equals_reference_loop_on_a_single_tie(seed, monkeypatch):
     monkeypatch.setattr(Equilibrium, "_quantile_arr", quantile)
     params = AuctionParams(10.0, 1.0, 0.0, 0.3, 20)
     eq = solve_equilibrium(params, 0.0)
-    report = monte_carlo_replay(params, eq, 20_000, seed=seed)
+    report = monte_carlo_replay(params, 20_000, seed=seed)
     first.clear()
     assert report == _replay_reference(params, eq, 20_000, seed=seed)

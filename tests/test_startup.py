@@ -38,9 +38,8 @@ EXPORTS = {
     ],
     "oracle": [
         "EquilibriumCertificate", "McEstimate", "PureDeviation", "ReplayReport", "SignCheck",
-        "bisection_quantile", "cdf_sensitivity_check", "certify_equilibrium",
-        "comparative_statics_check", "find_pure_deviation", "hillman_samet_check",
-        "monte_carlo_replay",
+        "bisection_quantile", "certify_equilibrium", "comparative_statics_check",
+        "find_pure_deviation", "hillman_samet_check", "monte_carlo_replay",
     ],
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
