@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .equilibrium import check_entry_cost, equilibrium_state, solve_equilibrium
+from .equilibrium import equilibrium_state, solve_equilibrium
 from .errors import RateOutOfRange
-from .model import AuctionParams
+from .model import AuctionParams, check_entry_cost
 
 _R1_GRID = 10_001  # r1 points of the scheme-1 profit scan, a step of 1e-4
 _TIE_BAND = 1e-9  # a scheme gap this small is a tie in compare_schemes
@@ -153,7 +153,6 @@ class SchemeComparison:
 def compare_schemes(params: AuctionParams, c: float) -> SchemeComparison:
     """Scheme 1 (sequencer internalizes cost c, at its profit-optimal r1)
     versus scheme 2 (participants pay c, full revert protection r1 = 0)."""
-    check_entry_cost(params, c)
     r1_opt = scheme1_optimal_r1(params, c)
     profit1 = scheme1_profit(replace(params, revert_rate_base=r1_opt), c)
     revenue2 = scheme2_revenue(replace(params, revert_rate_base=0.0), c)

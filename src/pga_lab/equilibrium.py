@@ -33,14 +33,12 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     ArgumentOutOfRange,
-    CostOutOfRange,
-    CostTooLarge,
     DegenerateNoRevertCost,
     NotApplicable,
     NumericsError,
     OutOfSupport,
 )
-from .model import AuctionParams, MixedStrategy
+from .model import AuctionParams, MixedStrategy, check_entry_cost
 
 if TYPE_CHECKING:
     import numpy as np
@@ -202,16 +200,6 @@ def bid_quantile(u, state: EquilibriumState, m, r2):
         np.power(x, m, out=x)
     _bid(x, r2 + (1.0 - r2) * state.rho, state.scale, r2)
     return np.clip(x, 0.0, state.top, out=x)
-
-
-def check_entry_cost(params: AuctionParams, entry_cost: float) -> None:
-    """A flat entry cost must be finite and lie in [0, V - g)."""
-    if not (math.isfinite(entry_cost) and entry_cost >= 0.0):
-        raise CostOutOfRange(f"entry cost must be finite and non-negative, got {entry_cost}")
-    if entry_cost >= params.breakeven_bid:
-        raise CostTooLarge(
-            f"entry cost {entry_cost} must stay below breakeven bid {params.breakeven_bid}"
-        )
 
 
 @dataclass(frozen=True)

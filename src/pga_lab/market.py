@@ -9,13 +9,13 @@ discrepancy survives the block.
 
 Per-block accounting tracks price-discovery quality (mean/max deviation and
 the fraction of blocks outside the fee band), LP economics (fees earned
-versus adverse-selection loss), and sequencer revenue.
+versus adverse-selection loss), and sequencer revenue. MarketSimConfig checks
+g, r1, r2, N and the seed by the model's rules; ConfigInvalid is for the rest.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -25,8 +25,8 @@ from typing import Literal, NamedTuple, Optional, get_args
 import numpy as np
 
 from .equilibrium import EquilibriumState, bid_quantile, equilibrium_state, losing_is_free
-from .errors import ArgumentOutOfRange, ConfigInvalid, NumericsError, TooManyAgents
-from .model import MAX_AGENTS, MAX_DRAWS
+from .errors import ArgumentOutOfRange, ConfigInvalid, NumericsError
+from .model import MAX_DRAWS, check_auction_box, check_seed
 
 Outcome = Literal["no_opportunity", "all_abstained", "executed"]
 
@@ -47,12 +47,9 @@ class MarketSimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_arbitrageurs, numbers.Integral):
-            raise ConfigInvalid("num_arbitrageurs must be an integer")
-        if self.num_arbitrageurs > MAX_AGENTS:
-            raise TooManyAgents(
-                f"num_arbitrageurs must be <= {MAX_AGENTS}, got {self.num_arbitrageurs}"
-            )
+        check_auction_box(self.base_fee, self.revert_rate_base, self.revert_rate_priority,
+                          self.num_arbitrageurs, "num_arbitrageurs")
+        check_seed(self.seed)
         checks = [
             (self.block_time > 0.0, "block_time must be positive"),
             (self.horizon >= self.block_time, "horizon must cover at least one block"),
@@ -60,20 +57,12 @@ class MarketSimConfig:
             (0.0 <= self.fee_rate < 1.0, "fee_rate must lie in [0, 1)"),
             (self.liquidity_depth > 0.0, "liquidity_depth must be positive"),
             (self.volatility >= 0.0, "volatility must be non-negative"),
-            (self.base_fee > 0.0, "base_fee must be positive"),
-            (0.0 <= self.revert_rate_base <= 1.0, "revert_rate_base must lie in [0, 1]"),
-            (0.0 <= self.revert_rate_priority <= 1.0, "revert_rate_priority must lie in [0, 1]"),
-            (self.num_arbitrageurs >= 2, "num_arbitrageurs must be >= 2"),
-            (
-                isinstance(self.seed, numbers.Integral) and self.seed >= 0,
-                "seed must be a non-negative integer",
-            ),
         ]
         for ok, msg in checks:
             if not ok:
                 raise ConfigInvalid(msg)
         for name in ("drift", "volatility", "horizon", "block_time", "initial_price",
-                     "liquidity_depth", "base_fee"):
+                     "liquidity_depth"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigInvalid(f"{name} must be finite")
         # gbm_path draws one normal per block in one call

@@ -6,6 +6,7 @@ block whose base fee is g. Each agent either abstains or submits a bid b >= 0
 random; the winner extracts V and pays g + b. Every losing participant pays a
 revert penalty r1*g + r2*b on the base and priority components of its fee.
 A pure profile holds one action per agent: a bid (a float) or None (abstain).
+Every entry checks its inputs by check_auction_box, check_seed and check_entry_cost.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import (
+    ArgumentOutOfRange,
+    CostOutOfRange,
+    CostTooLarge,
     IndexOutOfRange,
     NonPositiveFee,
     OutOfSupport,
@@ -31,6 +35,38 @@ MAX_AGENTS = 10**12
 MAX_DRAWS = 1 << 22
 
 
+def check_auction_box(g, r1, r2, n, agents: str = "num_agents") -> None:
+    """A finite base fee g > 0, revert rates r1 and r2 finite in [0, 1], and an int or numpy
+    integer 2 <= N <= MAX_AGENTS; agents names the N field in the error text."""
+    if not (math.isfinite(g) and g > 0.0):
+        raise NonPositiveFee(f"base_fee must be finite and positive, got {g}")
+    for name, r in (("revert_rate_base", r1), ("revert_rate_priority", r2)):
+        if not (math.isfinite(r) and 0.0 <= r <= 1.0):
+            raise RateOutOfRange(f"{name} must lie in [0, 1], got {r}")
+    # a non-number ("5", None) is TooFewAgents, shown by its repr so "5" does not read as 5
+    if isinstance(n, numbers.Real) and n > MAX_AGENTS:
+        raise TooManyAgents(f"{agents} must be <= {MAX_AGENTS}, got {n}")
+    if not (isinstance(n, numbers.Integral) and n >= 2):
+        shown = n if isinstance(n, numbers.Real) else repr(n)
+        raise TooFewAgents(f"{agents} must be an integer >= 2, got {shown}")
+
+
+def check_seed(seed) -> None:
+    """A seed is an int >= 0; numpy integers pass and bools fail."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ArgumentOutOfRange(f"seed must be an int >= 0, got {seed!r}")
+
+
+def check_entry_cost(params: AuctionParams, entry_cost: float) -> None:
+    """A flat entry cost must be finite and lie in [0, V - g)."""
+    if not (math.isfinite(entry_cost) and entry_cost >= 0.0):
+        raise CostOutOfRange(f"entry cost must be finite and non-negative, got {entry_cost}")
+    if entry_cost >= params.breakeven_bid:
+        raise CostTooLarge(
+            f"entry cost {entry_cost} must stay below breakeven bid {params.breakeven_bid}"
+        )
+
+
 @dataclass(frozen=True)
 class AuctionParams:
     """One auction instance: (V, g, r1, r2, N).
@@ -39,8 +75,7 @@ class AuctionParams:
     base_fee: flat fee g every included transaction pays.
     revert_rate_base: fraction r1 of g paid by a losing participant.
     revert_rate_priority: fraction r2 of the bid paid by a losing participant.
-    num_agents: number of competing agents, a numbers.Integral (an int or a
-        numpy integer) with 2 <= N <= MAX_AGENTS.
+    num_agents: number of competing agents, 2 <= N <= MAX_AGENTS (check_auction_box).
     """
 
     value: float
@@ -50,24 +85,12 @@ class AuctionParams:
     num_agents: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.base_fee) and self.base_fee > 0.0):
-            raise NonPositiveFee(f"base_fee must be positive, got {self.base_fee}")
+        check_auction_box(self.base_fee, self.revert_rate_base, self.revert_rate_priority,
+                          self.num_agents)
         if not (math.isfinite(self.value) and self.value > self.base_fee):
             raise ValueNotAboveBaseFee(
                 f"value must exceed base_fee, got value={self.value}, base_fee={self.base_fee}"
             )
-        for name in ("revert_rate_base", "revert_rate_priority"):
-            r = getattr(self, name)
-            if not (math.isfinite(r) and 0.0 <= r <= 1.0):
-                raise RateOutOfRange(f"{name} must lie in [0, 1], got {r}")
-        n = self.num_agents
-        # a non-number such as "5" or None is not an integer: TooFewAgents below,
-        # shown by its repr so that "5" does not read as the number 5
-        if isinstance(n, numbers.Real) and n > MAX_AGENTS:
-            raise TooManyAgents(f"num_agents must be <= {MAX_AGENTS}, got {n}")
-        if not (isinstance(n, numbers.Integral) and n >= 2):
-            shown = n if isinstance(n, numbers.Real) else repr(n)
-            raise TooFewAgents(f"num_agents must be an integer >= 2, got {shown}")
 
     @property
     def breakeven_bid(self) -> float:
@@ -162,10 +185,11 @@ def expected_payoff_vs_symmetric(
     formed with log1p/expm1 so that w and 1 - w keep their digits as p -> 1
     at large N. Abstaining is worth exactly 0 and is the caller's
     alternative. entry_cost is subtracted when bidding carries a flat
-    participation charge.
+    participation charge, and must pass check_entry_cost.
     """
     import numpy as np
 
+    check_entry_cost(params, entry_cost)
     b = np.asarray(own_bid, dtype=float)
     bad = b[~(np.isfinite(b) & (b >= 0.0))]
     if bad.size:

@@ -29,6 +29,7 @@ from .model import (
     MAX_DRAWS,
     MixedStrategy,
     PureProfile,
+    check_seed,
     expected_payoff_vs_symmetric,
     pure_payoff,
 )
@@ -200,10 +201,11 @@ def monte_carlo_replay(
     block of at most 2^17 agent-draws (1 MiB an array) at a time, or one row
     where N exceeds 2^17. So memory stays bounded in N and trials, and the
     reports do not depend on the block size. A trials that is not an int of
-    at least 1, or N above 2^22, raises ArgumentOutOfRange before any draw.
+    at least 1, a bad seed or N above 2^22 raises ArgumentOutOfRange first.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ArgumentOutOfRange(f"trials must be an int >= 1, got {trials!r}")
+    check_seed(seed)
     p = params
     n = p.num_agents
     rows = _chunk_rows(n)

@@ -24,9 +24,8 @@ import numpy as np
 
 from . import analytics, oracle
 from .equilibrium import solve_equilibrium
-from .errors import ArgumentOutOfRange
 from .market import EVENT_CSV_HEADER, MarketSimConfig, simulate
-from .model import AuctionParams, PureProfile
+from .model import AuctionParams, PureProfile, check_seed
 
 
 def random_params(rng: np.random.Generator, max_agents: int = 64) -> AuctionParams:
@@ -276,8 +275,7 @@ BATTERIES = {"default": _CHECKS}
 
 
 def run_battery(seed: int) -> list[CheckResult]:
-    if seed < 0:
-        raise ArgumentOutOfRange(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     checks = BATTERIES["default"]
 
     def run_one(item: tuple[str, Callable[[int], tuple[bool, str]]]) -> CheckResult:

@@ -27,6 +27,7 @@ from pga_lab import (
     simulate,
     solve_equilibrium,
 )
+from pga_lab import analytics
 from pga_lab.cli import run
 from pga_lab.equilibrium import Equilibrium
 from pga_lab.serialize import csv_text, json_text
@@ -179,21 +180,40 @@ def test_criterion_6_comparative_statics():
 
 
 def test_criterion_7_r2_invariance():
-    base = replace(REF, revert_rate_priority=0.0)
-    reports = [
-        revenue_report(replace(base, revert_rate_priority=r2)) for r2 in (0.0, 0.3, 1.0)
-    ]
+    # revenue_report never reads r2, so its totals must agree exactly; F* moves
+    # with r2, and the priority payments (the winner's bid, and r2 times each
+    # loser's) must still add up to the r2-free priority revenue
+    points = [replace(REF, revert_rate_priority=r2) for r2 in (0.0, 0.3, 1.0)]
+    reports = [revenue_report(p) for p in points]
     identical = all(
         r.expected_revenue == reports[0].expected_revenue
         and r.participation_prob == reports[0].participation_prob
         and r.expected_submitted_txs == reports[0].expected_submitted_txs
         for r in reports
     )
+    worst = 0.0
+    for p, r in zip(points, reports):
+        eq = solve_equilibrium(p)
+        r2 = p.revert_rate_priority
+        paid = ((1.0 - r2) * analytics.expected_winning_bid(p)
+                + r2 * p.num_agents * eq.state.one_minus_p * eq.expected_bid())
+        worst = max(worst, abs(paid - r.priority_revenue) / r.priority_revenue)
     _criterion(
         7,
-        "revenue, participation, submitted txs exactly identical across r2 in {0, 0.3, 1}",
-        identical,
+        "revenue, participation, submitted txs exactly identical across r2 in {0, 0.3, 1}, "
+        "and the priority payments within 1e-10 relative of the priority revenue",
+        identical and worst <= 1e-10,
+        f"max priority-payment residue {worst:.2e}",
     )
+
+
+def test_criterion_7_sees_a_shift_of_the_winning_bid(monkeypatch, capsys):
+    raw = analytics.expected_winning_bid
+    monkeypatch.setattr(analytics, "expected_winning_bid",
+                        lambda *args: raw(*args) * (1.0 + 1e-9))
+    with pytest.raises(AssertionError, match="criterion 7"):
+        test_criterion_7_r2_invariance()
+    assert "max priority-payment residue 1.00e-09" in capsys.readouterr().out
 
 
 def test_criterion_8_hillman_samet():

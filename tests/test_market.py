@@ -15,7 +15,7 @@ from pga_lab import (
 )
 from pga_lab import market
 from pga_lab.equilibrium import log_ratio
-from pga_lab.errors import ArgumentOutOfRange
+from pga_lab.errors import ArgumentOutOfRange, TooFewAgents
 from pga_lab.market import EVENT_CSV_HEADER, BlockEvent, event_csv_rows
 from pga_lab.numerics import adaptive_simpson
 from pga_lab.serialize import csv_text
@@ -53,12 +53,12 @@ class TestConfig:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
     def test_seed_must_be_a_non_negative_integer(self, seed):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(ArgumentOutOfRange):
             replace(BASE, seed=seed)
 
     @pytest.mark.parametrize("n", [2.5, 10.0, "10"])
     def test_agent_count_must_be_an_integer(self, n):
-        with pytest.raises(ConfigInvalid, match="num_arbitrageurs must be an integer"):
+        with pytest.raises(TooFewAgents, match="num_arbitrageurs must be an integer"):
             replace(BASE, num_arbitrageurs=n)
 
     def test_numpy_integer_agent_count_is_accepted(self):

@@ -1,13 +1,17 @@
 import math
 import re
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
 
 from pga_lab import (
+    ArgumentOutOfRange,
     AuctionParams,
+    CostOutOfRange,
     IndexOutOfRange,
+    MarketSimConfig,
     MixedStrategy,
     NonPositiveFee,
     OutOfSupport,
@@ -16,9 +20,13 @@ from pga_lab import (
     TooFewAgents,
     TooManyAgents,
     ValueNotAboveBaseFee,
+    certify_equilibrium,
     expected_payoff_vs_symmetric,
+    monte_carlo_replay,
     pure_payoff,
+    solve_equilibrium,
 )
+from pga_lab.verify import run_battery
 
 
 class TestValidation:
@@ -62,6 +70,39 @@ class TestValidation:
     def test_bid_rejects_negative_amounts(self):
         with pytest.raises(ValueError):
             PureProfile([-0.5])
+
+
+REF = AuctionParams(10, 1, 0.1, 0.1, 20)
+# a market at REF's g, r1, r2 and N
+CONFIG = MarketSimConfig(0.0, 0.05, 1.0, 0.01, 100.0, 0.003, 10.0, 1.0, 0.1, 0.1, 20, 0)
+RATES = ("revert_rate_base", "revert_rate_priority")
+
+
+@pytest.mark.parametrize("field, bad, error", [
+    *(("base_fee", g, NonPositiveFee) for g in (0.0, -1.0, math.nan, math.inf)),
+    *((rate, r, RateOutOfRange) for rate in RATES for r in (-0.1, 1.5, math.nan)),
+    *(("num_agents", n, TooFewAgents) for n in (1, 2.5, "5")),
+    ("num_agents", 10**13, TooManyAgents),
+    *(("seed", seed, ArgumentOutOfRange) for seed in (-1, 1.5, True, "7")),
+])
+def test_each_input_has_one_rule(field, bad, error):
+    """A bad g, r1, r2 or N raises the same error from AuctionParams and
+    MarketSimConfig, and a bad seed the same error from the simulator, the
+    replay and the battery; only the name of the N field differs."""
+    if field == "seed":
+        calls = [lambda: replace(CONFIG, seed=bad), lambda: monte_carlo_replay(REF, 10, bad),
+                 lambda: run_battery(bad)]
+    else:
+        market_field = "num_arbitrageurs" if field == "num_agents" else field
+        calls = [lambda: replace(REF, **{field: bad}),
+                 lambda: replace(CONFIG, **{market_field: bad})]
+    texts = set()
+    for call in calls:
+        with pytest.raises(error) as raised:
+            call()
+        assert type(raised.value) is error
+        texts.add(str(raised.value).replace("num_arbitrageurs", "num_agents"))
+    assert len(texts) == 1, texts
 
 
 class TestPureProfile:
@@ -183,3 +224,15 @@ class TestExpectedPayoffVsSymmetric:
         strat = _uniform_strategy(0.5, 9.0)
         with pytest.raises(ValueError):
             expected_payoff_vs_symmetric(params, strat, -1.0)
+
+    @pytest.mark.parametrize("cost", [-5.0, math.nan, math.inf, 9.0],
+                             ids=["negative", "nan", "inf", "breakeven"])
+    def test_payoff_and_certificate_check_the_entry_cost(self, cost):
+        # the rule and the error of solve_equilibrium; c = V - g = 9 is CostTooLarge
+        strategy = solve_equilibrium(REF).strategy
+        with pytest.raises(CostOutOfRange) as expected:
+            solve_equilibrium(REF, cost)
+        for call in (lambda: expected_payoff_vs_symmetric(REF, strategy, 1.0, cost),
+                     lambda: certify_equilibrium(REF, strategy, cost)):
+            with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+                call()
