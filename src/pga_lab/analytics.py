@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .equilibrium import equilibrium_state, solve_equilibrium
-from .errors import RateOutOfRange
-from .model import AuctionParams, check_entry_cost
+from .model import AuctionParams, check_entry_cost, check_tax_rate
 
 _R1_GRID = 10_001  # r1 points of the scheme-1 profit scan, a step of 1e-4
 _TIE_BAND = 1e-9  # a scheme gap this small is a tie in compare_schemes
@@ -204,8 +203,7 @@ def expected_mev_tax(params: AuctionParams, tax_rate: float) -> MevTax:
     """The MEV tax at rate tau = tax_rate, with the raw rate r taken from
     params.revert_rate_base; the reparameterization overrides the priority-fee
     rate. At tau = 0 the tax is 0 and the winning bid is not computed."""
-    if not (math.isfinite(tax_rate) and tax_rate >= 0.0):
-        raise RateOutOfRange(f"tax rate must be finite and non-negative, got {tax_rate}")
+    check_tax_rate(tax_rate)
     r1 = params.revert_rate_base
     if tax_rate == 0.0:
         return MevTax(r1, 0.0, math.nan)

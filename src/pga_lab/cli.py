@@ -312,7 +312,7 @@ SWEEPS = {
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .model import AuctionParams
+    from .model import AuctionParams, check_entry_cost, check_tax_rate
     from .serialize import write_csv
 
     if args.grid < 1:
@@ -331,7 +331,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     points = []
     for combo in combos:
         point = {**values, **dict(zip(axis_names, combo))}
-        points.append((_build(AuctionParams, AUCTION, point), point))
+        params = _build(AuctionParams, AUCTION, point)
+        # a given c or tau is range-checked at each point, read by the target or not
+        if point["c"] is not None:
+            check_entry_cost(params, point["c"])
+        if point["tau"] is not None:
+            check_tax_rate(point["tau"])
+        points.append((params, point))
     # each axis column repeats a point's value once per row of that point
     axis_columns = [[value for value in axis for _ in range(rows_per_point)]
                     for axis in zip(*combos)]
@@ -343,17 +349,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_equilibrium(args: argparse.Namespace) -> int:
     from .equilibrium import losing_is_free, pure_equilibrium, solve_equilibrium
-    from .model import AuctionParams
+    from .model import AuctionParams, check_entry_cost
     from .serialize import fmt_float, write_json
 
     values = _values(args, defaults={"c": 0.0}, optional=("N",))
-    entry_cost = values["c"]
-    pure_case = losing_is_free(values["r1"] * values["g"], values["r2"], entry_cost)
-    if values["N"] is None:
-        if not pure_case:
-            raise MissingParameters(["N"])
+    entry_cost, n_given = values["c"], values["N"] is not None
+    if not n_given:
         values["N"] = 2  # the pure characterization does not depend on N
+    # g, r1, r2 and c are range-checked first: the pure case is decided on accepted values
     params = _build(AuctionParams, AUCTION, values)
+    check_entry_cost(params, entry_cost)
+    pure_case = losing_is_free(values["r1"] * values["g"], values["r2"], entry_cost)
+    if not (pure_case or n_given):
+        raise MissingParameters(["N"])
     if pure_case:
         top_bid = pure_equilibrium(params)
         print(
@@ -425,7 +433,7 @@ _SUMMARY_FIELDS = ("opportunities", "executed", "abstained", "mad", "dbf", "max_
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .market import EVENT_CSV_HEADER, MarketSimConfig, simulate
-    from .serialize import Records, fmt_float, write_csv, write_json
+    from .serialize import Records, fmt_float, render_columns, write_csv, write_json
 
     config = _build(MarketSimConfig, MARKET, _values(args, defaults={"mu": 0.0, "seed": 0}))
     report = simulate(config)
@@ -437,9 +445,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           f"MD {fmt_float(report.max_deviation)}")
     print(f"CFE {fmt_float(report.cfe)}  CASL {fmt_float(report.casl)}  "
           f"NLP {fmt_float(report.nlp)}  CSR {fmt_float(report.csr)}")
-    if args.out_events:
-        write_csv(args.out_events, EVENT_CSV_HEADER, report.event_columns)
-        print(f"wrote events to {args.out_events}")
+    columns = list(report.event_columns)
     if args.out_report:
         counts, bin_edges = report.revenue_histogram
         doc = {
@@ -447,8 +453,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "summary": {k: getattr(report, k) for k in _SUMMARY_FIELDS},
             "era_series": report.era_series,
             "revenue_histogram": {"counts": counts, "bin_edges": bin_edges},
-            "events": Records(EVENT_CSV_HEADER, report.event_columns),
+            "events": Records(EVENT_CSV_HEADER, columns),
         }
+    del report  # columns now holds the event arrays' last references
+    if args.out_events and args.out_report:
+        render_columns(columns)  # both files read one text of each value
+    if args.out_events:
+        write_csv(args.out_events, EVENT_CSV_HEADER, columns)
+        print(f"wrote events to {args.out_events}")
+    if args.out_report:
         write_json(args.out_report, doc)
         print(f"wrote report to {args.out_report}")
     return 0

@@ -6,7 +6,8 @@ block whose base fee is g. Each agent either abstains or submits a bid b >= 0
 random; the winner extracts V and pays g + b. Every losing participant pays a
 revert penalty r1*g + r2*b on the base and priority components of its fee.
 A pure profile holds one action per agent: a bid (a float) or None (abstain).
-Every entry checks its inputs by check_auction_box, check_seed and check_entry_cost.
+Every entry checks its inputs by check_auction_box, check_seed, check_entry_cost
+and check_tax_rate.
 """
 
 from __future__ import annotations
@@ -65,6 +66,12 @@ def check_entry_cost(params: AuctionParams, entry_cost: float) -> None:
         raise CostTooLarge(
             f"entry cost {entry_cost} must stay below breakeven bid {params.breakeven_bid}"
         )
+
+
+def check_tax_rate(tax_rate: float) -> None:
+    """An MEV tax rate tau must be finite and non-negative."""
+    if not (math.isfinite(tax_rate) and tax_rate >= 0.0):
+        raise RateOutOfRange(f"tax rate must be finite and non-negative, got {tax_rate}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,11 @@ blocks of rows. A block is formatted column by column, each column to a list
 of cell texts, and then assembled in one join: the columns are slotted into
 the rows' fixed separators (commas and newlines in CSV, the object keys in
 JSON) by one slice assignment each.
+
+render_columns formats a table's number columns once for both formats: a
+float64, int64 or float-or-None column becomes its CSV cell texts, one
+comma-joined string a block, which the CSV writer splits as it is and the
+JSON writer splits with "" read as null.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ SCHEMA_VERSION = "1"
 # rows per block: a block of a table is formatted column by column, each float
 # or exact-int column with its distinct values formatted once, assembled by one
 # join and written before the next block is formatted, so the text held does
-# not grow with the table
+# not grow with the table (a rendered column's text is held whole)
 _BLOCK_ROWS = 4096
 
 # a JSON string literal, or null for None; non-ASCII text stays UTF-8, as in
@@ -107,10 +112,48 @@ def _floats(values: Sequence[float]) -> list[str]:
     return np.array(cells, dtype=object)[inverse].tolist()
 
 
+class _Block(str):
+    """One block of a rendered column: its CSV cell texts joined by commas,
+    "" for None. No formatted number holds a comma or is empty."""
+
+
+class _Rendered:
+    """A column as render_columns leaves it: one _Block per _BLOCK_ROWS rows.
+    Its length is its row count, and the slice of a block's rows is that block."""
+
+    __slots__ = ("blocks", "rows")
+
+    def __init__(self, blocks: list[_Block], rows: int) -> None:
+        self.blocks, self.rows = blocks, rows
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __getitem__(self, rows: slice) -> _Block:
+        return self.blocks[rows.start // _BLOCK_ROWS]
+
+
+def render_columns(columns: list) -> None:
+    """Replace, in place, each float64 or int64 ndarray of columns, and each
+    column of floats and None, by its text (a _Rendered), so that write_csv
+    and a Records table given the same list format each value once between
+    them. Other columns (strings, say) stay as they are. A replaced column is
+    freed as soon as its text exists, unless something else holds it."""
+    np = sys.modules.get("numpy")
+    for j, column in enumerate(columns):
+        if (np is not None and isinstance(column, np.ndarray)
+                and column.dtype in (np.float64, np.int64)
+                or set(map(type, column)) <= {float, type(None)}):
+            columns[j] = _Rendered(
+                [_Block(",".join(_column(column[start:start + _BLOCK_ROWS], _csv_cell)))
+                 for start in range(0, len(column), _BLOCK_ROWS)], len(column))
+
+
 def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list[str]:
     """One column's cells as text, as _scalar writes them.
 
-    A float64 ndarray goes to _floats as it is; any other ndarray is written
+    A rendered block is split as it is, its "" cells taking text(None). A
+    float64 ndarray goes to _floats as it is; any other ndarray is written
     as its tolist() would be. While numpy is not loaded no value can be an
     ndarray. A column of exact ints takes one str per distinct value (bool
     and IntEnum are not exact ints). Otherwise the float cells (floats and float
@@ -118,6 +161,9 @@ def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list
     and every other cell takes one _scalar call per distinct (type, value).
     A non-scalar cell raises TypeError.
     """
+    if isinstance(values, _Block):
+        cells, none = values.split(","), text(None)
+        return [cell or none for cell in cells] if none and "" in cells else cells
     np = sys.modules.get("numpy")
     if np is not None and isinstance(values, np.ndarray):
         if values.dtype == np.float64:

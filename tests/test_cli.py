@@ -73,8 +73,16 @@ def _assert_one_line_error(capsys):
         ["equilibrium", *AUCTION, "--c", "-1"],
         ["compare-schemes", *AUCTION, "--c", "-0.5"],
         ["sweep", "--target", "mev_tax", *AUCTION, "--vary", "tau=-1,1"],
+        # a target that does not read c or tau still range-checks a given one
+        ["sweep", "--target", "revenue", *AUCTION[:-2], "--c", "-5", "--vary", "N=2,3"],
+        ["sweep", "--target", "revenue", *AUCTION[:-2], "--tau", "-1", "--vary", "N=2,3"],
+        ["sweep", "--target", "revenue", *AUCTION[:-2], "--tau", "nan", "--vary", "N=2,3"],
+        ["sweep", "--target", "mev_tax", *AUCTION, "--c", "9", "--tau", "1"],
+        ["sweep", "--target", "abstention", *AUCTION, "--vary", "c=0,9"],
     ],
-    ids=["negative-entry-cost", "negative-processing-cost", "negative-tax-rate"],
+    ids=["negative-entry-cost", "negative-processing-cost", "negative-tax-rate",
+         "unread-negative-cost", "unread-negative-tax-rate", "unread-nan-tax-rate",
+         "unread-cost-at-breakeven", "cost-axis-at-breakeven"],
 )
 def test_out_of_range_cost_or_tax_is_exit_1(argv, tmp_path, capsys):
     if argv[0] == "sweep":
@@ -539,11 +547,17 @@ R1_G_UNDERFLOWS = ["--V", "1.5", "--g", "0.5", "--r1", "5e-324", "--r2", "0", "-
         lambda t: ["equilibrium", *C_ONE_ULP_BELOW],
         lambda t: ["sweep", "--target", "cdf", *C_ONE_ULP_BELOW[:-2], "--vary", "N=2,3",
                    "--out", str(t / "x.csv")],
+        # without --N, the ranges are checked before the pure case is decided
+        lambda t: ["equilibrium", "--V", "10", "--g", "1", "--r1", "-1", "--r2", "0"],
+        lambda t: ["equilibrium", "--V", "10", "--g", "1", "--r1", "nan", "--r2", "0"],
+        lambda t: ["equilibrium", "--V", "10", "--g", "1", "--r1", "0", "--r2", "0", "--c", "-1"],
+        lambda t: ["equilibrium", "--V", "10", "--g", "0", "--r1", "0", "--r2", "0"],
     ],
     ids=["config-N-text", "config-V-text", "config-N-fraction", "config-malformed-json",
          "config-list", "axis-N-fraction", "axis-varied-twice", "simulate-negative-seed",
          "verify-negative-seed", "N-400-digits", "simulate-N-1e20", "equilibrium-c-one-ulp-below",
-         "cdf-sweep-c-one-ulp-below"],
+         "cdf-sweep-c-one-ulp-below", "equilibrium-no-N-negative-r1", "equilibrium-no-N-nan-r1",
+         "equilibrium-no-N-negative-c", "equilibrium-no-N-zero-g"],
 )
 def test_malformed_parameter_is_exit_1(make_argv, tmp_path, capsys):
     assert run(make_argv(tmp_path)) == 1
@@ -609,6 +623,22 @@ def test_simulate_csv_rows_are_the_json_events(tmp_path, capsys):
     for row, record in zip(rows, records):
         assert list(record) == header
         assert all(_csv_cell_matches(cell, value) for cell, value in zip(row, record.values()))
+
+
+def test_simulate_writes_the_same_files_with_one_output_or_both(tmp_path, capsys):
+    """Both outputs render each event value once for the two files; one
+    output alone formats its own. The bytes are the same either way."""
+    argv = [*SIMULATE, "--r1", "0.5", "--r2", "0.5", "--N", "50", "--seed", "3"]
+    both, alone = tmp_path / "both", tmp_path / "alone"
+    both.mkdir(), alone.mkdir()
+    assert run([*argv, "--out-events", str(both / "e.csv"),
+                "--out-report", str(both / "r.json")]) == 0
+    assert run([*argv, "--out-events", str(alone / "e.csv")]) == 0
+    assert run([*argv, "--out-report", str(alone / "r.json")]) == 0
+    capsys.readouterr()
+    assert '"winning_bid": null' in (both / "r.json").read_text()
+    for name in ("e.csv", "r.json"):
+        assert (both / name).read_bytes() == (alone / name).read_bytes()
 
 
 def test_simulate_path_falling_to_zero_is_quiet(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 import os
 import stat
 import sys
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,10 +18,12 @@ from pga_lab.serialize import (
     _csv_cell,
     _json_chunks,
     _quote,
+    _Rendered,
     _scalar,
     csv_text,
     fmt_float,
     json_text,
+    render_columns,
     write_csv,
     write_json,
 )
@@ -283,6 +286,60 @@ def test_json_tables_stream_one_block_per_chunk(kind):
     chunks = list(_json_chunks({"t": table}))
     assert max(map(len, chunks)) <= len(json_text({"t": block}))
     assert json.loads("".join(chunks)) == {"t": expected}
+
+
+# the values whose text needs care: signed zeros, two NaN payloads, infinities,
+# the least subnormal, and whole floats below and at 1e16 and 1e17
+AWKWARD_FLOATS = (
+    [0.0, -0.0]
+    + np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64).tolist()
+    + [math.inf, -math.inf, 5e-324, 9999999999999998.0, 1e16, 99999999999999984.0, 1e17, 0.1]
+)
+RENDER_HEADER = ["x", "y", "index", "bid", "bid_list", "nothing", "outcome"]
+
+
+def _render_table(rows: int) -> list:
+    """One column of each kind render_columns replaces, and a str column it keeps."""
+    x = np.resize(np.array(AWKWARD_FLOATS), rows)
+    bids = [None if i % 3 else v for i, v in enumerate(x.tolist())]
+    return [
+        x,
+        np.random.default_rng(rows).normal(size=rows) * 1e3,
+        -np.arange(rows, dtype=np.int64) * 7919 - 2**62,
+        np.array(bids, dtype=object),
+        bids[::-1],
+        [None] * rows,
+        np.array(["executed", "all_abstained"] * (rows // 2) + ["executed"] * (rows % 2),
+                 dtype=object),
+    ]
+
+
+@pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                  3 * _BLOCK_ROWS + 5])
+def test_rendered_columns_write_the_bytes_of_the_columns(rows):
+    columns = _render_table(rows)
+    expected = (csv_text(RENDER_HEADER, columns),
+                json_text({"t": Records(RENDER_HEADER, columns)}))
+    rendered = list(columns)
+    render_columns(rendered)
+    assert all(isinstance(c, _Rendered) and len(c) == rows for c in rendered[:-1])
+    if rows:
+        assert rendered[-1] is columns[-1]
+    assert (csv_text(RENDER_HEADER, rendered),
+            json_text({"t": Records(RENDER_HEADER, rendered)})) == expected
+
+
+def test_rendering_frees_each_replaced_array():
+    """Once the caller drops its own reference (here a tuple, as a simulate
+    report holds its event columns), each replaced array goes as its text is
+    made; the str column stays."""
+    held = tuple(_render_table(_BLOCK_ROWS + 1))
+    refs = [weakref.ref(c) for c in held if isinstance(c, np.ndarray)]
+    columns = list(held)
+    del held
+    render_columns(columns)
+    assert [ref() is None for ref in refs] == [True, True, True, True, False]
+    assert refs[-1]() is columns[-1]
 
 
 def test_failed_csv_write_leaves_the_previous_file(tmp_path):
