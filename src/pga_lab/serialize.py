@@ -13,6 +13,15 @@ of cell texts, and then assembled in one join: the columns are slotted into
 the rows' fixed separators (commas and newlines in CSV, the object keys in
 JSON) by one slice assignment each.
 
+With numpy loaded, a column of numbers (a float64 or int64 ndarray, or a
+list of floats, of floats and None, or of exact ints) is formatted by the
+numpy kernel of pga_lab._numtext, which lays a block's cells out as one
+matrix of bytes and makes no Python object per cell. A CSV block whose every
+column the kernel takes is written from one such matrix of whole rows; the
+kernel's text of a column is split into cells only where a block mixes in
+other columns, and for JSON. A command that never loads numpy formats with
+fmt_float, to the same text.
+
 render_columns formats a table's number columns once for both formats: a
 float64, int64 or float-or-None column becomes its CSV cell texts, one
 comma-joined string a block, which the CSV writer splits as it is and the
@@ -86,30 +95,73 @@ def _scalar(v: Any, text: Callable[[Optional[str]], str]) -> Optional[str]:
     return None
 
 
-def _floats(values: Sequence[float]) -> list[str]:
-    """fmt_float of each value: with numpy loaded, one "%" over the distinct
-    values; before that, fmt_float value by value, which gives the same text
-    without loading numpy for a command that holds no array.
+def _kernel():
+    """The numpy text kernel (pga_lab._numtext) once numpy is loaded, where
+    its digits are exact; None before numpy loads, so that a command that
+    holds no array never loads it."""
+    if "numpy" not in sys.modules:
+        return None
+    from . import _numtext
 
-    Values are told apart by their bits, so -0.0 and 0.0, and NaNs of
-    different payloads, are formatted each on their own; each cell then looks
-    up its value's text. "%.17g" leaves out "." and "e" exactly for the
-    values that are nan, inf, or whole and below 1e17 in size, and those
-    take _whole.
-    """
-    np = sys.modules.get("numpy")
-    if np is None:
-        return list(map(fmt_float, values))
-    bits, inverse = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
-                              return_inverse=True)
-    distinct = bits.view(np.float64)
-    cells = (",".join(["%.17g"] * len(distinct)) % tuple(distinct.tolist())).split(",")
-    size = np.abs(distinct)
-    with np.errstate(invalid="ignore"):  # trunc flags a signaling NaN
-        bare = ~(size < np.inf) | ((size < 1e17) & (np.trunc(distinct) == distinct))
-    for i in np.flatnonzero(bare).tolist():
-        cells[i] = _whole(cells[i])
-    return np.array(cells, dtype=object)[inverse].tolist()
+    return _numtext if _numtext.EXACT else None
+
+
+def _words(columns: Sequence[Sequence[Any]], seps: Sequence[str]) -> Optional[list]:
+    """Each column's cells as the kernel's matrix of words, the cells of
+    column j each after seps[j] (one character), or None unless the kernel
+    takes every column. It takes a float64 or int64 ndarray, exact ints that
+    fit int64, and floats (float subclasses too) with or without None, a
+    None cell holding its separator alone. Every column is checked before
+    any is formatted."""
+    kernel = _kernel()
+    if kernel is None:
+        return None
+    np = sys.modules["numpy"]
+    taken = []
+    for values in columns:
+        if isinstance(values, np.ndarray):
+            if values.dtype in (np.float64, np.int64):
+                taken.append((values, values.dtype))
+                continue
+            values = values.tolist()
+        types = set() if isinstance(values, str) else set(map(type, values))
+        if types == {int}:
+            taken.append((values, np.int64))
+        elif types and all(issubclass(kind, float) for kind in types - {type(None)}):
+            taken.append((values, type(None) if type(None) in types else np.float64))
+        else:
+            return None
+    words = []
+    for (values, kind), sep in zip(taken, map(ord, seps)):
+        if kind is type(None):
+            blank = np.array([v is None for v in values], dtype=bool)
+            values = np.array([0.0 if v is None else v for v in values], dtype=np.float64)
+            words.append(kernel.float_words(values, sep, blank))
+        elif kind == np.float64:
+            words.append(kernel.float_words(np.asarray(values, dtype=np.float64), sep))
+        else:
+            try:
+                values = np.asarray(values, dtype=np.int64)
+            except OverflowError:  # an int beyond int64
+                return None
+            words.append(kernel.int_words(values, sep))
+    return words
+
+
+def _text(words: Any) -> str:
+    """The text of a matrix of the kernel's cells: its bytes without the NULs."""
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _floats(values: Sequence[Optional[float]], none: str = "") -> list[str]:
+    """fmt_float of each value, and none for a None: with numpy loaded, by
+    the kernel; before that, value by value, which gives the same text
+    without loading numpy for a command that holds no array."""
+    words = _words([values], ",")
+    if words is None:
+        return [none if v is None else fmt_float(v) for v in values]
+    cells = _text(words[0]).split(",")[1:]
+    return [cell or none for cell in cells] if none and "" in cells else cells
 
 
 class _Block(str):
@@ -144,9 +196,14 @@ def render_columns(columns: list) -> None:
         if (np is not None and isinstance(column, np.ndarray)
                 and column.dtype in (np.float64, np.int64)
                 or set(map(type, column)) <= {float, type(None)}):
-            columns[j] = _Rendered(
-                [_Block(",".join(_column(column[start:start + _BLOCK_ROWS], _csv_cell)))
-                 for start in range(0, len(column), _BLOCK_ROWS)], len(column))
+            columns[j] = _Rendered([_Block(_joined(column[start:start + _BLOCK_ROWS]))
+                                    for start in range(0, len(column), _BLOCK_ROWS)], len(column))
+
+
+def _joined(values: Sequence[Any]) -> str:
+    """values' CSV cells joined by commas."""
+    words = _words([values], ",")
+    return ",".join(_column(values, _csv_cell)) if words is None else _text(words[0])[1:]
 
 
 def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list[str]:
@@ -156,10 +213,11 @@ def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list
     float64 ndarray goes to _floats as it is; any other ndarray is written
     as its tolist() would be. While numpy is not loaded no value can be an
     ndarray. A column of exact ints takes one str per distinct value (bool
-    and IntEnum are not exact ints). Otherwise the float cells (floats and float
-    subclasses) take one _floats call, which tells them apart by their bits,
-    and every other cell takes one _scalar call per distinct (type, value).
-    A non-scalar cell raises TypeError.
+    and IntEnum are not exact ints). A column of floats (float subclasses
+    too) and None takes one _floats call. Otherwise the float cells take one
+    _floats call, which keeps each one's bits, and every other cell takes one
+    _scalar call per distinct (type, value). A non-scalar cell raises
+    TypeError.
     """
     if isinstance(values, _Block):
         cells, none = values.split(","), text(None)
@@ -177,8 +235,8 @@ def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list
         memo = {v: str(v) for v in set(values)}
         return list(map(memo.__getitem__, values))
     floaty = {kind for kind in kinds if issubclass(kind, float)}
-    if floaty == kinds:
-        return _floats(values)
+    if kinds - floaty <= {type(None)}:
+        return _floats(values, text(None))
     # floats stay out of the memo: -0.0 == 0.0 would give the two zeros one key
     keys = list(zip(map(type, values), values))
     memo = {key: _scalar(key[1], text) for key in set(keys) if key[0] not in floaty}
@@ -202,27 +260,50 @@ def _block_text(texts: list[list[str]], seps: Sequence[str], lead: str) -> str:
     return "".join(pieces)
 
 
+def _row_blocks(columns: Sequence[Sequence[Any]]) -> Iterator[list]:
+    """The columns cut into blocks of _BLOCK_ROWS rows, each block a list of
+    column slices. Columns of unequal length raise ValueError."""
+    lengths = set(map(len, columns))
+    if len(lengths) > 1:
+        raise ValueError(f"columns have unequal lengths {sorted(lengths)}")
+    n = lengths.pop() if lengths else 0
+    for start in range(0, n, _BLOCK_ROWS):
+        yield [column[start:start + _BLOCK_ROWS] for column in columns]
+
+
 def _blocks(columns: Sequence[Sequence[Any]], text: Callable[[Optional[str]], str],
             seps: Sequence[str], first: str) -> Iterator[str]:
     """The table given by its columns, one _block_text a block of _BLOCK_ROWS
     rows; the table's first row starts with first. Each column of a block is
     formatted by one _column call, and the cell texts are dropped before the
-    block's text is yielded. Columns of unequal length raise ValueError."""
-    lengths = set(map(len, columns))
-    if len(lengths) > 1:
-        raise ValueError(f"columns have unequal lengths {sorted(lengths)}")
-    n = lengths.pop() if lengths else 0
+    block's text is yielded."""
     lead = first
-    for start in range(0, n, _BLOCK_ROWS):
-        yield _block_text([_column(column[start:start + _BLOCK_ROWS], text) for column in columns],
-                          seps, lead)
+    for block in _row_blocks(columns):
+        yield _block_text([_column(column, text) for column in block], seps, lead)
         lead = seps[0]
+
+
+def _csv_lines(block: list) -> Optional[str]:
+    """A block's CSV lines as the kernel lays them out, or None unless the
+    kernel takes every column: one matrix of the rows' cells, each after its
+    separator (a row's first cell after the newline that ends the row
+    before), and its bytes without the NULs."""
+    words = _words(block, "\n" + "," * (len(block) - 1))
+    if words is None:
+        return None
+    np = sys.modules["numpy"]
+    rows = np.hstack(words)
+    rows.view(np.uint8)[0, 0] = 0  # the block's first row follows a newline already written
+    return _text(rows) + "\n"
 
 
 def _csv_chunks(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> Iterator[str]:
     """The CSV text: the header line, then the lines of each block."""
     yield ",".join(header) + "\n"
-    yield from _blocks(columns, _csv_cell, ["", *[","] * (len(columns) - 1), "\n"], "")
+    seps = ["", *[","] * (len(columns) - 1), "\n"]
+    for block in _row_blocks(columns):
+        yield _csv_lines(block) or _block_text([_column(column, _csv_cell) for column in block],
+                                               seps, "")
 
 
 def csv_text(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:

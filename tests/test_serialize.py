@@ -11,6 +11,9 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from float_text_check import cases, mismatches
+from pga_lab import _numtext
+from pga_lab.cli import run
 from pga_lab.serialize import (
     _BLOCK_ROWS,
     Records,
@@ -20,6 +23,7 @@ from pga_lab.serialize import (
     _quote,
     _Rendered,
     _scalar,
+    _words,
     csv_text,
     fmt_float,
     json_text,
@@ -340,6 +344,60 @@ def test_rendering_frees_each_replaced_array():
     render_columns(columns)
     assert [ref() is None for ref in refs] == [True, True, True, True, False]
     assert refs[-1]() is columns[-1]
+
+
+def test_float_text_matches_fmt_float_over_a_million_values():
+    """Every binade, near-ties of the 17-digit rounding, powers of ten, whole
+    numbers near 1e15-1e17, +-0, subnormals, NaN payloads and +-inf, through
+    csv_text and json_text (tests/float_text_check.py runs 10^7)."""
+    values = cases(10**6, 29)
+    assert len(values) >= 10**6
+    assert mismatches(values) == []
+
+
+# floats beside None: signed zeros, NaN payloads of both signs, infinities,
+# the least subnormal, whole numbers and random bit patterns
+FLOATS_AND_NONES = [
+    None if i % 4 == 1 else v for i, v in enumerate(
+        AWKWARD_FLOATS + [-0.0, 1e15, 123.5, -1e-05]
+        + np.array([0xFFF8000000000001, 0x7FF0000000000002, 0xFFF4000000000000],
+                   dtype=np.uint64).view(np.float64).tolist()
+        + FLOATS[:_BLOCK_ROWS + 7])]
+
+
+def test_float_or_none_columns_take_the_kernel_cell_by_cell():
+    column = FLOATS_AND_NONES
+    if _numtext.EXACT:
+        assert _words([column], ",") is not None  # one kernel call, None cells left blank
+    assert csv_text(["x"], [column]) == "x\n" + "".join(_scalar(v, _csv_cell) + "\n" for v in column)
+    assert json_text(column) == "[\n  " + ",\n  ".join(_scalar(v, _quote) for v in column) + "\n]\n"
+    rendered = [np.array(column, dtype=object)]
+    render_columns(rendered)
+    assert csv_text(["x"], rendered) == csv_text(["x"], [column])
+    assert json_text({"t": Records(["x"], rendered)}) == json_text({"t": Records(["x"], [column])})
+
+
+BENCH_CDF = ["sweep", "--target", "cdf", "--V", "10", "--g", "1", "--r1", "0.1", "--r2", "0.1",
+             "--vary", "N=2:500", "--grid", "200"]
+BENCH_MARKET = ["simulate", "--sigma", "0.05", "--T", "100", "--block-time", "0.01", "--p0", "100",
+                "--f", "0.003", "--L", "10", "--g", "0.1", "--r1", "1", "--r2", "1", "--N", "10"]
+
+
+def test_without_the_kernel_the_files_keep_their_bytes(monkeypatch, tmp_path):
+    """Where long double cannot carry the kernel's scaling, _numtext.EXACT is
+    False and every cell takes fmt_float: the bench cdf sweep and a market
+    run's events and report come out byte for byte as the kernel writes them."""
+
+    def outputs(name: str) -> list[bytes]:
+        paths = [tmp_path / f"{name}.{ext}" for ext in ("cdf.csv", "events.csv", "report.json")]
+        assert run([*BENCH_CDF, "--out", str(paths[0])]) == 0
+        assert run([*BENCH_MARKET, "--out-events", str(paths[1]),
+                    "--out-report", str(paths[2])]) == 0
+        return [path.read_bytes() for path in paths]
+
+    kernel = outputs("kernel")
+    monkeypatch.setattr(_numtext, "EXACT", False)
+    assert outputs("percent") == kernel
 
 
 def test_failed_csv_write_leaves_the_previous_file(tmp_path):
