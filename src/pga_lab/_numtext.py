@@ -22,11 +22,13 @@ notation, and they are the digits of rint(D), D = |x| 10^(16 - k):
 * The point goes after digit k by shifting the digits before it down one
   byte, into a spare byte of the cell's first word.
 
-The cells the kernel cannot prove take one "%.17g" over them all: exponent
-notation (k outside [-4, 15]), D within 1/128 of a tie or rint(D) at a power
-of ten, +-0, NaN, +-inf and subnormals. Where long double has fewer than 63
-mantissa bits, or a word's first byte is not its lowest, EXACT is False and
-serialize does not use this module.
+The cells the kernel cannot prove take one "%.17g" over them all: k outside
+[-4, 15] (exponent notation, and the whole numbers from 1e16 up, which
+"%.17g" still writes in fixed notation but the kernel leaves to it), D within
+1/128 of a tie or rint(D) at a power of ten, +-0, NaN, +-inf and subnormals.
+Where long double has fewer than 63 mantissa bits, or a word's first byte is
+not its lowest, EXACT is False and serialize formats with float_texts
+instead: one "%" over a column's distinct values.
 """
 
 from __future__ import annotations
@@ -68,7 +70,9 @@ _INTEGER = np.concatenate([_words32(_PLACE >= lead[:, None])
 
 # k runs over [-4, 15]; tables indexed by k are indexed by k + 4
 _K = np.arange(-4, 16)
-_SCALE = np.longdouble(10) ** np.arange(21).astype(np.longdouble)  # 10^p, exact for p <= 27
+# 10^p, from doubles that hold it exactly (each power up to 10^22 does), so
+# the table does not rest on the platform's powl
+_SCALE = np.array([float(10**p) for p in range(21)], dtype=np.longdouble)
 _TIE = np.longdouble(0.5 - 1 / 128)
 
 # the first word of a float cell, by (sign, k, lead digit d0): byte 0 is the
@@ -115,27 +119,9 @@ _ZEROS2 = _byte_masks(lambda b, k: b + 9 <= k + 1) & np.uint64(0x303030303030303
 _8, _56 = np.uint64(8), np.uint64(56)
 
 
-def float_words(x: np.ndarray, sep: int, blank: Optional[np.ndarray] = None) -> np.ndarray:
+def float_words(x: np.ndarray, sep: int, blank: Optional[np.ndarray]) -> np.ndarray:
     """(n, w) uint64: fmt_float of each value of the float64 array x, after
-    the byte sep; where blank is True, the cell is sep alone.
-
-    Where x repeats its values (every 8th value, at most half of them
-    distinct), each distinct value is formatted once and its cell copied.
-    Values are told apart by their bits, so -0.0 and 0.0 stay apart."""
-    bits = x.view(np.int64)
-    if blank is None and len(bits) > 8:
-        sample = np.sort(bits[::8])  # np.unique without an inverse would load numpy.ma
-        repeats = 2 * (np.count_nonzero(sample[1:] != sample[:-1]) + 1) <= len(sample)
-    else:
-        repeats = False
-    if repeats:
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        return np.take(_float_words(distinct.view(np.float64), sep, None), inverse.ravel(), axis=0)
-    return _float_words(x, sep, blank)
-
-
-def _float_words(x: np.ndarray, sep: int, blank: Optional[np.ndarray]) -> np.ndarray:
-    """float_words, value by value."""
+    the byte sep; where blank is True, the cell is sep alone."""
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0, nan and inf fail `fixed`
         k = np.floor(np.log10(a))
@@ -187,6 +173,18 @@ def _float_words(x: np.ndarray, sep: int, blank: Optional[np.ndarray]) -> np.nda
             len(texts), -1)
         cells[rest_rows, 0] = sep
     return words
+
+
+def float_texts(x: np.ndarray, blank: Optional[np.ndarray], none: str) -> list[str]:
+    """fmt_float of each value of the float64 array x, and none where blank
+    is True, by one "%" over the distinct values: serialize's route where
+    EXACT is False. Values are told apart by their bits, so -0.0 and 0.0,
+    and NaNs of different payloads, are formatted each on their own."""
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    cells = np.array(_percent(bits.view(np.float64)), dtype=object)[inverse.ravel()]
+    if blank is not None:
+        cells[blank] = none
+    return cells.tolist()
 
 
 def _percent(values: np.ndarray) -> list[str]:

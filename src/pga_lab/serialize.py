@@ -22,10 +22,12 @@ kernel's text of a column is split into cells only where a block mixes in
 other columns, and for JSON. A command that never loads numpy formats with
 fmt_float, to the same text.
 
-render_columns formats a table's number columns once for both formats: a
-float64, int64 or float-or-None column becomes its CSV cell texts, one
-comma-joined string a block, which the CSV writer splits as it is and the
-JSON writer splits with "" read as null.
+render_columns formats a table's columns of numbers once for both formats:
+each becomes its CSV cell texts, one comma-joined string a block, which the
+CSV writer splits as it is and the JSON writer splits with "" read as null.
+One rule (_number_kind) tells which columns are columns of numbers, for the
+kernel and for render_columns alike. Where long double cannot carry the
+kernel's digits, a column of floats takes one "%" over its distinct values.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 SCHEMA_VERSION = "1"
 
-# rows per block: a block of a table is formatted column by column, each float
-# or exact-int column with its distinct values formatted once, assembled by one
-# join and written before the next block is formatted, so the text held does
-# not grow with the table (a rendered column's text is held whole)
+# rows per block: a block of a table is formatted (column by column, or as one
+# matrix of whole rows), assembled and written before the next block is
+# formatted, so the text held does not grow with the table (a rendered
+# column's text is held whole)
 _BLOCK_ROWS = 4096
 
 # a JSON string literal, or null for None; non-ASCII text stays UTF-8, as in
@@ -95,57 +97,80 @@ def _scalar(v: Any, text: Callable[[Optional[str]], str]) -> Optional[str]:
     return None
 
 
-def _kernel():
-    """The numpy text kernel (pga_lab._numtext) once numpy is loaded, where
-    its digits are exact; None before numpy loads, so that a command that
-    holds no array never loads it."""
+def _numtext():
+    """pga_lab._numtext once numpy is loaded; None before, so that a command
+    that holds no array never loads numpy."""
     if "numpy" not in sys.modules:
         return None
     from . import _numtext
 
-    return _numtext if _numtext.EXACT else None
+    return _numtext
+
+
+def _types_kind(types: set) -> Optional[type]:
+    """The kind of column of numbers whose cells have these types: int for
+    exact ints, float for floats (float subclasses too, and an empty
+    column), type(None) for floats and None (None alone too); None for any
+    other column."""
+    if types == {int}:
+        return int
+    if all(issubclass(kind, float) for kind in types - {type(None)}):
+        return type(None) if type(None) in types else float
+    return None
+
+
+def _number_kind(values: Sequence[Any]) -> Optional[type]:
+    """The kind of column of numbers values is, as _types_kind tells it; a
+    float64 ndarray is float and an int64 one int, and any other ndarray is
+    told by its items. This one rule decides which columns the kernel
+    formats and which render_columns renders. A rendered block is none."""
+    np = sys.modules.get("numpy")
+    if np is not None and isinstance(values, np.ndarray) and values.dtype in (np.float64, np.int64):
+        return float if values.dtype == np.float64 else int
+    return None if isinstance(values, _Block) else _types_kind(set(map(type, values)))
+
+
+def _float_array(values: Sequence[Optional[float]], kind: type) -> tuple:
+    """A column of kind float or type(None) as a float64 array, and where a
+    kind type(None) column holds None, a mask that is True there."""
+    np = sys.modules["numpy"]
+    if kind is float:
+        return np.asarray(values, dtype=np.float64), None
+    return (np.array([0.0 if v is None else v for v in values], dtype=np.float64),
+            np.array([v is None for v in values], dtype=bool))
+
+
+def _column_words(numtext: Any, values: Sequence[Any], kind: type, sep: int) -> Any:
+    """A column of numbers of the given kind as the kernel's matrix of
+    words, each cell after the byte sep, or None for an int beyond int64."""
+    if kind is int:
+        np = sys.modules["numpy"]
+        try:
+            ints = np.asarray(values, dtype=np.int64)
+        except OverflowError:
+            return None
+        return numtext.int_words(ints, sep)
+    x, blank = _float_array(values, kind)
+    return numtext.float_words(x, sep, blank)
 
 
 def _words(columns: Sequence[Sequence[Any]], seps: Sequence[str]) -> Optional[list]:
     """Each column's cells as the kernel's matrix of words, the cells of
     column j each after seps[j] (one character), or None unless the kernel
-    takes every column. It takes a float64 or int64 ndarray, exact ints that
-    fit int64, and floats (float subclasses too) with or without None, a
-    None cell holding its separator alone. Every column is checked before
-    any is formatted."""
-    kernel = _kernel()
-    if kernel is None:
+    runs here and takes every column: a column of numbers whose ints fit
+    int64, a None cell holding its separator alone. Every column's kind is
+    told before any is formatted."""
+    numtext = _numtext()
+    if numtext is None or not numtext.EXACT:
         return None
-    np = sys.modules["numpy"]
-    taken = []
+    kinds = []
     for values in columns:
-        if isinstance(values, np.ndarray):
-            if values.dtype in (np.float64, np.int64):
-                taken.append((values, values.dtype))
-                continue
-            values = values.tolist()
-        types = set() if isinstance(values, str) else set(map(type, values))
-        if types == {int}:
-            taken.append((values, np.int64))
-        elif types and all(issubclass(kind, float) for kind in types - {type(None)}):
-            taken.append((values, type(None) if type(None) in types else np.float64))
-        else:
+        kinds.append(_number_kind(values))
+        if kinds[-1] is None:
             return None
-    words = []
-    for (values, kind), sep in zip(taken, map(ord, seps)):
-        if kind is type(None):
-            blank = np.array([v is None for v in values], dtype=bool)
-            values = np.array([0.0 if v is None else v for v in values], dtype=np.float64)
-            words.append(kernel.float_words(values, sep, blank))
-        elif kind == np.float64:
-            words.append(kernel.float_words(np.asarray(values, dtype=np.float64), sep))
-        else:
-            try:
-                values = np.asarray(values, dtype=np.int64)
-            except OverflowError:  # an int beyond int64
-                return None
-            words.append(kernel.int_words(values, sep))
-    return words
+    words = [_column_words(numtext, values, kind, ord(sep))
+             for values, kind, sep in zip(columns, kinds, seps)]
+    return None if any(w is None for w in words) else words
 
 
 def _text(words: Any) -> str:
@@ -153,14 +178,19 @@ def _text(words: Any) -> str:
     return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _floats(values: Sequence[Optional[float]], none: str = "") -> list[str]:
-    """fmt_float of each value, and none for a None: with numpy loaded, by
-    the kernel; before that, value by value, which gives the same text
-    without loading numpy for a command that holds no array."""
-    words = _words([values], ",")
-    if words is None:
+def _floats(values: Sequence[Optional[float]], kind: type, none: str = "") -> list[str]:
+    """fmt_float of each value of a column of kind float or type(None), and
+    none for a None. With numpy loaded, by the kernel, or where its digits
+    are not exact by one "%" over the distinct values; before that, value by
+    value, which gives the same text without loading numpy for a command
+    that holds no array."""
+    numtext = _numtext()
+    if numtext is None or not len(values):
         return [none if v is None else fmt_float(v) for v in values]
-    cells = _text(words[0]).split(",")[1:]
+    x, blank = _float_array(values, kind)
+    if not numtext.EXACT:
+        return numtext.float_texts(x, blank, none)
+    cells = _text(numtext.float_words(x, ord(","), blank)).split(",")[1:]
     return [cell or none for cell in cells] if none and "" in cells else cells
 
 
@@ -186,24 +216,26 @@ class _Rendered:
 
 
 def render_columns(columns: list) -> None:
-    """Replace, in place, each float64 or int64 ndarray of columns, and each
-    column of floats and None, by its text (a _Rendered), so that write_csv
-    and a Records table given the same list format each value once between
-    them. Other columns (strings, say) stay as they are. A replaced column is
-    freed as soon as its text exists, unless something else holds it."""
-    np = sys.modules.get("numpy")
+    """Replace, in place, each column of numbers (_number_kind) by its text
+    (a _Rendered), so that write_csv and a Records table given the same list
+    format each value once between them. Other columns (strings, say) stay
+    as they are. A replaced column is freed as soon as its text exists,
+    unless something else holds it."""
     for j, column in enumerate(columns):
-        if (np is not None and isinstance(column, np.ndarray)
-                and column.dtype in (np.float64, np.int64)
-                or set(map(type, column)) <= {float, type(None)}):
-            columns[j] = _Rendered([_Block(_joined(column[start:start + _BLOCK_ROWS]))
+        kind = _number_kind(column)
+        if kind is not None:
+            columns[j] = _Rendered([_Block(_joined(column[start:start + _BLOCK_ROWS], kind))
                                     for start in range(0, len(column), _BLOCK_ROWS)], len(column))
 
 
-def _joined(values: Sequence[Any]) -> str:
-    """values' CSV cells joined by commas."""
-    words = _words([values], ",")
-    return ",".join(_column(values, _csv_cell)) if words is None else _text(words[0])[1:]
+def _joined(values: Sequence[Any], kind: type) -> str:
+    """values' CSV cells joined by commas; kind is the column's _number_kind."""
+    numtext = _numtext()
+    if numtext is not None and numtext.EXACT:
+        words = _column_words(numtext, values, kind, ord(","))
+        if words is not None:
+            return _text(words)[1:]
+    return ",".join(_column(values, _csv_cell))
 
 
 def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list[str]:
@@ -212,12 +244,12 @@ def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list
     A rendered block is split as it is, its "" cells taking text(None). A
     float64 ndarray goes to _floats as it is; any other ndarray is written
     as its tolist() would be. While numpy is not loaded no value can be an
-    ndarray. A column of exact ints takes one str per distinct value (bool
-    and IntEnum are not exact ints). A column of floats (float subclasses
-    too) and None takes one _floats call. Otherwise the float cells take one
-    _floats call, which keeps each one's bits, and every other cell takes one
-    _scalar call per distinct (type, value). A non-scalar cell raises
-    TypeError.
+    ndarray. Of the columns of numbers (_types_kind), one of exact ints
+    takes one str per distinct value (bool and IntEnum are not exact ints),
+    and one of floats, or of floats and None, one _floats call. Otherwise the
+    float cells take one _floats call, which keeps each one's bits, and every
+    other cell takes one _scalar call per distinct (type, value). A
+    non-scalar cell raises TypeError.
     """
     if isinstance(values, _Block):
         cells, none = values.split(","), text(None)
@@ -225,22 +257,23 @@ def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list
     np = sys.modules.get("numpy")
     if np is not None and isinstance(values, np.ndarray):
         if values.dtype == np.float64:
-            return _floats(values)
+            return _floats(values, float)
         values = values.tolist()
     kinds = set(map(type, values))
     for kind in kinds:
         if not issubclass(kind, _SCALAR_TYPES):
             raise TypeError(f"cannot serialize {kind.__name__}")
-    if kinds == {int}:
+    number = _types_kind(kinds)
+    if number is int:
         memo = {v: str(v) for v in set(values)}
         return list(map(memo.__getitem__, values))
+    if number is not None:
+        return _floats(values, number, text(None))
     floaty = {kind for kind in kinds if issubclass(kind, float)}
-    if kinds - floaty <= {type(None)}:
-        return _floats(values, text(None))
     # floats stay out of the memo: -0.0 == 0.0 would give the two zeros one key
     keys = list(zip(map(type, values), values))
     memo = {key: _scalar(key[1], text) for key in set(keys) if key[0] not in floaty}
-    floats = iter(_floats([v for kind, v in keys if kind in floaty]))
+    floats = iter(_floats([v for kind, v in keys if kind in floaty], float))
     return [next(floats) if kind in floaty else memo[kind, v] for kind, v in keys]
 
 

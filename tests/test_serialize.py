@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from float_text_check import cases, mismatches
-from pga_lab import _numtext
+from pga_lab import _numtext, serialize
 from pga_lab.cli import run
 from pga_lab.serialize import (
     _BLOCK_ROWS,
@@ -385,8 +385,9 @@ BENCH_MARKET = ["simulate", "--sigma", "0.05", "--T", "100", "--block-time", "0.
 
 def test_without_the_kernel_the_files_keep_their_bytes(monkeypatch, tmp_path):
     """Where long double cannot carry the kernel's scaling, _numtext.EXACT is
-    False and every cell takes fmt_float: the bench cdf sweep and a market
-    run's events and report come out byte for byte as the kernel writes them."""
+    False and a float column takes one "%" over its distinct values: the
+    bench cdf sweep and a market run's events and report come out byte for
+    byte as the kernel writes them."""
 
     def outputs(name: str) -> list[bytes]:
         paths = [tmp_path / f"{name}.{ext}" for ext in ("cdf.csv", "events.csv", "report.json")]
@@ -398,6 +399,20 @@ def test_without_the_kernel_the_files_keep_their_bytes(monkeypatch, tmp_path):
     kernel = outputs("kernel")
     monkeypatch.setattr(_numtext, "EXACT", False)
     assert outputs("percent") == kernel
+
+
+def test_without_the_kernel_floats_take_no_fmt_float_call_per_cell(monkeypatch):
+    """With numpy loaded but EXACT False, the float cells of a table (float64
+    arrays, floats and None, and the floats of a mixed column) are formatted
+    over their distinct values by _numtext.float_texts, not cell by cell."""
+    rows = _BLOCK_ROWS + 4  # a multiple of 5
+    columns = _render_table(rows)
+    columns.append([1.5, "a", -0.0, None, True] * (rows // 5))
+    header = [*RENDER_HEADER, "mixed"]
+    expected = csv_text(header, columns), json_text({"t": Records(header, columns)})
+    monkeypatch.setattr(_numtext, "EXACT", False)
+    monkeypatch.setattr(serialize, "fmt_float", None)  # a call would raise TypeError
+    assert (csv_text(header, columns), json_text({"t": Records(header, columns)})) == expected
 
 
 def test_failed_csv_write_leaves_the_previous_file(tmp_path):
