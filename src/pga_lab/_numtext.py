@@ -1,10 +1,11 @@
 """Decimal text of float64 and int64 arrays, as serialize writes them, made
-with array arithmetic and lookup tables instead of a Python str per cell.
+with array arithmetic and lookup tables instead of a Python str per cell,
+and the gather that lays out any other column's distinct texts.
 
-A cell is laid out in 64-bit words of ASCII bytes, NUL-padded: byte 0 of its
-first word is the separator that precedes it, and the text of a matrix of
-cells is its bytes with the NULs dropped. So a block of rows is one matrix,
-its columns of words side by side, and one bytes call.
+A cell is laid out in 64-bit words of bytes, NUL-padded: byte 0 of its
+first word is the last byte of the separator that precedes it, and the text
+of a matrix of cells is its bytes with the NULs dropped. So a block of rows
+is one matrix, its columns of words side by side, and one bytes call.
 
 A float64 cell has the text of serialize.fmt_float ("%.17g"). With k =
 floor(log10 |x|) in [-4, 15], "%.17g" writes 17 significant digits in fixed
@@ -22,13 +23,15 @@ notation, and they are the digits of rint(D), D = |x| 10^(16 - k):
 * The point goes after digit k by shifting the digits before it down one
   byte, into a spare byte of the cell's first word.
 
-The cells the kernel cannot prove take one "%.17g" over them all: k outside
-[-4, 15] (exponent notation, and the whole numbers from 1e16 up, which
-"%.17g" still writes in fixed notation but the kernel leaves to it), D within
-1/128 of a tie or rint(D) at a power of ten, +-0, NaN, +-inf and subnormals.
-Where long double has fewer than 63 mantissa bits, or a word's first byte is
-not its lowest, EXACT is False and serialize formats with float_texts
-instead: one "%" over a column's distinct values.
+The cells the kernel cannot prove take _percent, one "%.17g" over their
+distinct values: k outside [-4, 15] (exponent notation, and the whole
+numbers from 1e16 up, which "%.17g" still writes in fixed notation but the
+kernel leaves to it), D within 1/128 of a tie or rint(D) at a power of ten,
++-0, NaN, +-inf and subnormals. Where long double has fewer than 63 mantissa
+bits, or a word's first byte is not its lowest, EXACT is False and every
+cell takes _percent. text_words lays out each distinct text once and
+gathers the cells from that table, for _percent and for serialize's columns
+of strings alike.
 """
 
 from __future__ import annotations
@@ -121,7 +124,21 @@ _8, _56 = np.uint64(8), np.uint64(56)
 
 def float_words(x: np.ndarray, sep: int, blank: Optional[np.ndarray]) -> np.ndarray:
     """(n, w) uint64: fmt_float of each value of the float64 array x, after
-    the byte sep; where blank is True, the cell is sep alone."""
+    the byte sep; where blank is True, the cell is sep alone. The kernel's
+    unproven cells, and every cell where EXACT is False, take _percent."""
+    words, fixed = _kernel(x, sep) if EXACT else (_percent(x, sep), np.ones(len(x), bool))
+    if blank is not None:
+        fixed |= blank
+        words[blank] = 0
+        words.view(np.uint8)[blank, 0] = sep
+    rest = np.flatnonzero(~fixed)
+    return overlay(words, rest, _percent(x[rest], sep))
+
+
+def _kernel(x: np.ndarray, sep: int) -> tuple:
+    """(n, 3) uint64, the kernel's cells of the float64 array x after the
+    byte sep, and a mask that is True where a cell is proven; an unproven
+    cell holds placeholder digits."""
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):  # 0, nan and inf fail `fixed`
         k = np.floor(np.log10(a))
@@ -132,8 +149,6 @@ def float_words(x: np.ndarray, sep: int, blank: Optional[np.ndarray]) -> np.ndar
         fixed &= np.abs(scaled - rounded) <= _TIE
         digits = rounded.astype(np.int64)
     fixed &= (digits > 10**16) & (digits < 10**17)
-    if blank is not None:
-        fixed |= blank
     digits[~fixed] = 10**16 + 1  # any value the arithmetic below takes; replaced
     lead = digits // 10**16
     groups = np.empty((4, len(x)), np.intp)  # digits 1-4, 5-8, 9-12 and 13-16
@@ -159,47 +174,52 @@ def float_words(x: np.ndarray, sep: int, blank: Optional[np.ndarray]) -> np.ndar
             ((second >> _8) | (third << _56)) & _MOVED1[at] | second & _KEPT1[at] | _POINT1[at],
             (third >> _8) & _MOVED2[at] | third & _KEPT2[at] | _POINT2[at],
         )
-    rest_rows = np.flatnonzero(~fixed)
-    texts = _percent(x[rest_rows])
-    width = 3 if max(map(len, texts), default=0) < 24 else 4
-    words = np.zeros((len(x), width), np.uint64)
+    words = np.empty((len(x), 3), np.uint64)
     words[:, 0], words[:, 1], words[:, 2] = first, second, third
-    if blank is not None:
-        words[blank] = 0
-        words[blank, 0] = sep
-    if texts:
-        cells = words.view(np.uint8)
-        cells[rest_rows, 1:] = np.array(texts, dtype=f"S{8 * width - 1}").view(np.uint8).reshape(
-            len(texts), -1)
-        cells[rest_rows, 0] = sep
-    return words
+    return words, fixed
 
 
-def float_texts(x: np.ndarray, blank: Optional[np.ndarray], none: str) -> list[str]:
-    """fmt_float of each value of the float64 array x, and none where blank
-    is True, by one "%" over the distinct values: serialize's route where
-    EXACT is False. Values are told apart by their bits, so -0.0 and 0.0,
-    and NaNs of different payloads, are formatted each on their own."""
-    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
-    cells = np.array(_percent(bits.view(np.float64)), dtype=object)[inverse.ravel()]
-    if blank is not None:
-        cells[blank] = none
-    return cells.tolist()
-
-
-def _percent(values: np.ndarray) -> list[str]:
-    """fmt_float of each value, by one "%" over them all. "%.17g" leaves out
-    "." and "e" exactly for the values that are nan, inf, or whole and below
-    1e17 in size, and those take serialize._whole."""
-    if not len(values):
-        return []
-    cells = (",".join(["%.17g"] * len(values)) % tuple(values.tolist())).split(",")
-    size = np.abs(values)
+def _percent(values: np.ndarray, sep: int) -> np.ndarray:
+    """(n, w) uint64: fmt_float of each value after the byte sep, by one "%"
+    over the distinct values (text_words). Values are told apart by their
+    bits, so -0.0 and 0.0, and NaNs of different payloads, are formatted
+    each on their own. "%.17g" leaves out "." and "e" exactly for the
+    values that are nan, inf, or whole and below 1e17 in size, and those
+    take serialize._whole."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    cells = (b",".join([b"%.17g"] * len(distinct)) % tuple(distinct.tolist())).split(b",")
+    size = np.abs(distinct)
     with np.errstate(invalid="ignore"):  # trunc flags a signaling NaN
-        bare = ~(size < np.inf) | ((size < 1e17) & (np.trunc(values) == values))
+        bare = ~(size < np.inf) | ((size < 1e17) & (np.trunc(distinct) == distinct))
     for i in np.flatnonzero(bare).tolist():
-        cells[i] = _whole(cells[i])
-    return cells
+        cells[i] = _whole(cells[i].decode()).encode()
+    # "%.17g" writes at most 24 bytes ("-2.2250738585072014e-308")
+    return text_words(np.array(cells, dtype="S24"), inverse.ravel(), sep)
+
+
+def text_words(texts: np.ndarray, inverse: np.ndarray, sep: int) -> np.ndarray:
+    """(n, w) uint64: cell i is texts[inverse[i]] after the byte sep, where
+    texts is a bytes ("S") array whose texts hold no NUL. Each text is laid
+    out once, and the cells are gathered from that table."""
+    laid = texts.view(np.uint8).reshape(len(texts), texts.itemsize)
+    length = int(np.count_nonzero(laid.any(axis=0)))  # the longest text's
+    table = np.zeros((len(texts), 1 + length // 8), np.uint64)
+    cells = table.view(np.uint8)
+    cells[:, 0] = sep
+    cells[:, 1:1 + length] = laid[:, :length]
+    return table[inverse]
+
+
+def overlay(words: np.ndarray, rows: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """words with the cells at rows replaced by cells, the narrower of the
+    two padded with NUL words: a replaced row keeps none of its old bytes."""
+    if cells.shape[1] > words.shape[1]:
+        words = np.hstack([words, np.zeros((len(words), cells.shape[1] - words.shape[1]),
+                                           np.uint64)])
+    words[rows, :cells.shape[1]] = cells
+    words[rows, cells.shape[1]:] = 0
+    return words
 
 
 def int_words(v: np.ndarray, sep: int) -> np.ndarray:
@@ -209,7 +229,9 @@ def int_words(v: np.ndarray, sep: int) -> np.ndarray:
     count = max(1, -(-len(str(int(size.max()) if len(v) else 0)) // 4))
     slots = 2 * ((count + 2) // 2)  # uint32 slots: separator and sign, then the groups
     cells = np.zeros((len(v), slots), np.uint32)
-    cells[:, 0] = negative.astype(np.uint32) * (ord("-") << 8) + sep
+    head = cells.view(np.uint8)  # by bytes, so the layout holds on either byte order
+    head[:, 0] = sep
+    head[:, 1] = negative * ord("-")
     later = np.zeros(len(v), bool)
     for j in range(count):  # most significant group first
         group = (size // np.uint64(10 ** (4 * (count - 1 - j))) % np.uint64(10_000)).astype(np.intp)

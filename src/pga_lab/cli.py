@@ -433,7 +433,7 @@ _SUMMARY_FIELDS = ("opportunities", "executed", "abstained", "mad", "dbf", "max_
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from .market import EVENT_CSV_HEADER, MarketSimConfig, simulate
-    from .serialize import Records, fmt_float, render_columns, write_csv, write_json
+    from .serialize import Records, fmt_float, write_csv, write_json
 
     config = _build(MarketSimConfig, MARKET, _values(args, defaults={"mu": 0.0, "seed": 0}))
     report = simulate(config)
@@ -445,24 +445,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
           f"MD {fmt_float(report.max_deviation)}")
     print(f"CFE {fmt_float(report.cfe)}  CASL {fmt_float(report.casl)}  "
           f"NLP {fmt_float(report.nlp)}  CSR {fmt_float(report.csr)}")
-    columns = list(report.event_columns)
+    if args.out_events:
+        write_csv(args.out_events, EVENT_CSV_HEADER, report.event_columns)
+        print(f"wrote events to {args.out_events}")
     if args.out_report:
         counts, bin_edges = report.revenue_histogram
-        doc = {
+        write_json(args.out_report, {
             "config": config,
             "summary": {k: getattr(report, k) for k in _SUMMARY_FIELDS},
             "era_series": report.era_series,
             "revenue_histogram": {"counts": counts, "bin_edges": bin_edges},
-            "events": Records(EVENT_CSV_HEADER, columns),
-        }
-    del report  # columns now holds the event arrays' last references
-    if args.out_events and args.out_report:
-        render_columns(columns)  # both files read one text of each value
-    if args.out_events:
-        write_csv(args.out_events, EVENT_CSV_HEADER, columns)
-        print(f"wrote events to {args.out_events}")
-    if args.out_report:
-        write_json(args.out_report, doc)
+            "events": Records(EVENT_CSV_HEADER, report.event_columns),
+        })
         print(f"wrote report to {args.out_report}")
     return 0
 

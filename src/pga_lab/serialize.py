@@ -8,26 +8,16 @@ and keys are escaped per RFC 8259 by the stdlib encoder, None is a blank CSV
 cell and JSON null, and every JSON document starts with schema_version.
 
 A table (a CSV, a Records table or a JSON list of scalars) is written in
-blocks of rows. A block is formatted column by column, each column to a list
-of cell texts, and then assembled in one join: the columns are slotted into
-the rows' fixed separators (commas and newlines in CSV, the object keys in
-JSON) by one slice assignment each.
-
-With numpy loaded, a column of numbers (a float64 or int64 ndarray, or a
-list of floats, of floats and None, or of exact ints) is formatted by the
-numpy kernel of pga_lab._numtext, which lays a block's cells out as one
-matrix of bytes and makes no Python object per cell. A CSV block whose every
-column the kernel takes is written from one such matrix of whole rows; the
-kernel's text of a column is split into cells only where a block mixes in
-other columns, and for JSON. A command that never loads numpy formats with
-fmt_float, to the same text.
-
-render_columns formats a table's columns of numbers once for both formats:
-each becomes its CSV cell texts, one comma-joined string a block, which the
-CSV writer splits as it is and the JSON writer splits with "" read as null.
-One rule (_number_kind) tells which columns are columns of numbers, for the
-kernel and for render_columns alike. Where long double cannot carry the
-kernel's digits, a column of floats takes one "%" over its distinct values.
+blocks of rows, each block before the next is formatted. With numpy loaded a
+block is one matrix of 64-bit words, a row of cells a row of the matrix:
+each cell holds the last byte of its separator and then its text, NUL-padded,
+and any longer separator (a JSON key with its indentation) is a column of
+constant words. The block's text is the matrix's bytes without the NULs.
+pga_lab._numtext fills a column of floats, or of exact ints that fit int64,
+with no Python object per cell; any other column formats each distinct cell
+once and gathers the cells from that table. A command that never loads numpy
+formats cell by cell with fmt_float, to the same text, and joins each block's
+cells into its separators.
 """
 
 from __future__ import annotations
@@ -42,11 +32,15 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 SCHEMA_VERSION = "1"
 
-# rows per block: a block of a table is formatted (column by column, or as one
-# matrix of whole rows), assembled and written before the next block is
-# formatted, so the text held does not grow with the table (a rendered
-# column's text is held whole)
+# rows per block: a block of a table is formatted, assembled and written
+# before the next block is formatted, so the text held does not grow with
+# the table
 _BLOCK_ROWS = 4096
+
+# bytes of words per piece of a block's text: a block's cells are formatted
+# together, and its matrix of words is assembled and made text in pieces of
+# about this size, so that no buffer holds a wide block's text whole
+_PIECE_BYTES = 1 << 19
 
 # a JSON string literal, or null for None; non-ASCII text stays UTF-8, as in
 # the files written so far
@@ -97,184 +91,139 @@ def _scalar(v: Any, text: Callable[[Optional[str]], str]) -> Optional[str]:
     return None
 
 
-def _numtext():
-    """pga_lab._numtext once numpy is loaded; None before, so that a command
-    that holds no array never loads numpy."""
-    if "numpy" not in sys.modules:
-        return None
-    from . import _numtext
-
-    return _numtext
-
-
-def _types_kind(types: set) -> Optional[type]:
-    """The kind of column of numbers whose cells have these types: int for
-    exact ints, float for floats (float subclasses too, and an empty
-    column), type(None) for floats and None (None alone too); None for any
-    other column."""
-    if types == {int}:
-        return int
-    if all(issubclass(kind, float) for kind in types - {type(None)}):
-        return type(None) if type(None) in types else float
-    return None
-
-
-def _number_kind(values: Sequence[Any]) -> Optional[type]:
-    """The kind of column of numbers values is, as _types_kind tells it; a
-    float64 ndarray is float and an int64 one int, and any other ndarray is
-    told by its items. This one rule decides which columns the kernel
-    formats and which render_columns renders. A rendered block is none."""
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(values, np.ndarray) and values.dtype in (np.float64, np.int64):
-        return float if values.dtype == np.float64 else int
-    return None if isinstance(values, _Block) else _types_kind(set(map(type, values)))
-
-
-def _float_array(values: Sequence[Optional[float]], kind: type) -> tuple:
-    """A column of kind float or type(None) as a float64 array, and where a
-    kind type(None) column holds None, a mask that is True there."""
-    np = sys.modules["numpy"]
-    if kind is float:
-        return np.asarray(values, dtype=np.float64), None
-    return (np.array([0.0 if v is None else v for v in values], dtype=np.float64),
-            np.array([v is None for v in values], dtype=bool))
-
-
-def _column_words(numtext: Any, values: Sequence[Any], kind: type, sep: int) -> Any:
-    """A column of numbers of the given kind as the kernel's matrix of
-    words, each cell after the byte sep, or None for an int beyond int64."""
-    if kind is int:
-        np = sys.modules["numpy"]
-        try:
-            ints = np.asarray(values, dtype=np.int64)
-        except OverflowError:
-            return None
-        return numtext.int_words(ints, sep)
-    x, blank = _float_array(values, kind)
-    return numtext.float_words(x, sep, blank)
-
-
-def _words(columns: Sequence[Sequence[Any]], seps: Sequence[str]) -> Optional[list]:
-    """Each column's cells as the kernel's matrix of words, the cells of
-    column j each after seps[j] (one character), or None unless the kernel
-    runs here and takes every column: a column of numbers whose ints fit
-    int64, a None cell holding its separator alone. Every column's kind is
-    told before any is formatted."""
-    numtext = _numtext()
-    if numtext is None or not numtext.EXACT:
-        return None
-    kinds = []
-    for values in columns:
-        kinds.append(_number_kind(values))
-        if kinds[-1] is None:
-            return None
-    words = [_column_words(numtext, values, kind, ord(sep))
-             for values, kind, sep in zip(columns, kinds, seps)]
-    return None if any(w is None for w in words) else words
-
-
-def _text(words: Any) -> str:
-    """The text of a matrix of the kernel's cells: its bytes without the NULs."""
-    return words.tobytes().translate(None, b"\0").decode("ascii")
-
-
-def _floats(values: Sequence[Optional[float]], kind: type, none: str = "") -> list[str]:
-    """fmt_float of each value of a column of kind float or type(None), and
-    none for a None. With numpy loaded, by the kernel, or where its digits
-    are not exact by one "%" over the distinct values; before that, value by
-    value, which gives the same text without loading numpy for a command
-    that holds no array."""
-    numtext = _numtext()
-    if numtext is None or not len(values):
-        return [none if v is None else fmt_float(v) for v in values]
-    x, blank = _float_array(values, kind)
-    if not numtext.EXACT:
-        return numtext.float_texts(x, blank, none)
-    cells = _text(numtext.float_words(x, ord(","), blank)).split(",")[1:]
-    return [cell or none for cell in cells] if none and "" in cells else cells
-
-
-class _Block(str):
-    """One block of a rendered column: its CSV cell texts joined by commas,
-    "" for None. No formatted number holds a comma or is empty."""
-
-
-class _Rendered:
-    """A column as render_columns leaves it: one _Block per _BLOCK_ROWS rows.
-    Its length is its row count, and the slice of a block's rows is that block."""
-
-    __slots__ = ("blocks", "rows")
-
-    def __init__(self, blocks: list[_Block], rows: int) -> None:
-        self.blocks, self.rows = blocks, rows
-
-    def __len__(self) -> int:
-        return self.rows
-
-    def __getitem__(self, rows: slice) -> _Block:
-        return self.blocks[rows.start // _BLOCK_ROWS]
-
-
-def render_columns(columns: list) -> None:
-    """Replace, in place, each column of numbers (_number_kind) by its text
-    (a _Rendered), so that write_csv and a Records table given the same list
-    format each value once between them. Other columns (strings, say) stay
-    as they are. A replaced column is freed as soon as its text exists,
-    unless something else holds it."""
-    for j, column in enumerate(columns):
-        kind = _number_kind(column)
-        if kind is not None:
-            columns[j] = _Rendered([_Block(_joined(column[start:start + _BLOCK_ROWS], kind))
-                                    for start in range(0, len(column), _BLOCK_ROWS)], len(column))
-
-
-def _joined(values: Sequence[Any], kind: type) -> str:
-    """values' CSV cells joined by commas; kind is the column's _number_kind."""
-    numtext = _numtext()
-    if numtext is not None and numtext.EXACT:
-        words = _column_words(numtext, values, kind, ord(","))
-        if words is not None:
-            return _text(words)[1:]
-    return ",".join(_column(values, _csv_cell))
-
-
-def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list[str]:
-    """One column's cells as text, as _scalar writes them.
-
-    A rendered block is split as it is, its "" cells taking text(None). A
-    float64 ndarray goes to _floats as it is; any other ndarray is written
-    as its tolist() would be. While numpy is not loaded no value can be an
-    ndarray. Of the columns of numbers (_types_kind), one of exact ints
-    takes one str per distinct value (bool and IntEnum are not exact ints),
-    and one of floats, or of floats and None, one _floats call. Otherwise the
-    float cells take one _floats call, which keeps each one's bits, and every
-    other cell takes one _scalar call per distinct (type, value). A
-    non-scalar cell raises TypeError.
-    """
-    if isinstance(values, _Block):
-        cells, none = values.split(","), text(None)
-        return [cell or none for cell in cells] if none and "" in cells else cells
-    np = sys.modules.get("numpy")
-    if np is not None and isinstance(values, np.ndarray):
-        if values.dtype == np.float64:
-            return _floats(values, float)
-        values = values.tolist()
+def _kinds(values: Sequence[Any]) -> set:
+    """The types of the cells; a non-scalar cell raises TypeError."""
     kinds = set(map(type, values))
     for kind in kinds:
         if not issubclass(kind, _SCALAR_TYPES):
             raise TypeError(f"cannot serialize {kind.__name__}")
-    number = _types_kind(kinds)
-    if number is int:
+    return kinds
+
+
+def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list[str]:
+    """One column's cells as text, as _scalar writes them, for a process
+    that has not loaded numpy (and a CSV block holding a NUL byte). An
+    ndarray is written as its tolist() would be. A column of exact ints
+    takes one str per distinct value (bool and IntEnum are not exact ints),
+    a float cell one fmt_float call, and every other cell one _scalar call
+    per distinct (type, value)."""
+    if hasattr(values, "tolist"):
+        values = values.tolist()
+    if _kinds(values) == {int}:
         memo = {v: str(v) for v in set(values)}
         return list(map(memo.__getitem__, values))
-    if number is not None:
-        return _floats(values, number, text(None))
-    floaty = {kind for kind in kinds if issubclass(kind, float)}
     # floats stay out of the memo: -0.0 == 0.0 would give the two zeros one key
-    keys = list(zip(map(type, values), values))
-    memo = {key: _scalar(key[1], text) for key in set(keys) if key[0] not in floaty}
-    floats = iter(_floats([v for kind, v in keys if kind in floaty], float))
-    return [next(floats) if kind in floaty else memo[kind, v] for kind, v in keys]
+    memo = {key: _scalar(key[1], text) for key in set(zip(map(type, values), values))
+            if not issubclass(key[0], float)}
+    return [fmt_float(v) if isinstance(v, float) else memo[type(v), v] for v in values]
+
+
+def _cell_words(values: Sequence[Any], text: Callable[[Optional[str]], str], sep: int) -> Any:
+    """One column of a block as a matrix of 64-bit words, one row a cell:
+    the byte sep, the cell's text as _scalar writes it, NUL padding. Floats
+    take _numtext.float_words (beside None too, a None cell then holding
+    text(None)), exact ints that fit int64 int_words, and any other column
+    _gathered. None where a cell's text holds a NUL byte."""
+    from . import _numtext as numtext
+
+    np = sys.modules["numpy"]
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.float64:
+            return numtext.float_words(values, sep, None)
+        if values.dtype == np.int64:
+            return numtext.int_words(values, sep)
+        if values.dtype != object:
+            values = values.tolist()
+    kinds = _kinds(values)
+    if kinds == {int}:  # bool and IntEnum are not exact ints
+        try:
+            return numtext.int_words(np.asarray(values, dtype=np.int64), sep)
+        except OverflowError:
+            pass
+    elif all(issubclass(kind, float) for kind in kinds - {type(None)}):
+        if type(None) not in kinds:
+            return numtext.float_words(np.asarray(values, dtype=np.float64), sep, None)
+        cells = np.asarray(values, dtype=object)
+        with np.errstate(invalid="ignore"):  # a signaling NaN cell raises the flag
+            blank = np.equal(cells, None)
+        x = np.zeros(len(cells))
+        np.copyto(x, cells, casting="unsafe", where=~blank)
+        words = numtext.float_words(x, sep, blank)
+        none = text(None).encode()
+        words.view(np.uint8)[blank, 1:1 + len(none)] = np.frombuffer(none, np.uint8)
+        return words
+    return _gathered(values, kinds, text, sep)
+
+
+def _gathered(values: Sequence[Any], kinds: set, text: Callable[[Optional[str]], str],
+              sep: int) -> Any:
+    """_cell_words of a column that is not one of numbers (strings, bools,
+    enums, ints beyond int64, mixtures): the text of each distinct cell
+    once, by _scalar, gathered by _numtext.text_words. A column of one type
+    is keyed by its values, any other by (type, value). Its float cells are
+    then laid over by float_words, which tells them apart by their bits
+    where -0.0 == 0.0 would give the two zeros one key."""
+    from . import _numtext as numtext
+
+    np = sys.modules["numpy"]
+    floaty = {kind for kind in kinds if issubclass(kind, float)}
+    keys = values if len(kinds) == 1 else list(zip(map(type, values), values))
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    texts = [(_scalar(key, text) if len(kinds) == 1 else "" if key[0] in floaty
+              else _scalar(key[1], text)).encode("utf-8", "surrogatepass") for key in index]
+    if any(b"\0" in t for t in texts):
+        return None
+    words = numtext.text_words(np.array(texts, dtype="S"),
+                               np.fromiter(map(index.__getitem__, keys), np.intp, len(keys)), sep)
+    if floaty:
+        floats = [kind in floaty for kind, _ in keys]
+        x = np.array([v for kind, v in keys if kind in floaty], dtype=np.float64)
+        words = numtext.overlay(words, np.flatnonzero(floats), numtext.float_words(x, sep, None))
+    return words
+
+
+def _laid_out(block: list, text: Callable[[Optional[str]], str],
+              seps: Sequence[str]) -> Optional[Iterator[str]]:
+    """One block's text, as _block_text writes it but without its lead and
+    without seps[-1] at its end, from one matrix of 64-bit words: a row's
+    cells side by side (_cell_words), each after the last byte of its
+    separator, with the rest of that separator as constant words before it.
+    Cell 0's separator is seps[-1] + seps[0], the end of the row before and
+    the start of its own, and row 0 has none. Every cell is formatted before
+    any text is made (_pieces); None where a cell's text holds a NUL."""
+    np = sys.modules["numpy"]
+    parts, cleared = [], 0
+    for j, (column, sep) in enumerate(zip(block, seps)):
+        sep = ((seps[-1] if j == 0 else "") + sep).encode("utf-8", "surrogatepass")
+        if len(sep) > 1:
+            head = sep[:-1] + bytes(-(len(sep) - 1) % 8)
+            parts.append(np.broadcast_to(np.frombuffer(head, np.uint64),
+                                         (len(column), len(head) // 8)))
+        cells = _cell_words(column, text, sep[-1] if sep else 0)
+        if cells is None:
+            return None
+        if j == 0:  # the bytes of row 0's separator, where the lead goes
+            cleared = 8 * sum(part.shape[1] for part in parts) + 1
+        parts.append(cells)
+    return _pieces(parts, cleared)
+
+
+def _pieces(parts: list, cleared: int) -> Iterator[str]:
+    """The text of the matrix made of the word matrices parts side by side,
+    in slabs of rows of about _PIECE_BYTES: each slab's bytes without their
+    NULs, by one bytes.translate, the first slab's first cleared bytes
+    dropped too."""
+    np = sys.modules["numpy"]
+    n, width = len(parts[0]), sum(part.shape[1] for part in parts)
+    step = max(1, _PIECE_BYTES // (8 * width))
+    for start in range(0, n, step):
+        rows = min(step, n - start)
+        slab = bytearray(8 * rows * width)  # translates without a copy first
+        np.concatenate([part[start:start + rows] for part in parts], axis=1,
+                       out=np.frombuffer(slab, np.uint64).reshape(rows, width))
+        if start == 0:
+            slab[:cleared] = bytes(cleared)
+        yield slab.translate(None, b"\0").decode("utf-8", "surrogatepass")
 
 
 def _all_scalar(values: Iterable[Any]) -> bool:
@@ -306,37 +255,29 @@ def _row_blocks(columns: Sequence[Sequence[Any]]) -> Iterator[list]:
 
 def _blocks(columns: Sequence[Sequence[Any]], text: Callable[[Optional[str]], str],
             seps: Sequence[str], first: str) -> Iterator[str]:
-    """The table given by its columns, one _block_text a block of _BLOCK_ROWS
-    rows; the table's first row starts with first. Each column of a block is
-    formatted by one _column call, and the cell texts are dropped before the
-    block's text is yielded."""
+    """The table given by its columns, a block of _BLOCK_ROWS rows at a
+    time: row i is seps[0], cell 0, seps[1], ..., its last cell, seps[-1],
+    except that the table's first row starts with first. With numpy loaded
+    a block is _laid_out, its text a few chunks beside its lead and end;
+    before that, or where it returns None, it is formatted column by column
+    (_column) and joined by _block_text."""
     lead = first
     for block in _row_blocks(columns):
-        yield _block_text([_column(column, text) for column in block], seps, lead)
+        # a command that holds no array never loads numpy
+        body = _laid_out(block, text, seps) if "numpy" in sys.modules else None
+        if body is None:
+            yield _block_text([_column(column, text) for column in block], seps, lead)
+        else:
+            yield lead
+            yield from body
+            yield seps[-1]
         lead = seps[0]
-
-
-def _csv_lines(block: list) -> Optional[str]:
-    """A block's CSV lines as the kernel lays them out, or None unless the
-    kernel takes every column: one matrix of the rows' cells, each after its
-    separator (a row's first cell after the newline that ends the row
-    before), and its bytes without the NULs."""
-    words = _words(block, "\n" + "," * (len(block) - 1))
-    if words is None:
-        return None
-    np = sys.modules["numpy"]
-    rows = np.hstack(words)
-    rows.view(np.uint8)[0, 0] = 0  # the block's first row follows a newline already written
-    return _text(rows) + "\n"
 
 
 def _csv_chunks(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> Iterator[str]:
     """The CSV text: the header line, then the lines of each block."""
     yield ",".join(header) + "\n"
-    seps = ["", *[","] * (len(columns) - 1), "\n"]
-    for block in _row_blocks(columns):
-        yield _csv_lines(block) or _block_text([_column(column, _csv_cell) for column in block],
-                                               seps, "")
+    yield from _blocks(columns, _csv_cell, ["", *[","] * (len(columns) - 1), "\n"], "")
 
 
 def csv_text(header: Sequence[str], columns: Sequence[Sequence[Any]]) -> str:

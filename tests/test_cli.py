@@ -626,8 +626,8 @@ def test_simulate_csv_rows_are_the_json_events(tmp_path, capsys):
 
 
 def test_simulate_writes_the_same_files_with_one_output_or_both(tmp_path, capsys):
-    """Both outputs render each event value once for the two files; one
-    output alone formats its own. The bytes are the same either way."""
+    """Each output formats the event columns on its own, with the other
+    output written or not: the bytes are the same either way."""
     argv = [*SIMULATE, "--r1", "0.5", "--r2", "0.5", "--N", "50", "--seed", "3"]
     both, alone = tmp_path / "both", tmp_path / "alone"
     both.mkdir(), alone.mkdir()

@@ -4,7 +4,6 @@ import math
 import os
 import stat
 import sys
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,17 +16,13 @@ from pga_lab.cli import run
 from pga_lab.serialize import (
     _BLOCK_ROWS,
     Records,
-    _column,
     _csv_cell,
     _json_chunks,
     _quote,
-    _Rendered,
     _scalar,
-    _words,
     csv_text,
     fmt_float,
     json_text,
-    render_columns,
     write_csv,
     write_json,
 )
@@ -152,7 +147,12 @@ class Count(int):
     pass
 
 
-# every column kind _column has a one-pass path for, and the mixtures next to
+class Tone(str, enum.Enum):
+    LOW = "low"
+    HIGH = "h\u00e9"
+
+
+# every column kind the writers have a path for, and the mixtures next to
 # them that must not take it
 COLUMNS = {
     "ints": [0, -1, 7, 10**20, -(2**63)],
@@ -190,7 +190,20 @@ COLUMNS = {
     "int64-array-repeated": np.array([3, -3, 3, 0, 2**63 - 1, 3, -3] * 40, dtype=np.int64),
     "float32-array": np.arange(-250, 250, dtype=np.float32) / np.float32(7),
     "str-array": np.array(["executed", "tie", "executed"]),
+    # text beyond ASCII, a lone surrogate among it (kept as it is in the str
+    # that csv_text and json_text return)
+    "non-ascii": ["\u00e9", "\u20ac", "\U0001F600", "\ud800", "x\u00e9y", "\u00e9"],
+    # bytes.translate would drop a NUL: such a CSV block is joined cell by cell
+    "nul-strings": ["a\0b", "\0", "", "c", "a\0b"],
+    "empty-strings-and-nones": ["", None, "", "x", None, ""],
+    "str-enums": [Tone.LOW, Tone.HIGH, Tone.LOW],
+    "str-enums-and-strings": [Tone.LOW, "low", Tone.HIGH, "h\u00e9"],
+    "bools-and-nones": [True, None, False, None, True],
 }
+
+
+def _json_list(texts: list) -> str:
+    return "[\n  " + ",\n  ".join(texts) + "\n]\n" if texts else "[]\n"
 
 
 @pytest.mark.parametrize("text", [_csv_cell, _quote], ids=["csv", "json"])
@@ -199,8 +212,15 @@ def test_column_fast_paths_match_scalar_cell_by_cell(values, text):
     # an ndarray column is written as its tolist() is
     cells = values.tolist() if isinstance(values, np.ndarray) else values
     expected = [_scalar(v, text) for v in cells]
-    assert _column(values, text) == expected
-    assert _column(tuple(cells), text) == expected
+    for column in (values, tuple(cells)):
+        if text is _csv_cell:
+            assert csv_text(["c"], [column]) == "c\n" + "".join(cell + "\n" for cell in expected)
+            assert csv_text(["a", "c"], [[1.5] * len(cells), column]) == "a,c\n" + "".join(
+                f"1.5,{cell}\n" for cell in expected)
+        else:
+            assert json_text({"t": Records(["c"], [column])}) == json_text(
+                {"t": [{"c": v} for v in cells]})
+            assert json_text(list(cells)) == _json_list(expected)
 
 
 def test_text_is_the_same_before_numpy_loads(monkeypatch):
@@ -220,8 +240,12 @@ def test_float_cells_beside_other_cells_keep_their_bits():
     # -0.0 == 0.0, so float cells are told apart by their bits, never by a
     # per-value lookup shared with the column's other cells
     column = [np.float64(-0.0), None, np.float64(0.0), Half.NEG, 0.0, "x", -0.0, 0, False]
-    assert _column(column, _quote) == [
-        "-0.0", "null", "0.0", "-0.0", "0.0", '"x"', "-0.0", "0", "false"]
+    texts = ["-0.0", "null", "0.0", "-0.0", "0.0", '"x"', "-0.0", "0", "false"]
+    assert json_text(column) == _json_list(texts)
+    assert csv_text(["c"], [column]) == "c\n-0.0\n\n0.0\n-0.0\n0.0\nx\n-0.0\n0\nfalse\n"
+    payloads = np.array([0x7FF8000000000001, 0xFFF8000000000000], dtype=np.uint64).view(np.float64)
+    assert json_text([*payloads.tolist(), "x", math.inf]) == _json_list(
+        ["NaN", "NaN", '"x"', "Infinity"])
 
 
 def _csv_lines(rows) -> str:
@@ -303,7 +327,9 @@ RENDER_HEADER = ["x", "y", "index", "bid", "bid_list", "nothing", "outcome"]
 
 
 def _render_table(rows: int) -> list:
-    """One column of each kind render_columns replaces, and a str column it keeps."""
+    """Columns of each kind a table holds: float64 and int64 arrays, floats
+    and None as an object array and as a list, a column of None and a str
+    column."""
     x = np.resize(np.array(AWKWARD_FLOATS), rows)
     bids = [None if i % 3 else v for i, v in enumerate(x.tolist())]
     return [
@@ -320,30 +346,12 @@ def _render_table(rows: int) -> list:
 
 @pytest.mark.parametrize("rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
                                   3 * _BLOCK_ROWS + 5])
-def test_rendered_columns_write_the_bytes_of_the_columns(rows):
+def test_awkward_columns_write_the_bytes_of_their_cells(rows):
     columns = _render_table(rows)
-    expected = (csv_text(RENDER_HEADER, columns),
-                json_text({"t": Records(RENDER_HEADER, columns)}))
-    rendered = list(columns)
-    render_columns(rendered)
-    assert all(isinstance(c, _Rendered) and len(c) == rows for c in rendered[:-1])
-    if rows:
-        assert rendered[-1] is columns[-1]
-    assert (csv_text(RENDER_HEADER, rendered),
-            json_text({"t": Records(RENDER_HEADER, rendered)})) == expected
-
-
-def test_rendering_frees_each_replaced_array():
-    """Once the caller drops its own reference (here a tuple, as a simulate
-    report holds its event columns), each replaced array goes as its text is
-    made; the str column stays."""
-    held = tuple(_render_table(_BLOCK_ROWS + 1))
-    refs = [weakref.ref(c) for c in held if isinstance(c, np.ndarray)]
-    columns = list(held)
-    del held
-    render_columns(columns)
-    assert [ref() is None for ref in refs] == [True, True, True, True, False]
-    assert refs[-1]() is columns[-1]
+    cells = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    assert csv_text(RENDER_HEADER, columns) == ",".join(RENDER_HEADER) + "\n" + _csv_lines(cells)
+    assert json_text({"t": Records(RENDER_HEADER, columns)}) == json_text(
+        {"t": [dict(zip(RENDER_HEADER, row)) for row in cells]})
 
 
 def test_float_text_matches_fmt_float_over_a_million_values():
@@ -367,14 +375,8 @@ FLOATS_AND_NONES = [
 
 def test_float_or_none_columns_take_the_kernel_cell_by_cell():
     column = FLOATS_AND_NONES
-    if _numtext.EXACT:
-        assert _words([column], ",") is not None  # one kernel call, None cells left blank
     assert csv_text(["x"], [column]) == "x\n" + "".join(_scalar(v, _csv_cell) + "\n" for v in column)
     assert json_text(column) == "[\n  " + ",\n  ".join(_scalar(v, _quote) for v in column) + "\n]\n"
-    rendered = [np.array(column, dtype=object)]
-    render_columns(rendered)
-    assert csv_text(["x"], rendered) == csv_text(["x"], [column])
-    assert json_text({"t": Records(["x"], rendered)}) == json_text({"t": Records(["x"], [column])})
 
 
 BENCH_CDF = ["sweep", "--target", "cdf", "--V", "10", "--g", "1", "--r1", "0.1", "--r2", "0.1",
