@@ -11,12 +11,15 @@ A float64 cell has the text of serialize.fmt_float ("%.17g"). With k =
 floor(log10 |x|) in [-4, 15], "%.17g" writes 17 significant digits in fixed
 notation, and they are the digits of rint(D), D = |x| 10^(16 - k):
 
-* D is formed in long double. 10^1 ... 10^20 are exact there and D < 2^57,
-  so with a mantissa of 63 bits or more D is rounded once, by at most 2^-8.
-  Where D lies 1/128 or more from a rounding tie, twice that error, rint(D)
-  is therefore the exact value's rounding. A fast path that knows where it
-  cannot be sure is the method of Grisu3 (Loitsch, "Printing Floating-Point
-  Numbers Quickly and Accurately with Integers", PLDI 2010).
+* D is formed in float64 as P + e exactly: 10^1 ... 10^20 are exact in a
+  double, and Dekker's two-product (Numer. Math. 18, 1971) gives the rounded
+  product P and its error e, using Veltkamp's split and no fused
+  multiply-add. For D in [1e16, 1e17), P >= 2^53 is an even whole number and
+  |e| <= 8, so rint(D) = P + rint(e), ties to even included. Where log10
+  gave a wrong k, rint(D) falls outside (1e16, 1e17) and the cell is left
+  unproven. A fast path that hands what it cannot prove to an exact slow
+  one is the method of Grisu3 (Loitsch, "Printing Floating-Point Numbers
+  Quickly and Accurately with Integers", PLDI 2010).
 * rint(D) splits into a lead digit and four 4-digit groups. Their ASCII
   comes from tables that also drop the trailing zeros "%.17g" drops, while
   keeping the one digit after the point of a whole number ("5.0").
@@ -26,12 +29,11 @@ notation, and they are the digits of rint(D), D = |x| 10^(16 - k):
 The cells the kernel cannot prove take _percent, one "%.17g" over their
 distinct values: k outside [-4, 15] (exponent notation, and the whole
 numbers from 1e16 up, which "%.17g" still writes in fixed notation but the
-kernel leaves to it), D within 1/128 of a tie or rint(D) at a power of ten,
-+-0, NaN, +-inf and subnormals. Where long double has fewer than 63 mantissa
-bits, or a word's first byte is not its lowest, EXACT is False and every
-cell takes _percent. text_words lays out each distinct text once and
-gathers the cells from that table, for _percent and for serialize's columns
-of strings alike.
+kernel leaves to it), rint(D) at a power of ten, +-0, NaN, +-inf and
+subnormals. On a big-endian machine, where a word's first byte is not its
+lowest, EXACT is False and every cell takes _percent. text_words lays out
+each distinct text once and gathers the cells from that table, for _percent
+and for serialize's columns of strings alike.
 """
 
 from __future__ import annotations
@@ -43,8 +45,8 @@ import numpy as np
 
 from .serialize import _whole
 
-# the kernel's digits are exact, and its words lay out bytes lowest first
-EXACT = np.finfo(np.longdouble).nmant >= 63 and sys.byteorder == "little"
+# the kernel's words lay out bytes lowest first
+EXACT = sys.byteorder == "little"
 
 # --- tables, built by array arithmetic when the module loads (about 1 ms)
 
@@ -73,10 +75,20 @@ _INTEGER = np.concatenate([_words32(_PLACE >= lead[:, None])
 
 # k runs over [-4, 15]; tables indexed by k are indexed by k + 4
 _K = np.arange(-4, 16)
-# 10^p, from doubles that hold it exactly (each power up to 10^22 does), so
-# the table does not rest on the platform's powl
-_SCALE = np.array([float(10**p) for p in range(21)], dtype=np.longdouble)
-_TIE = np.longdouble(0.5 - 1 / 128)
+_SPLIT = 2.0**27 + 1  # Veltkamp's constant for a 53-bit significand
+
+
+def _split(v: np.ndarray) -> tuple:
+    """Veltkamp's split: v = high + low exactly, each half of at most 26
+    significant bits, so a product of two halves is exact in a double."""
+    t = v * _SPLIT
+    high = t - (t - v)
+    return high, v - high
+
+
+# 10^p, exact in a double (each power up to 10^22 is), and its halves
+_SCALE = np.array([float(10**p) for p in range(21)])
+_SCALE_HIGH, _SCALE_LOW = _split(_SCALE)
 
 # the first word of a float cell, by (sign, k, lead digit d0): byte 0 is the
 # separator, byte 1 the sign; for k < 0, "0." and -k - 1 zeros, then d0 in
@@ -143,11 +155,16 @@ def _kernel(x: np.ndarray, sep: int) -> tuple:
     with np.errstate(divide="ignore", invalid="ignore"):  # 0, nan and inf fail `fixed`
         k = np.floor(np.log10(a))
         fixed = (k >= -4) & (k <= 15)
-        k = np.where(fixed, k, 0).astype(np.intp)
-        scaled = a.astype(np.longdouble) * _SCALE[16 - k]
-        rounded = np.rint(scaled)
-        fixed &= np.abs(scaled - rounded) <= _TIE
-        digits = rounded.astype(np.int64)
+    k = np.where(fixed, k, 0).astype(np.intp)
+    a = np.where(fixed, a, 1.0)  # so no product below overflows
+    # D = product + error exactly (Dekker's two-product)
+    power = 16 - k
+    product = a * _SCALE[power]
+    high, low = _split(a)
+    scale_high, scale_low = _SCALE_HIGH[power], _SCALE_LOW[power]
+    error = low * scale_low - (((product - high * scale_high) - low * scale_high)
+                               - high * scale_low)
+    digits = product.astype(np.int64) + np.rint(error).astype(np.int64)
     fixed &= (digits > 10**16) & (digits < 10**17)
     digits[~fixed] = 10**16 + 1  # any value the arithmetic below takes; replaced
     lead = digits // 10**16

@@ -29,6 +29,18 @@ def _neighbours(x: np.ndarray, ulps: int) -> np.ndarray:
     return out[np.isfinite(out) & (np.signbit(out) == np.repeat(np.signbit(x), 2 * ulps + 1))]
 
 
+def ties(rng: np.random.Generator, count: int) -> np.ndarray:
+    """Up to count exact ties of the 17-digit rounding: x = j 2^(k - 17), j
+    odd, in [10^k, 10^(k + 1)) for k in [-4, 14], and in [10^15, 2^51) for
+    k = 15 (j < 2^53, so x is a double). D = x 10^(16 - k) = j 5^(16 - k) / 2
+    has a fractional part of exactly 1/2."""
+    k = rng.integers(-4, 16, count)
+    low, high = 10.0**k, np.where(k < 15, 10.0 ** (k + 1), 2.0**51)
+    j = np.floor(rng.uniform(low, high) * 2.0 ** (16 - k)) * 2 + 1
+    x = np.ldexp(j, k - 17)
+    return x[(x >= low) & (x < high)]
+
+
 def cases(count: int, seed: int) -> np.ndarray:
     """At least count doubles, in random order, that cover each path of the
     float text:
@@ -38,17 +50,18 @@ def cases(count: int, seed: int) -> np.ndarray:
     * short decimals m 10^e, whose text drops trailing zeros;
     * the 4-ulp neighbours of near-ties (D + 1/2) 10^(k - 16) of the 17-digit
       rounding, and of 10^k for k in [-6, 18];
+    * exact ties of the 17-digit rounding;
     * whole numbers around 1e15, 1e16 and 1e17;
     * +-0, subnormals, NaN with several payloads and both signs, and +-inf.
     """
     rng = np.random.default_rng(seed)
-    part = -(-4 * count // 23)  # the groups below take 23/4 parts
+    part = -(-8 * count // 47)  # the groups below take 47/8 parts
     bits = rng.integers(0, 2**64, part, dtype=np.uint64, endpoint=False).view(np.float64)
     fixed = np.ldexp(rng.uniform(1.0, 2.0, 2 * part), rng.integers(-17, 57, 2 * part))
     short = (rng.integers(1, 10**6, part) * 10.0 ** rng.integers(0, 12, part)
              / 10.0 ** rng.integers(0, 14, part))
     k = rng.integers(-6, 19, part // 9)
-    ties = (rng.integers(10**16, 10**17, part // 9) + 0.5) * 10.0 ** (k - 16)
+    near = (rng.integers(10**16, 10**17, part // 9) + 0.5) * 10.0 ** (k - 16)
     powers = 10.0 ** np.arange(-6, 19)
     whole = np.concatenate([e + rng.integers(-10**6, 10**6, part // 6) * 1.0
                             for e in (1e15, 1e16, 1e17)])
@@ -57,8 +70,8 @@ def cases(count: int, seed: int) -> np.ndarray:
                          0x7FFFFFFFFFFFFFFF, 0x7FF4000000000000, 0x7FF0000000000000,
                          0x0000000000000000, 0x0000000000000001, 0x000FFFFFFFFFFFFF],
                         dtype=np.uint64).view(np.float64)
-    values = np.concatenate([bits, fixed, short, _neighbours(ties, 4), _neighbours(powers, 4),
-                             whole, subnormal, specials])
+    values = np.concatenate([bits, fixed, short, _neighbours(near, 4), _neighbours(powers, 4),
+                             ties(rng, part // 8), whole, subnormal, specials])
     values = np.where(rng.random(len(values)) < 0.5, values, -values)  # -nan flips the sign bit
     values = np.concatenate([values, specials, -specials])
     while len(values) < count:

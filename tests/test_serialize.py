@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from float_text_check import cases, mismatches
+from float_text_check import cases, mismatches, ties
 from pga_lab import _numtext, serialize
 from pga_lab.cli import run
 from pga_lab.serialize import (
@@ -363,6 +363,16 @@ def test_float_text_matches_fmt_float_over_a_million_values():
     assert mismatches(values) == []
 
 
+def test_exact_ties_are_proven_by_the_kernel():
+    """A D with a fractional part of exactly 1/2 rounds half to even in the
+    kernel, with no "%.17g" fallback, to fmt_float's text."""
+    values = ties(np.random.default_rng(31), 20_000)
+    values = np.concatenate([values, -values])
+    assert len(values) > 39_000
+    assert _numtext._kernel(values, ord(","))[1].all()
+    assert mismatches(values) == []
+
+
 # floats beside None: signed zeros, NaN payloads of both signs, infinities,
 # the least subnormal, whole numbers and random bit patterns
 FLOATS_AND_NONES = [
@@ -386,10 +396,10 @@ BENCH_MARKET = ["simulate", "--sigma", "0.05", "--T", "100", "--block-time", "0.
 
 
 def test_without_the_kernel_the_files_keep_their_bytes(monkeypatch, tmp_path):
-    """Where long double cannot carry the kernel's scaling, _numtext.EXACT is
-    False and a float column takes one "%" over its distinct values: the
-    bench cdf sweep and a market run's events and report come out byte for
-    byte as the kernel writes them."""
+    """On a big-endian machine _numtext.EXACT is False and a float column
+    takes one "%" over its distinct values (_numtext._percent): the bench
+    cdf sweep and a market run's events and report come out byte for byte
+    as the kernel writes them."""
 
     def outputs(name: str) -> list[bytes]:
         paths = [tmp_path / f"{name}.{ext}" for ext in ("cdf.csv", "events.csv", "report.json")]
@@ -406,7 +416,7 @@ def test_without_the_kernel_the_files_keep_their_bytes(monkeypatch, tmp_path):
 def test_without_the_kernel_floats_take_no_fmt_float_call_per_cell(monkeypatch):
     """With numpy loaded but EXACT False, the float cells of a table (float64
     arrays, floats and None, and the floats of a mixed column) are formatted
-    over their distinct values by _numtext.float_texts, not cell by cell."""
+    over their distinct values by _numtext._percent, not cell by cell."""
     rows = _BLOCK_ROWS + 4  # a multiple of 5
     columns = _render_table(rows)
     columns.append([1.5, "a", -0.0, None, True] * (rows // 5))
