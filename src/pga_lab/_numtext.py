@@ -16,24 +16,27 @@ notation, and they are the digits of rint(D), D = |x| 10^(16 - k):
   product P and its error e, using Veltkamp's split and no fused
   multiply-add. For D in [1e16, 1e17), P >= 2^53 is an even whole number and
   |e| <= 8, so rint(D) = P + rint(e), ties to even included. Where log10
-  gave a wrong k, rint(D) falls outside (1e16, 1e17) and the cell is left
-  unproven. A fast path that hands what it cannot prove to an exact slow
-  one is the method of Grisu3 (Loitsch, "Printing Floating-Point Numbers
-  Quickly and Accurately with Integers", PLDI 2010).
+  gave a wrong k, rint(D) falls outside [1e16, 1e17) and the cell is left
+  unproven. rint(D) = 1e16 is x rounding to 10^k at 17 digits, which
+  "%.17g" writes with exponent k; if log10 gave k - 1 for such an x,
+  rint(D) is 1e17 and the cell is left unproven. A zero takes k = 0 and
+  rint(D) = 0, and the sign is that of np.signbit, so -0.0 is "-0.0". A
+  fast path that hands what it cannot prove to an exact slow one is the
+  method of Grisu3 (Loitsch, "Printing Floating-Point Numbers Quickly and
+  Accurately with Integers", PLDI 2010).
 * rint(D) splits into a lead digit and four 4-digit groups. Their ASCII
   comes from tables that also drop the trailing zeros "%.17g" drops, while
   keeping the one digit after the point of a whole number ("5.0").
 * The point goes after digit k by shifting the digits before it down one
   byte, into a spare byte of the cell's first word.
 
-The cells the kernel cannot prove take _percent, one "%.17g" over their
-distinct values: k outside [-4, 15] (exponent notation, and the whole
+The cells the kernel cannot prove take _percent, serialize.fmt_float once
+per distinct value: k outside [-4, 15] (exponent notation, and the whole
 numbers from 1e16 up, which "%.17g" still writes in fixed notation but the
-kernel leaves to it), rint(D) at a power of ten, +-0, NaN, +-inf and
-subnormals. On a big-endian machine, where a word's first byte is not its
-lowest, EXACT is False and every cell takes _percent. text_words lays out
-each distinct text once and gathers the cells from that table, for _percent
-and for serialize's columns of strings alike.
+kernel leaves to it), an x that rounds up to 10^k where log10 gave k - 1,
+NaN, +-inf and subnormals. On a big-endian machine, where a word's first
+byte is not its lowest, EXACT is False and every cell takes _percent. text_words lays out each distinct text once and gathers the
+cells from that table, for _percent and for serialize's other columns alike.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .serialize import _whole
+from .serialize import fmt_float
 
 # the kernel's words lay out bytes lowest first
 EXACT = sys.byteorder == "little"
@@ -138,13 +141,14 @@ def float_words(x: np.ndarray, sep: int, blank: Optional[np.ndarray]) -> np.ndar
     """(n, w) uint64: fmt_float of each value of the float64 array x, after
     the byte sep; where blank is True, the cell is sep alone. The kernel's
     unproven cells, and every cell where EXACT is False, take _percent."""
-    words, fixed = _kernel(x, sep) if EXACT else (_percent(x, sep), np.ones(len(x), bool))
+    words, fixed = _kernel(x, sep) if EXACT else (np.zeros((len(x), 1), np.uint64),
+                                                  np.zeros(len(x), bool))
     if blank is not None:
         fixed |= blank
         words[blank] = 0
         words.view(np.uint8)[blank, 0] = sep
     rest = np.flatnonzero(~fixed)
-    return overlay(words, rest, _percent(x[rest], sep))
+    return overlay(words, rest, _percent(x[rest], sep)) if len(rest) else words
 
 
 def _kernel(x: np.ndarray, sep: int) -> tuple:
@@ -152,8 +156,9 @@ def _kernel(x: np.ndarray, sep: int) -> tuple:
     byte sep, and a mask that is True where a cell is proven; an unproven
     cell holds placeholder digits."""
     a = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):  # 0, nan and inf fail `fixed`
-        k = np.floor(np.log10(a))
+    with np.errstate(divide="ignore", invalid="ignore"):  # nan and inf fail `fixed`
+        zero = a == 0
+        k = np.where(zero, 0, np.floor(np.log10(a)))
         fixed = (k >= -4) & (k <= 15)
     k = np.where(fixed, k, 0).astype(np.intp)
     a = np.where(fixed, a, 1.0)  # so no product below overflows
@@ -165,7 +170,7 @@ def _kernel(x: np.ndarray, sep: int) -> tuple:
     error = low * scale_low - (((product - high * scale_high) - low * scale_high)
                                - high * scale_low)
     digits = product.astype(np.int64) + np.rint(error).astype(np.int64)
-    fixed &= (digits > 10**16) & (digits < 10**17)
+    fixed &= ((digits >= 10**16) & (digits < 10**17)) | zero
     digits[~fixed] = 10**16 + 1  # any value the arithmetic below takes; replaced
     lead = digits // 10**16
     groups = np.empty((4, len(x)), np.intp)  # digits 1-4, 5-8, 9-12 and 13-16
@@ -181,7 +186,7 @@ def _kernel(x: np.ndarray, sep: int) -> tuple:
     later[0] |= later[1]
     groups[:3] += later * 10_000
     pairs = np.take(_FRACTION, groups.T).view(np.uint64)
-    first = np.take(_LEAD, ((x < 0) * 20 + at) * 10 + lead) | np.uint64(sep)
+    first = np.take(_LEAD, (np.signbit(x) * 20 + at) * 10 + lead) | np.uint64(sep)
     second, third = pairs[:, 0], pairs[:, 1]
     if (k >= 0).any():
         second, third = second | _ZEROS1[at], third | _ZEROS2[at]
@@ -197,22 +202,13 @@ def _kernel(x: np.ndarray, sep: int) -> tuple:
 
 
 def _percent(values: np.ndarray, sep: int) -> np.ndarray:
-    """(n, w) uint64: fmt_float of each value after the byte sep, by one "%"
-    over the distinct values (text_words). Values are told apart by their
-    bits, so -0.0 and 0.0, and NaNs of different payloads, are formatted
-    each on their own. "%.17g" leaves out "." and "e" exactly for the
-    values that are nan, inf, or whole and below 1e17 in size, and those
-    take serialize._whole."""
+    """(n, w) uint64: fmt_float of each value after the byte sep, one call
+    per distinct value (text_words). Values are told apart by their bits,
+    so -0.0 and 0.0, and NaNs of different payloads, are formatted each on
+    their own."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    cells = (b",".join([b"%.17g"] * len(distinct)) % tuple(distinct.tolist())).split(b",")
-    size = np.abs(distinct)
-    with np.errstate(invalid="ignore"):  # trunc flags a signaling NaN
-        bare = ~(size < np.inf) | ((size < 1e17) & (np.trunc(distinct) == distinct))
-    for i in np.flatnonzero(bare).tolist():
-        cells[i] = _whole(cells[i].decode()).encode()
-    # "%.17g" writes at most 24 bytes ("-2.2250738585072014e-308")
-    return text_words(np.array(cells, dtype="S24"), inverse.ravel(), sep)
+    texts = [fmt_float(v).encode() for v in bits.view(np.float64).tolist()]
+    return text_words(np.array(texts, dtype="S"), inverse.ravel(), sep)
 
 
 def text_words(texts: np.ndarray, inverse: np.ndarray, sep: int) -> np.ndarray:

@@ -14,10 +14,12 @@ each cell holds the last byte of its separator and then its text, NUL-padded,
 and any longer separator (a JSON key with its indentation) is a column of
 constant words. The block's text is the matrix's bytes without the NULs.
 pga_lab._numtext fills a column of floats, or of exact ints that fit int64,
-with no Python object per cell; any other column formats each distinct cell
-once and gathers the cells from that table. A command that never loads numpy
-formats cell by cell with fmt_float, to the same text, and joins each block's
-cells into its separators.
+with no Python object per cell, and hands the floats it cannot prove to
+fmt_float. Any other column takes its texts from _column, lays out each
+distinct text once and gathers the cells from that table. A command that
+never loads numpy writes every column by _column, to the same text, and
+joins each block's cells into its separators. So fmt_float decides the text
+of every float, and _column (by _scalar) that of every other cell.
 """
 
 from __future__ import annotations
@@ -56,16 +58,12 @@ _SCALAR_TYPES = (float, int, str, enum.Enum, type(None))
 _SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _whole(s: str) -> str:
-    """Keep a float recognizably a float on reload: -0 is -0.0, 1e16 is
-    10000000000000000.0, and nan and inf are spelled as JSON readers expect."""
-    return _SPECIAL.get(s) or s + ".0"
-
-
 def fmt_float(x: float) -> str:
-    """x with 17 significant digits; "%.17g" gives the bytes of format(x, ".17g")."""
+    """x with 17 significant digits; "%.17g" gives the bytes of format(x, ".17g").
+    A float stays recognizably a float on reload: -0 is -0.0, 1e16 is
+    10000000000000000.0, and nan and inf are spelled as JSON readers expect."""
     s = "%.17g" % x
-    return s if "." in s or "e" in s else _whole(s)
+    return s if "." in s or "e" in s else _SPECIAL.get(s) or s + ".0"
 
 
 def _csv_cell(s: Optional[str]) -> str:
@@ -101,16 +99,18 @@ def _kinds(values: Sequence[Any]) -> set:
 
 
 def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list[str]:
-    """One column's cells as text, as _scalar writes them, for a process
-    that has not loaded numpy (and a CSV block holding a NUL byte). An
-    ndarray is written as its tolist() would be. A column of exact ints
-    takes one str per distinct value (bool and IntEnum are not exact ints),
-    a float cell one fmt_float call, and every other cell one _scalar call
-    per distinct (type, value)."""
+    """One column's cells as text, as _scalar writes them: every cell of a
+    process that has not loaded numpy (and of a CSV block holding a NUL
+    byte), and every column of _gathered. An ndarray is written as its
+    tolist() would be. A column of one type other than float takes one
+    _scalar call per distinct value; otherwise a float cell takes one
+    fmt_float call, and every other cell one _scalar call per distinct
+    (type, value), since True == 1 == 1.0."""
     if hasattr(values, "tolist"):
         values = values.tolist()
-    if _kinds(values) == {int}:
-        memo = {v: str(v) for v in set(values)}
+    kinds = _kinds(values)
+    if len(kinds) == 1 and not issubclass(*kinds, float):
+        memo = {v: _scalar(v, text) for v in set(values)}
         return list(map(memo.__getitem__, values))
     # floats stay out of the memo: -0.0 == 0.0 would give the two zeros one key
     memo = {key: _scalar(key[1], text) for key in set(zip(map(type, values), values))
@@ -122,8 +122,9 @@ def _cell_words(values: Sequence[Any], text: Callable[[Optional[str]], str], sep
     """One column of a block as a matrix of 64-bit words, one row a cell:
     the byte sep, the cell's text as _scalar writes it, NUL padding. Floats
     take _numtext.float_words (beside None too, a None cell then holding
-    text(None)), exact ints that fit int64 int_words, and any other column
-    _gathered. None where a cell's text holds a NUL byte."""
+    text(None)), exact ints that fit int64 int_words, and any other column,
+    mixtures with floats included, _gathered. None where a cell's text
+    holds a NUL byte."""
     from . import _numtext as numtext
 
     np = sys.modules["numpy"]
@@ -152,34 +153,24 @@ def _cell_words(values: Sequence[Any], text: Callable[[Optional[str]], str], sep
         none = text(None).encode()
         words.view(np.uint8)[blank, 1:1 + len(none)] = np.frombuffer(none, np.uint8)
         return words
-    return _gathered(values, kinds, text, sep)
+    return _gathered(values, text, sep)
 
 
-def _gathered(values: Sequence[Any], kinds: set, text: Callable[[Optional[str]], str],
-              sep: int) -> Any:
+def _gathered(values: Sequence[Any], text: Callable[[Optional[str]], str], sep: int) -> Any:
     """_cell_words of a column that is not one of numbers (strings, bools,
-    enums, ints beyond int64, mixtures): the text of each distinct cell
-    once, by _scalar, gathered by _numtext.text_words. A column of one type
-    is keyed by its values, any other by (type, value). Its float cells are
-    then laid over by float_words, which tells them apart by their bits
-    where -0.0 == 0.0 would give the two zeros one key."""
+    enums, ints beyond int64, mixtures): its cells' texts by _column, each
+    distinct text laid out once and the cells gathered from that table by
+    _numtext.text_words."""
     from . import _numtext as numtext
 
     np = sys.modules["numpy"]
-    floaty = {kind for kind in kinds if issubclass(kind, float)}
-    keys = values if len(kinds) == 1 else list(zip(map(type, values), values))
-    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    texts = [(_scalar(key, text) if len(kinds) == 1 else "" if key[0] in floaty
-              else _scalar(key[1], text)).encode("utf-8", "surrogatepass") for key in index]
+    cells = _column(values, text)
+    index = {cell: i for i, cell in enumerate(dict.fromkeys(cells))}
+    texts = [cell.encode("utf-8", "surrogatepass") for cell in index]
     if any(b"\0" in t for t in texts):
         return None
-    words = numtext.text_words(np.array(texts, dtype="S"),
-                               np.fromiter(map(index.__getitem__, keys), np.intp, len(keys)), sep)
-    if floaty:
-        floats = [kind in floaty for kind, _ in keys]
-        x = np.array([v for kind, v in keys if kind in floaty], dtype=np.float64)
-        words = numtext.overlay(words, np.flatnonzero(floats), numtext.float_words(x, sep, None))
-    return words
+    return numtext.text_words(np.array(texts, dtype="S"),
+                              np.fromiter(map(index.__getitem__, cells), np.intp, len(cells)), sep)
 
 
 def _laid_out(block: list, text: Callable[[Optional[str]], str],

@@ -79,7 +79,7 @@ def test_unsupported_values_raise_type_error():
 
 def _reference_float(x: float) -> str:
     """The float rule spelled out with isnan/isinf and format(x, ".17g"), as
-    reference for the one-"%" column path and fmt_float."""
+    reference for fmt_float."""
     if math.isnan(x):
         return "NaN"
     if math.isinf(x):
@@ -373,6 +373,15 @@ def test_exact_ties_are_proven_by_the_kernel():
     assert mismatches(values) == []
 
 
+def test_signed_zeros_and_powers_of_ten_are_proven_by_the_kernel():
+    """+-0.0, and +-10^k for k in [-4, 15], whose rint(D) is 10^16, are
+    written by the kernel, with no "%.17g" fallback, as fmt_float writes them."""
+    powers = 10.0 ** np.arange(-4, 16)
+    values = np.concatenate([[0.0, -0.0], powers, -powers])
+    assert _numtext._kernel(values, ord(","))[1].all()
+    assert mismatches(values) == []
+
+
 # floats beside None: signed zeros, NaN payloads of both signs, infinities,
 # the least subnormal, whole numbers and random bit patterns
 FLOATS_AND_NONES = [
@@ -415,16 +424,30 @@ def test_without_the_kernel_the_files_keep_their_bytes(monkeypatch, tmp_path):
 
 def test_without_the_kernel_floats_take_no_fmt_float_call_per_cell(monkeypatch):
     """With numpy loaded but EXACT False, the float cells of a table (float64
-    arrays, floats and None, and the floats of a mixed column) are formatted
-    over their distinct values by _numtext._percent, not cell by cell."""
-    rows = _BLOCK_ROWS + 4  # a multiple of 5
+    arrays, and floats beside None) take fmt_float once per distinct bit
+    pattern of a block's column (_numtext._percent), not once per cell."""
+    rows = _BLOCK_ROWS + 4
     columns = _render_table(rows)
-    columns.append([1.5, "a", -0.0, None, True] * (rows // 5))
-    header = [*RENDER_HEADER, "mixed"]
-    expected = csv_text(header, columns), json_text({"t": Records(header, columns)})
+    tables = {"csv": lambda: csv_text(RENDER_HEADER, columns),
+              "json": lambda: json_text({"t": Records(RENDER_HEADER, columns)})}
+    expected = {name: write() for name, write in tables.items()}
+    floats = [[v for v in column if isinstance(v, float)]
+              for block in serialize._row_blocks(columns) for column in block]
+    distinct = sum(len(set(np.array(cells).view(np.int64).tolist())) for cells in floats)
+    assert distinct < sum(map(len, floats))  # so a call per cell fails below
+    calls = []
+
+    def counted(x: float) -> str:
+        calls.append(x)
+        return fmt_float(x)
+
     monkeypatch.setattr(_numtext, "EXACT", False)
-    monkeypatch.setattr(serialize, "fmt_float", None)  # a call would raise TypeError
-    assert (csv_text(header, columns), json_text({"t": Records(header, columns)})) == expected
+    monkeypatch.setattr(serialize, "fmt_float", counted)
+    monkeypatch.setattr(_numtext, "fmt_float", counted)
+    for name, write in tables.items():
+        calls.clear()
+        assert write() == expected[name]
+        assert 0 < len(calls) <= distinct
 
 
 def test_failed_csv_write_leaves_the_previous_file(tmp_path):
