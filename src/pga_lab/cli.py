@@ -338,11 +338,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if point["tau"] is not None:
             check_tax_rate(point["tau"])
         points.append((params, point))
-    # each axis column repeats a point's value once per row of that point
-    axis_columns = [[value for value in axis for _ in range(rows_per_point)]
+    target = list(target_columns(points, args.grid))  # cdf loads numpy
+    np = sys.modules.get("numpy")
+    # each axis column repeats a point's value once per row of that point: an array
+    # for cdf's many rows, and for an int range's many points once numpy is loaded
+    arrays = np is not None and (rows_per_point > 1 or any(isinstance(a, range) for _, a in axes))
+    axis_columns = [np.repeat(axis, rows_per_point) if arrays else list(axis)
                     for axis in zip(*combos)]
-    table = axis_columns + list(target_columns(points, args.grid))
-    write_csv(args.out, axis_names + columns, table)
+    write_csv(args.out, axis_names + columns, axis_columns + target)
     print(f"wrote {rows_per_point * len(points)} rows to {args.out}")
     return 0
 

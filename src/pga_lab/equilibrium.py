@@ -28,6 +28,7 @@ the breakeven bid V - g.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -47,6 +48,7 @@ _NEG_CLAMP = 1e-12  # residue window treated as float noise, not a formula bug
 # with rho = 0 the integrand of a tail integral falls like e^t below t = log r2,
 # so cutting it off this far below leaves out a share e^-45 < 3e-20
 _TAIL_CUTOFF = 45.0
+_LOG_MAX = math.log(sys.float_info.max)  # math.exp and math.expm1 overflow above it
 
 
 def _log(x: float) -> float:
@@ -226,16 +228,19 @@ class Equilibrium:
 
     @property
     def boundary_gap(self) -> float:
-        """Raw CDF value at the breakeven bid V - g, minus one.
-
-        Zero when entry_cost = 0. Positive entry cost shrinks the support to
-        [0, V - g - c], so the raw formula exceeds 1 on (V - g - c, V - g];
-        the gap is reported rather than renormalized away.
-        """
-        try:
-            return self._f_star(self.params.breakeven_bid) - 1.0
-        except OverflowError:  # z(V - g) is unbounded as r1 g + r2 (V - g) -> 0
+        """Raw CDF value at the breakeven bid V - g, minus one, reported rather
+        than renormalized away: zero when c = 0, positive when c > 0 shrinks
+        the support to [0, V - g - c]. As z(V - g) = 1 + c/d, d = r1 g + r2 (V - g),
+        it is expm1(log1p(c/d)/(N - 1))/(1 - p*), with log z = log c - log d where
+        c/d overflows (the log1p(d/c) it drops is then below an ulp); inf at d = 0
+        and where the gap passes the largest double."""
+        p, c, one_minus_p = self.params, self.entry_cost, self._one_minus_p()
+        d = p.revert_rate_base * p.base_fee + p.revert_rate_priority * p.breakeven_bid
+        if d == 0.0:
             return math.inf
+        log_z = math.log1p(c / d) if c / d < math.inf else math.log(c) - math.log(d)
+        t = log_z / (p.num_agents - 1)
+        return math.expm1(t) / one_minus_p if t <= _LOG_MAX else math.inf
 
     def _one_minus_p(self) -> float:
         """1 - p*, or NumericsError where it rounds to 0 and F* is undefined."""
@@ -255,14 +260,13 @@ class Equilibrium:
         one_minus_p = self._one_minus_p()
         return (xp.expm1(t / (self.params.num_agents - 1)) + one_minus_p) / one_minus_p
 
-    def _f_star(self, b, xp=math):
-        """Raw F*(b), unclipped, with log z(b) from log_ratio: a float b
-        through math, or an array through numpy with xp=numpy. In math, a
-        z(b) beyond float range raises OverflowError."""
+    def _f_star(self, b: np.ndarray) -> np.ndarray:
+        """Raw F*(b) on an array of bids, unclipped, with log z(b) from log_ratio."""
+        import numpy as np
+
         p = self.params
-        log = _log if xp is math else xp.log
         return self._f_of_log_z(log_ratio(p.revert_rate_base * p.base_fee, p.breakeven_bid,
-                                          self.entry_cost, p.revert_rate_priority, b, log), xp)
+                                          self.entry_cost, p.revert_rate_priority, b, np.log), np)
 
     def _cdf_arr(self, b: np.ndarray) -> np.ndarray:
         """F* on an array of bids in [0, V - g]: the raw formula clipped to
@@ -274,7 +278,7 @@ class Equilibrium:
         top = self.support_max
         b = np.clip(b, 0.0, top)
         with np.errstate(divide="ignore"):
-            raw = np.asarray(self._f_star(b, np))  # a 0-d b gives a scalar
+            raw = np.asarray(self._f_star(b))  # a 0-d b gives a scalar
         # fmin passes over NaN, where min would return it
         low = np.fmin.reduce(raw, axis=None, initial=np.inf)
         if low < -_NEG_CLAMP:
@@ -349,11 +353,9 @@ class Equilibrium:
             for x, w in zip(_LEGENDRE_NODES, _LEGENDRE_WEIGHTS):
                 t = (start + half) + half * x
                 s = lr - t  # log(rho/z)
-                try:
-                    offset = math.exp(log_r2 - t)
-                except OverflowError:  # r2/z beyond float range, far below log r2: b = 0
+                if log_r2 - t > _LOG_MAX:  # r2/z beyond float range, far below log r2: b = 0
                     continue
-                offset += (1.0 - r2) * math.exp(s)
+                offset = math.exp(log_r2 - t) + (1.0 - r2) * math.exp(s)
                 terms.append(_bid(-math.expm1(s), offset, scale, r2) * weight(t) * (half * w))
         return math.fsum(terms)
 

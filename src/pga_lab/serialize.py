@@ -13,10 +13,10 @@ block is one matrix of 64-bit words, a row of cells a row of the matrix:
 each cell holds the last byte of its separator and then its text, NUL-padded,
 and any longer separator (a JSON key with its indentation) is a column of
 constant words. The block's text is the matrix's bytes without the NULs.
-pga_lab._numtext fills a column of floats, or of exact ints that fit int64,
-with no Python object per cell, and hands the floats it cannot prove to
-fmt_float. Any other column takes its texts from _column, lays out each
-distinct text once and gathers the cells from that table. A command that
+pga_lab._numtext fills a column of floats, or an int64 array, with no
+Python object per cell, and hands the floats it cannot prove to fmt_float.
+Any other column (a list of ints too) takes its texts from _column, lays out
+each distinct text once and gathers the cells from that table. A command that
 never loads numpy writes every column by _column, to the same text, and
 joins each block's cells into its separators. So fmt_float decides the text
 of every float, and _column (by _scalar) that of every other cell.
@@ -122,8 +122,8 @@ def _cell_words(values: Sequence[Any], text: Callable[[Optional[str]], str], sep
     """One column of a block as a matrix of 64-bit words, one row a cell:
     the byte sep, the cell's text as _scalar writes it, NUL padding. Floats
     take _numtext.float_words (beside None too, a None cell then holding
-    text(None)), exact ints that fit int64 int_words, and any other column,
-    mixtures with floats included, _gathered. None where a cell's text
+    text(None)), an int64 array int_words, and any other column (a list of
+    ints, mixtures with floats included) _gathered. None where a cell's text
     holds a NUL byte."""
     from . import _numtext as numtext
 
@@ -136,12 +136,7 @@ def _cell_words(values: Sequence[Any], text: Callable[[Optional[str]], str], sep
         if values.dtype != object:
             values = values.tolist()
     kinds = _kinds(values)
-    if kinds == {int}:  # bool and IntEnum are not exact ints
-        try:
-            return numtext.int_words(np.asarray(values, dtype=np.int64), sep)
-        except OverflowError:
-            pass
-    elif all(issubclass(kind, float) for kind in kinds - {type(None)}):
+    if all(issubclass(kind, float) for kind in kinds - {type(None)}):
         if type(None) not in kinds:
             return numtext.float_words(np.asarray(values, dtype=np.float64), sep, None)
         cells = np.asarray(values, dtype=object)
@@ -157,8 +152,8 @@ def _cell_words(values: Sequence[Any], text: Callable[[Optional[str]], str], sep
 
 
 def _gathered(values: Sequence[Any], text: Callable[[Optional[str]], str], sep: int) -> Any:
-    """_cell_words of a column that is not one of numbers (strings, bools,
-    enums, ints beyond int64, mixtures): its cells' texts by _column, each
+    """_cell_words of a column neither of floats nor an int64 array (strings,
+    bools, enums, lists of ints, mixtures): its cells' texts by _column, each
     distinct text laid out once and the cells gathered from that table by
     _numtext.text_words."""
     from . import _numtext as numtext

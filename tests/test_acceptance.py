@@ -52,7 +52,7 @@ def test_criterion_1_boundary_conditions():
         eq = solve_equilibrium(random_params(rng))
         # the raw formula, as cdf pins both ends; with r1 = 0, rho = 0 and log 0 = -inf
         with np.errstate(divide="ignore"):
-            ends = eq._f_star(np.array([0.0, eq.support_max]), np)
+            ends = eq._f_star(np.array([0.0, eq.support_max]))
         worst = max(worst, abs(float(ends[0])), abs(float(ends[1]) - 1.0), abs(eq.boundary_gap))
     _criterion(
         1,

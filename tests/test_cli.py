@@ -333,7 +333,7 @@ def test_cdf_sweep_hands_the_writer_float64_arrays(monkeypatch, capsys):
     for name in ("b", "F"):
         assert isinstance(columns[name], np.ndarray) and columns[name].dtype == np.float64
         assert columns[name].shape == (6 * 7,)
-    assert columns["N"] == [2] * 21 + [5] * 21
+    assert columns["N"].dtype == np.int64 and columns["N"].tolist() == [2] * 21 + [5] * 21
     assert capsys.readouterr().out == "wrote 42 rows to unused.csv\n"
 
 
@@ -343,7 +343,8 @@ def test_cdf_sweep_points_that_share_a_support_top_get_its_grid(monkeypatch, cap
     columns = _written_columns(monkeypatch, [
         "sweep", "--target", "cdf", *AUCTION[:-2], "--vary2", "c=0,0.5", "--vary", "N=2,5",
         "--grid", "7", "--out", "unused.csv"])
-    assert columns["c"] == [0.0] * 14 + [0.5] * 14 and columns["N"] == ([2] * 7 + [5] * 7) * 2
+    assert columns["c"].dtype == np.float64 and columns["c"].tolist() == [0.0] * 14 + [0.5] * 14
+    assert columns["N"].dtype == np.int64 and columns["N"].tolist() == ([2] * 7 + [5] * 7) * 2
     for i, (c, n) in enumerate([(0.0, 2), (0.0, 5), (0.5, 2), (0.5, 5)]):
         eq = solve_equilibrium(AuctionParams(10, 1, 0.1, 0.1, n), c)
         bids = np.linspace(0.0, eq.support_max, 7)

@@ -15,7 +15,7 @@ from pga_lab import (
     pure_equilibrium,
     solve_equilibrium,
 )
-from pga_lab.equilibrium import _LEGENDRE_NODES, _LEGENDRE_WEIGHTS
+from pga_lab.equilibrium import _LEGENDRE_NODES, _LEGENDRE_WEIGHTS, _LOG_MAX
 from pga_lab.numerics import bisection_inverse
 from pga_lab.oracle import bisection_quantile, certify_equilibrium
 
@@ -95,7 +95,7 @@ class TestCdf:
         eq = solve_equilibrium(AuctionParams(10, 1, 0.1, 0.1, 5))
         bids = np.array([0.0, 1.0, 2.0, 3.0, 9.0])
         raw = np.array([0.5, np.nan, -1e-9, 1.5, 0.5])
-        monkeypatch.setattr(type(eq), "_f_star", lambda self, b, xp: raw.copy())
+        monkeypatch.setattr(type(eq), "_f_star", lambda self, b: raw.copy())
         with pytest.raises(NumericsError, match="min raw value -1.000e-09"):
             eq._cdf_arr(bids)
         raw[2] = -1e-13  # inside the window: clipped to 0, NaN kept, the ends pinned
@@ -218,6 +218,16 @@ class TestEntryCostSupport:
         for r1 in (0.0, 1e-310):
             eq = solve_equilibrium(AuctionParams(10, 1, r1, 0.0, 2), entry_cost=1.0)
             assert eq.boundary_gap == math.inf
+
+    def test_log_max_is_where_exp_and_expm1_overflow(self):
+        """boundary_gap and _tail_integral call math.expm1 and math.exp only up
+        to _LOG_MAX: this platform's libm must not overflow there, and must one
+        double above it."""
+        above = math.nextafter(_LOG_MAX, math.inf)
+        for f in (math.exp, math.expm1):
+            assert math.isfinite(f(_LOG_MAX))
+            with pytest.raises(OverflowError):
+                f(above)
 
     def test_indifference_holds_on_truncated_support(self):
         params = AuctionParams(10, 1, 0.2, 0.3, 6)

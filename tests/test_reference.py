@@ -4,7 +4,10 @@ The reference evaluates the textbook expressions (p* = rho^(1/(N-1)),
 F* = (z^(1/(N-1)) - p*)/(1 - p*), the algebraic quantile, the tail
 integrals over b) at 40 significant digits, so their cancellation at large N
 costs it nothing. The grid reaches r1 -> 0 and c -> V - g; the expected bids
-also r1 = 0, r2 in {0, 1}, r2 = 1e-300 and r1 = 1e-310 at r2 = 1.
+also r1 = 0, r2 in {0, 1}, r2 = 1e-300 and r1 = 1e-310 at r2 = 1, and at
+r2 in {0, 1} they are checked against closed forms instead of quadrature.
+The gap of the raw F* at V - g is checked for c down to 1e-15 (V - g), and
+where r1 g + r2 (V - g) is subnormal.
 """
 
 import itertools
@@ -37,6 +40,20 @@ INTEGRAL_GRID = [
     pytest.param(n, 1e-310, 1.0, 0.0, id=f"N={n:g}-r1=1e-310-r2=1-c=0") for n in NS
 ]
 MAX_OF_K_GRID = list(itertools.product((2, 10**6, 10**12), (0.0, 0.1), (2, 5)))
+# the gap at the breakeven bid: rates at 0, tiny and large, and c from 1e-15 (V - g) up,
+# where r1 g + r2 (V - g) > 0 (else the gap is inf) and rho <= 1/2
+GAP_RATES = (0.0, 1e-6, 0.1, 1.0)
+GAP_GRID = [
+    pytest.param(n, r1, r2, f * (V - G), id=f"N={n:g}-r1={r1:g}-r2={r2:g}-c={f:g}(V-g)")
+    for n, r1, r2, f in itertools.product(NS, GAP_RATES, GAP_RATES, (1e-15, 1e-12, 1e-6, 0.01, 0.4))
+    if r1 * G + r2 * (V - G) > 0.0 and (r1 * G + f * (V - G)) / (V - G + r1 * G) <= 0.5
+] + [
+    # a subnormal r1 g + r2 (V - g): c over it passes the largest double at the
+    # larger c, while from N = 20 on the gap stays finite
+    pytest.param(n, r1, r2, f * (V - G), id=f"N={n:g}-r1={r1:g}-r2={r2:g}-c={f:g}(V-g)")
+    for n, (r1, r2), f in itertools.product(NS[1:], ((1e-310, 0.0), (0.0, 1e-310)),
+                                            (1e-15, 1e-12, 1e-6, 0.01, 0.4))
+]
 
 CLOSED_REL = 1e-12
 PROB_ABS = 1e-12  # on F* and on Q
@@ -66,6 +83,25 @@ class Reference:
     def quantile(self, u):
         q = (self.p + (1 - self.p) * u) ** (self.n - 1)
         return (q * (self.vg + self.rg) - self.rg - self.c) / (self.r2 * (1 - q) + q)
+
+    def closed_expected_bids(self):
+        """E[B*] and E[W] at r2 = 0 or r2 = 1, with no quadrature.
+
+        G = p* + (1 - p*) F* is uniform on [p*, 1], z = G^(N-1), and the bid
+        is b = (K z - a)/(r2 + (1 - r2) z) with a = r1 g + c, K = V - g + r1 g:
+        K - a/z at r2 = 0 and K z - a at r2 = 1. The winning bid is b(H^(N-1))
+        for the top H of N such draws, with CDF H^N, and 0 where H < p*.
+        """
+        n, p, a, k = self.n, self.p, self.rg + self.c, self.vg + self.rg
+        if self.r2 == 0:
+            if n == 2:
+                bid = k + a * mp.log(p) / (1 - p)
+            else:
+                bid = k - a * (p ** -(n - 2) - 1) / ((n - 2) * (1 - p))
+            return bid, k * (1 - p**n) - a * n * (1 - p)
+        assert self.r2 == 1
+        return (k * (1 - p**n) / (n * (1 - p)) - a,
+                k * n * (1 - p ** (2 * n - 1)) / (2 * n - 1) - a * (1 - p**n))
 
     def tail_integral(self, f):
         smax = self.vg - self.c
@@ -119,12 +155,27 @@ def test_cdf_and_quantile(n, r1, c):
 
 @pytest.mark.parametrize("n, r1, r2, c", INTEGRAL_GRID)
 def test_expected_bids(n, r1, r2, c):
+    """Against the closed forms at r2 in {0, 1}, else against quadrature."""
     params = AuctionParams(V, G, r1, r2, n)
     ref = Reference(n, r1, c, r2)
-    expected_bid = ref.tail_integral(lambda b: 1 - ref.cdf(b))
-    winning_bid = ref.tail_integral(lambda b: 1 - ref.z(b) ** (mpf(n) / (n - 1)))
+    if r2 in (0.0, 1.0):
+        expected_bid, winning_bid = ref.closed_expected_bids()
+    else:
+        expected_bid = ref.tail_integral(lambda b: 1 - ref.cdf(b))
+        winning_bid = ref.tail_integral(lambda b: 1 - ref.z(b) ** (mpf(n) / (n - 1)))
     assert _rel(solve_equilibrium(params, c).expected_bid(), expected_bid) <= INTEGRAL_REL
     assert _rel(expected_winning_bid(params, c), winning_bid) <= INTEGRAL_REL
+
+
+@pytest.mark.parametrize("n, r1, r2, c", GAP_GRID)
+def test_boundary_gap(n, r1, r2, c):
+    """The raw F* at V - g, minus 1: (z(V - g)^(1/(N-1)) - 1)/(1 - p*). At
+    c = 1e-15 (V - g), z(V - g) = 1 + c/(r1 g + r2 (V - g)) can lie within
+    1e-15 of 1."""
+    ref = Reference(n, r1, c, r2)
+    expected = (ref.z(ref.vg) ** (mpf(1) / (n - 1)) - 1) / (1 - ref.p)
+    assert _rel(solve_equilibrium(AuctionParams(V, G, r1, r2, n), c).boundary_gap, expected) \
+        <= CLOSED_REL
 
 
 @pytest.mark.parametrize("n, r1, k", MAX_OF_K_GRID)
