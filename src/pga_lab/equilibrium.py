@@ -16,9 +16,9 @@ the abstention payoff of zero. F* reaches 1 at b = V - g - c, so the support
 is [0, V - g - c]; with c = 0 this is the full [0, V - g]. (For c > 0 the
 breakeven-bid endpoint V - g carries z > 1; see boundary_gap.)
 
-All of it is evaluated from log rho = log z(0), rho = p*^(N-1), through
-log1p/expm1, so 1 - p*, F* and the quantile do not cancel as p* -> 1 at
-large N.
+All of it is evaluated from log z (log_ratio; log rho = log z(0), rho =
+p*^(N-1)) through log1p/expm1, so 1 - p*, F* and the quantile do not cancel
+as p* -> 1, at large N or as rho -> 1.
 
 With r1 g = r2 = 0 and c = 0 losing is free and the game instead has the pure
 equilibria whose top bid pure_equilibrium returns: the top two bids both equal
@@ -56,16 +56,26 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-def log_ratio(rg, vg, c=0.0, r2=0.0, b=0.0, log=_log):
-    """log z(b) = log(r1 g + r2 b + c) - log(V - g - b + r1 g + r2 b).
+def log_ratio(rg, vg, c=0.0, r2=0.0, b=0.0, xp=math):
+    """log z(b), z(b) = (r1 g + r2 b + c) / den, den = V - g - b + r1 g + r2 b:
+    the one formula for log z, with rg = r1 g and vg = V - g. At b = 0 it is
+    log rho, the one input of the closed form.
 
-    rg = r1 g and vg = V - g. At b = 0 this is log rho, the one input of the
-    closed form. Scalars go through math (equilibrium_state); pass log=np.log
-    for arrays (F*). The two logs can differ in the last bit, so F*(0) = 0 is not
-    left to this expression: Equilibrium.cdf pins it.
+    Where |z - 1| <= 1/2 it is log1p(z - 1), z - 1 = (b - (V - g - c))/den with
+    V - g - c held exactly as top + low (Fast2Sum), so it keeps its digits as
+    z -> 1; elsewhere it is log(r1 g + r2 b + c) - log(den). xp is math for
+    scalars (a branch) or numpy for arrays (np.where). The routes can differ in
+    the last bit, so F*(0) = 0 is not left to this expression: cdf pins it.
     """
     r2b = r2 * b
-    return log(rg + r2b + c) - log(vg - b + rg + r2b)
+    num, den = rg + r2b + c, vg - b + rg + r2b
+    top = vg - c
+    low = -c - (top - vg)  # top's rounding error: top + low = V - g - c exactly
+    z_minus_1 = ((b - top) - low) / den  # +0.0, not -0.0, at c = 0 and b = V - g
+    near = abs(z_minus_1) <= 0.5
+    if xp is math:
+        return math.log1p(z_minus_1) if near else _log(num) - _log(den)
+    return xp.where(near, xp.log1p(z_minus_1), xp.log(num) - xp.log(den))
 
 
 class EquilibriumState(NamedTuple):
@@ -92,7 +102,7 @@ def equilibrium_state(rg, vg, num_agents, c=0.0, xp=math) -> EquilibriumState:
     for arrays; the two can differ in the last bit, so a per-row state that
     must match its scalar one is built with math and stacked.
     """
-    lr = log_ratio(rg, vg, c, log=_log if xp is math else xp.log)
+    lr = log_ratio(rg, vg, c, xp=xp)
     x = lr / (num_agents - 1)
     return EquilibriumState(lr, xp.exp(lr), xp.exp(x), -xp.expm1(x),
                             -xp.expm1(lr * num_agents / (num_agents - 1)), vg + rg, vg - c)
@@ -230,34 +240,22 @@ class Equilibrium:
     def boundary_gap(self) -> float:
         """Raw CDF value at the breakeven bid V - g, minus one, reported rather
         than renormalized away: zero when c = 0, positive when c > 0 shrinks
-        the support to [0, V - g - c]. As z(V - g) = 1 + c/d, d = r1 g + r2 (V - g),
-        it is expm1(log1p(c/d)/(N - 1))/(1 - p*), with log z = log c - log d where
-        c/d overflows (the log1p(d/c) it drops is then below an ulp); inf at d = 0
-        and where the gap passes the largest double."""
-        p, c, one_minus_p = self.params, self.entry_cost, self._one_minus_p()
-        d = p.revert_rate_base * p.base_fee + p.revert_rate_priority * p.breakeven_bid
-        if d == 0.0:
+        the support to [0, V - g - c]. It is expm1(log z(V - g)/(N - 1))/(1 - p*)
+        with log z from log_ratio. As z(V - g) = 1 + c/d, d = r1 g + r2 (V - g),
+        it is inf at d = 0 and where the gap passes the largest double."""
+        p = self.params
+        rg, r2, vg = p.revert_rate_base * p.base_fee, p.revert_rate_priority, p.breakeven_bid
+        if rg + r2 * vg == 0.0:
             return math.inf
-        log_z = math.log1p(c / d) if c / d < math.inf else math.log(c) - math.log(d)
-        t = log_z / (p.num_agents - 1)
-        return math.expm1(t) / one_minus_p if t <= _LOG_MAX else math.inf
-
-    def _one_minus_p(self) -> float:
-        """1 - p*, or NumericsError where it rounds to 0 and F* is undefined."""
-        one_minus_p = self.state.one_minus_p
-        if one_minus_p == 0.0:
-            raise NumericsError(
-                f"F* is undefined at {self.params} with c = {self.entry_cost!r}: "
-                "rho = (r1 g + c)/(V - g + r1 g) rounds to 1, so 1 - p* = 0"
-            )
-        return one_minus_p
+        t = log_ratio(rg, vg, self.entry_cost, r2, vg) / (p.num_agents - 1)
+        return math.expm1(t) / self.state.one_minus_p if t <= _LOG_MAX else math.inf
 
     def _f_of_log_z(self, t, xp=math):
         """F* at t = log z: (e^(t/(N-1)) - p*) / (1 - p*), written as
         (expm1(t/(N-1)) + 1 - p*) / (1 - p*) so that it does not cancel as
         p* -> 1. xp is math for a float t or numpy for an array, as in
         equilibrium_state."""
-        one_minus_p = self._one_minus_p()
+        one_minus_p = self.state.one_minus_p
         return (xp.expm1(t / (self.params.num_agents - 1)) + one_minus_p) / one_minus_p
 
     def _f_star(self, b: np.ndarray) -> np.ndarray:
@@ -266,7 +264,7 @@ class Equilibrium:
 
         p = self.params
         return self._f_of_log_z(log_ratio(p.revert_rate_base * p.base_fee, p.breakeven_bid,
-                                          self.entry_cost, p.revert_rate_priority, b, np.log), np)
+                                          self.entry_cost, p.revert_rate_priority, b, np), np)
 
     def _cdf_arr(self, b: np.ndarray) -> np.ndarray:
         """F* on an array of bids in [0, V - g]: the raw formula clipped to
@@ -317,12 +315,10 @@ class Equilibrium:
         """
         if not 0.0 <= u <= 1.0:
             raise OutOfSupport(f"quantile argument {u} outside [0, 1]")
-        self._one_minus_p()  # the bid law is undefined where 1 - p* = 0, as F* is
         return float(self._quantile_arr(u))
 
     def sample_bids(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized bid draws conditional on participation."""
-        self._one_minus_p()
         return self._quantile_arr(rng.random(size))
 
     def _tail_integral(self, weight, finest: float = 1.0) -> float:
@@ -342,7 +338,6 @@ class Equilibrium:
         more sharply there than e^t. With rho = 0 the range starts at
         log r2 - _TAIL_CUTOFF; solve_equilibrium rejects rho = r2 = 0.
         """
-        self._one_minus_p()  # the bid law is undefined where 1 - p* = 0, as F* is
         r2, lr, scale = self.params.revert_rate_priority, self.state.log_rho, self.state.scale
         log_r2 = _log(r2)
         t_min = lr if lr > -math.inf else log_r2 - _TAIL_CUTOFF
@@ -374,7 +369,7 @@ class Equilibrium:
         """
         if k < 1:
             raise ArgumentOutOfRange(f"k must be >= 1, got {k}")
-        one_minus_p = self._one_minus_p()
+        one_minus_p = self.state.one_minus_p
         m = self.params.num_agents - 1
         scale = k / (m * one_minus_p)
 

@@ -456,7 +456,7 @@ def test_retired_options_are_usage_errors(argv, capsys):
 
 def test_verify_boundary_check_reads_the_raw_formula(monkeypatch):
     # cdf pins F*(0) = 0 and F*(V - g - c) = 1, so the check reads _f_star
-    assert verify._check_boundary_conditions(42) == (True, "max boundary residue 1.16e-16")
+    assert verify._check_boundary_conditions(42) == (True, "max boundary residue 2.41e-16")
     raw = Equilibrium._f_star
     monkeypatch.setattr(Equilibrium, "_f_star", lambda self, b, *xp: raw(self, b, *xp) + 1e-9)
     passed, detail = verify._check_boundary_conditions(42)
@@ -522,7 +522,7 @@ SIMULATE = [
     "--f", "0.003", "--L", "10", "--g", "0.1", "--r1", "1", "--r2", "1", "--N", "10",
 ]
 CONFIG_BASE = {"V": 10, "g": 1, "r1": 0.1, "r2": 0.1, "N": 5}
-# c one ulp below V - g: rho rounds to 1, so 1 - p* = 0 and F* is undefined
+# c one ulp below V - g: 1 - rho = 8.9e-17, which log z's log1p route keeps
 C_ONE_ULP_BELOW = ["--V", "5", "--g", "1", "--r1", "1", "--r2", "0", "--c", "3.9999999999999996",
                    "--N", "2"]
 # r1 passes the validators but r1 g rounds to 0: losing is free, as with r1 = 0
@@ -545,9 +545,6 @@ R1_G_UNDERFLOWS = ["--V", "1.5", "--g", "0.5", "--r1", "5e-324", "--r2", "0", "-
         lambda t: ["verify", "--seed", "-1"],
         lambda t: ["revenue", *AUCTION[:-1], "1" + "0" * 400],
         lambda t: [*SIMULATE, "--r1", "0.5", "--r2", "0.5", "--N", "100000000000000000000"],
-        lambda t: ["equilibrium", *C_ONE_ULP_BELOW],
-        lambda t: ["sweep", "--target", "cdf", *C_ONE_ULP_BELOW[:-2], "--vary", "N=2,3",
-                   "--out", str(t / "x.csv")],
         # without --N, the ranges are checked before the pure case is decided
         lambda t: ["equilibrium", "--V", "10", "--g", "1", "--r1", "-1", "--r2", "0"],
         lambda t: ["equilibrium", "--V", "10", "--g", "1", "--r1", "nan", "--r2", "0"],
@@ -556,14 +553,31 @@ R1_G_UNDERFLOWS = ["--V", "1.5", "--g", "0.5", "--r1", "5e-324", "--r2", "0", "-
     ],
     ids=["config-N-text", "config-V-text", "config-N-fraction", "config-malformed-json",
          "config-list", "axis-N-fraction", "axis-varied-twice", "simulate-negative-seed",
-         "verify-negative-seed", "N-400-digits", "simulate-N-1e20", "equilibrium-c-one-ulp-below",
-         "cdf-sweep-c-one-ulp-below", "equilibrium-no-N-negative-r1", "equilibrium-no-N-nan-r1",
-         "equilibrium-no-N-negative-c", "equilibrium-no-N-zero-g"],
+         "verify-negative-seed", "N-400-digits", "simulate-N-1e20", "equilibrium-no-N-negative-r1",
+         "equilibrium-no-N-nan-r1", "equilibrium-no-N-negative-c", "equilibrium-no-N-zero-g"],
 )
 def test_malformed_parameter_is_exit_1(make_argv, tmp_path, capsys):
     assert run(make_argv(tmp_path)) == 1
     _assert_one_line_error(capsys)
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("cdf_sweep", [False, True],
+                         ids=["equilibrium-c-one-ulp-below", "cdf-sweep-c-one-ulp-below"])
+def test_c_one_ulp_below_breakeven_is_solved(cdf_sweep, tmp_path, capsys):
+    out_file = tmp_path / "x.csv"
+    if cdf_sweep:
+        argv = ["sweep", "--target", "cdf", *C_ONE_ULP_BELOW[:-2], "--vary", "N=2,3",
+                "--out", str(out_file)]
+    else:
+        argv = ["equilibrium", *C_ONE_ULP_BELOW]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    if cdf_sweep:
+        rows = out_file.read_text().splitlines()
+        assert len(rows) == 401 and rows[-1] == "3,4.4408920985006262e-16,1.0"
+    else:
+        assert out.startswith("abstain probability p* = 0.99999999999999989\n")
 
 
 def test_equilibrium_where_r1_g_underflows_is_pure(tmp_path, capsys):

@@ -147,15 +147,17 @@ class TestQuantile:
         with pytest.raises(OutOfSupport):
             eq.quantile(1.5)
 
-    def test_undefined_where_one_minus_p_rounds_to_zero(self):
-        # c one ulp below V - g: rho rounds to 1, so 1 - p* = 0 and the bid law,
-        # like F*, is undefined
+    def test_defined_where_c_is_one_ulp_below_breakeven(self):
+        # 1 - rho = 2^-51/5 keeps its digits through log z's log1p route; with
+        # N = 2 and r2 = 0 the bids are uniform on [0, 2^-51] to within 2^-51/10
         eq = solve_equilibrium(AuctionParams(5, 1, 1, 0, 2), 3.9999999999999996)
-        assert eq.state.one_minus_p == 0.0
-        for undefined in (lambda: eq.cdf(1.0), lambda: eq.quantile(0.5),
-                          lambda: eq.sample_bids(philox(0), 3)):
-            with pytest.raises(NumericsError, match="1 - p\\* = 0"):
-                undefined()
+        top = eq.support_max
+        assert top == 2.0**-51
+        assert eq.state.one_minus_p == pytest.approx(top / 5, rel=1e-15)
+        assert eq.quantile(0.5) == pytest.approx(top / 2, rel=1e-15)
+        assert eq.cdf(top / 2) == pytest.approx(0.5, rel=1e-15)
+        bids = eq.sample_bids(philox(0), 3)
+        assert np.all((bids >= 0.0) & (bids <= top))
 
 
 class TestSampling:

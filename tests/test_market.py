@@ -445,8 +445,8 @@ def _winning_bid_law(config: MarketSimConfig, exponent: float) -> np.ndarray:
     bids = np.array(events["winning_bid"])[executed].astype(float)
     rg = config.revert_rate_base * config.base_fee
     with np.errstate(divide="ignore"):  # r1 = 0: rho = 0
-        log_rho = exponent * log_ratio(rg, vg, log=np.log)
-        log_z = exponent * log_ratio(rg, vg, 0.0, config.revert_rate_priority, bids, np.log)
+        log_rho = exponent * log_ratio(rg, vg, xp=np)
+        log_z = exponent * log_ratio(rg, vg, 0.0, config.revert_rate_priority, bids, np)
     return (np.expm1(log_z) - np.expm1(log_rho)) / -np.expm1(log_rho)
 
 

@@ -3,9 +3,11 @@
 The reference evaluates the textbook expressions (p* = rho^(1/(N-1)),
 F* = (z^(1/(N-1)) - p*)/(1 - p*), the algebraic quantile, the tail
 integrals over b) at 40 significant digits, so their cancellation at large N
-costs it nothing. The grid reaches r1 -> 0 and c -> V - g; the expected bids
-also r1 = 0, r2 in {0, 1}, r2 = 1e-300 and r1 = 1e-310 at r2 = 1, and at
-r2 in {0, 1} they are checked against closed forms instead of quadrature.
+costs it nothing. The grid reaches r1 -> 0 and c -> V - g. p*, F* and Q are
+also checked at c = (1 - 1e-14)(V - g), and the revenue at a point where
+1 - rho is about 1e-14. The expected bids also reach r1 = 0, r2 in {0, 1},
+r2 = 1e-300 and r1 = 1e-310 at r2 = 1, and at r2 in {0, 1} they are checked
+against closed forms instead of quadrature.
 The gap of the raw F* at V - g is checked for c down to 1e-15 (V - g), and
 where r1 g + r2 (V - g) is subnormal.
 """
@@ -24,8 +26,11 @@ V, G, R2 = 10.0, 1.0, 0.1
 NS = (2, 20, 10**6, 10**9, 10**12)
 R1S = (1e-6, 0.1, 1.0)
 CS = (0.0, 0.999 * (V - G))
-GRID = list(itertools.product(NS, R1S, CS))
-IDS = [f"N={n:g}-r1={r1:g}-c={c:g}" for n, r1, c in GRID]
+# p*, F* and Q also at c = (1 - 1e-14)(V - g), where 1 - rho is about 1e-14
+C_NEAR_TOP = (1 - 1e-14) * (V - G)
+GRID = list(itertools.product(NS, R1S, (*CS, C_NEAR_TOP)))
+IDS = [f"N={n:g}-r1={r1:g}-c=" + ("(1-1e-14)(V-g)" if c == C_NEAR_TOP else f"{c:g}")
+       for n, r1, c in GRID]
 # the expected bids also at r1 = 0 and r2 at its ends, bar the pure game r1 = r2 = c = 0
 INTEGRAL_GRID = [
     pytest.param(n, r1, r2, c, id=f"N={n:g}-r1={r1:g}" + (f"-r2={r2:g}" if r2 != R2 else "")
@@ -65,10 +70,10 @@ QUANTILE_POINTS = (0.0, 1e-6, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0)
 class Reference:
     """Textbook closed forms in mpmath, at the float inputs of the model."""
 
-    def __init__(self, n: int, r1: float, c: float, r2: float = R2):
+    def __init__(self, n: int, r1: float, c: float, r2: float = R2, v: float = V, g: float = G):
         self.n = n
-        self.rg = mpf(r1) * G
-        self.vg = mpf(V) - G
+        self.rg = mpf(r1) * g
+        self.vg = mpf(v) - g
         self.c = mpf(c)
         self.r2 = mpf(r2)
         self.rho = (self.rg + self.c) / (self.vg + self.rg)
@@ -213,30 +218,43 @@ def test_expected_bids_where_e_to_the_log_rho_underflows(n):
         <= INTEGRAL_REL
 
 
-@pytest.mark.parametrize("n, r1", list(itertools.product(NS, R1S)))
-def test_revenue_report(n, r1):
-    rep = revenue_report(AuctionParams(V, G, r1, R2, n))
-    ref = Reference(n, r1, 0.0)
+@pytest.mark.parametrize(
+    "n, r1, v, g, r2",
+    [pytest.param(n, r1, V, G, R2, id=f"{n}-{r1}") for n, r1 in itertools.product(NS, R1S)]
+    # r1 g is about 1e14 (V - g), so 1 - rho is about 1e-14: log rho as a difference of two
+    # logs leaves 1 - p*^N 4.6 % off here
+    + [pytest.param(1809, 0.21537769972266538, 88253291.42257224, 88253291.42257205, 4.449e-7,
+                    id="rho-1e-14-below-1")],
+)
+def test_revenue_report(n, r1, v, g, r2):
+    """The priority revenue is checked only where 1 - rho > 1e-10: the split
+    forms N (1 - p*) - (1 - p*^N), and its limit V - g - r1 g s_inf, which
+    cancel as rho -> 1 (ROADMAP item 3)."""
+    rep = revenue_report(AuctionParams(v, g, r1, r2, n))
+    ref = Reference(n, r1, 0.0, r2, v, g)
+    split = 1 - ref.rho > 1e-10
     participation = 1 - ref.p**n
     excess_losers = (1 - ref.p) * n - participation
     expected = {
         "abstain_prob": ref.p,
         "participation_prob": participation,
-        "expected_revenue": participation * V,
-        "base_revenue": participation * G + excess_losers * ref.rg,
-        "priority_revenue": participation * ref.vg - excess_losers * ref.rg,
+        "expected_revenue": participation * v,
+        "base_revenue": participation * g + excess_losers * ref.rg,
         "expected_submitted_txs": (1 - ref.p) * n,
     }
+    if split:
+        expected["priority_revenue"] = participation * ref.vg - excess_losers * ref.rg
     for field, value in expected.items():
         assert _rel(getattr(rep, field), value) <= CLOSED_REL, field
     s_inf = mp.log(1 + ref.vg / ref.rg)
     p_inf = ref.vg / (ref.vg + ref.rg)
     limits = {
-        "revenue": V * p_inf,
-        "base_revenue": G * p_inf * (1 - mpf(r1)) + ref.rg * s_inf,
-        "priority_revenue": ref.vg - ref.rg * s_inf,
+        "revenue": v * p_inf,
+        "base_revenue": g * p_inf * (1 - mpf(r1)) + ref.rg * s_inf,
         "submitted_txs": s_inf,
     }
+    if split:
+        limits["priority_revenue"] = ref.vg - ref.rg * s_inf
     for field, value in limits.items():
         assert _rel(getattr(rep.limits, field), value) <= CLOSED_REL, field
 
