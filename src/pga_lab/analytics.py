@@ -24,6 +24,18 @@ from .model import AuctionParams, check_entry_cost, check_tax_rate
 
 _R1_GRID = 10_001  # r1 points of the scheme-1 profit scan, a step of 1e-4
 _TIE_BAND = 1e-9  # a scheme gap this small is a tie in compare_schemes
+_SERIES = 0.25  # |y| below which _phi sums its series, and expm1(y) - y would cancel
+
+
+def _phi(y: float) -> float:
+    """expm1(y) - y, from its Taylor series y^2/2! + ... + y^13/13! where
+    |y| < 1/4 (the next term is under 1e-18 of the sum)."""
+    if abs(y) >= _SERIES:
+        return math.expm1(y) - y
+    s = 1.0
+    for k in range(13, 2, -1):
+        s = 1.0 + s * y / k
+    return 0.5 * y * y * s
 
 
 @dataclass(frozen=True)
@@ -55,6 +67,12 @@ def revenue_report(params: AuctionParams) -> RevenueReport:
 
     None of the quantities depends on r2: participation is pinned by r1 alone,
     and rent dissipation fixes the totals.
+
+    Two differences cancel as rho -> 1, and take a series there instead. The
+    excess losers N(1 - p*) - (1 - p*^N) are phi(N x) - N phi(x), with
+    x = log p* and phi(y) = expm1(y) - y, where |x| < 1/4. The limit
+    V - g - r1 g s_inf, with s_inf = log1p((V - g)/(r1 g)), is r1 g phi(s_inf)
+    where s_inf < 1/4, as V - g = r1 g expm1(s_inf).
     """
     v, g = params.value, params.base_fee
     r1, n = params.revert_rate_base, params.num_agents
@@ -63,7 +81,11 @@ def revenue_report(params: AuctionParams) -> RevenueReport:
     state = equilibrium_state(rg, vg, n)
     one_minus_p, one_minus_pn = state.one_minus_p, state.one_minus_pn
     revenue = one_minus_pn * v
-    excess_losers = one_minus_p * n - one_minus_pn
+    x = state.log_rho / (n - 1)
+    if -x < _SERIES:
+        excess_losers = _phi(n * x) - n * _phi(x)
+    else:
+        excess_losers = one_minus_p * n - one_minus_pn
     base = one_minus_pn * g + excess_losers * rg
     priority = one_minus_pn * vg - excess_losers * rg
     if rg == 0.0:  # as in check_losing_cost: r1 g can round to 0 with r1 > 0
@@ -75,7 +97,7 @@ def revenue_report(params: AuctionParams) -> RevenueReport:
         limits = RevenueLimits(
             revenue=v * p_inf,
             base_revenue=g * p_inf * (1.0 - r1) + rg * s_inf,
-            priority_revenue=vg - rg * s_inf,
+            priority_revenue=rg * _phi(s_inf) if s_inf < _SERIES else vg - rg * s_inf,
             submitted_txs=s_inf,
             submitted_unbounded=False,
         )

@@ -9,9 +9,11 @@ by finite differences, and the quantile by bisection against the CDF.
 Randomness comes from numpy's Philox counter-based generator. Work is split
 into chunks whose size depends only on N, each driven by a SeedSequence-spawned
 child stream made as its chunk starts, so results are reproducible bit for bit
-regardless of how chunks are scheduled. A replay chunk holds a 1-byte
-participation mask and per-row columns; its float64 draws exist one block of
-rows at a time, so memory is bounded in N and trials.
+regardless of how chunks are scheduled. A replay holds one chunk at a time:
+its 1-byte participation mask, six per-row columns and their sums, and the
+float64 arrays of one block of its rows. A chunk's arrays are freed before
+the next chunk draws, so a replay of many chunks peaks as one chunk does, and
+memory is bounded in N and trials.
 """
 
 from __future__ import annotations
@@ -135,23 +137,21 @@ class _Acc:
 
 def _chunk_columns(eq: Equilibrium, rng: np.random.Generator, m: int, n: int) -> tuple:
     """Per-row columns of one replay chunk of m auctions among n agents: the
-    participant count, agent 0's participation, the winner, the top bid, the
-    bid sum and agent 0's bid (0 where it abstains).
+    participant count (as float64), agent 0's participation, the winner, the
+    top bid, the bid sum and agent 0's bid (0 where it abstains).
 
     The uniforms come in monte_carlo_replay's order, drawn in blocks of
-    max(1, _BLOCK // n) rows that continue the one stream; each block of bid
-    uniforms is priced and reduced to its rows' columns before the next is
-    drawn.
+    max(1, _BLOCK // n) rows that continue the one stream. The chunk holds
+    its 1-byte participation mask and these six columns; each block of bid
+    uniforms is priced and reduced to its rows' columns, and the block's
+    arrays are freed before the next block draws.
     """
     step = max(1, _BLOCK // n)
     blocks = [slice(r, min(r + step, m)) for r in range(0, m, step)]
     part = np.empty((m, n), dtype=bool)
     for s in blocks:
         np.greater_equal(rng.random((s.stop - s.start, n)), eq.abstain_prob, out=part[s])
-    k = part.sum(axis=1)
-    # bids are >= 0, so an abstainer's 0 can tie only a top bid of 0: a row
-    # with no tie to draw has one bid at its top, or n zeros if nobody enters
-    untied = np.where(k > 0, 1, n)
+    k = part.sum(axis=1, dtype=float)  # exact: at most 2^22
     winner = np.empty(m, dtype=np.intp)
     b_max, sum_bids, b0 = np.empty(m), np.empty(m), np.empty(m)
     tied = []  # (row, the participants at its top bid) of each tie row
@@ -164,18 +164,65 @@ def _chunk_columns(eq: Equilibrium, rng: np.random.Generator, m: int, n: int) ->
         priced = eq._quantile_arr(rng.random(mask.shape).reshape(-1).take(at))
         bids = np.zeros(mask.shape)  # an abstainer adds nothing to the bid sums
         bids.reshape(-1)[at] = priced
+        del at, priced
         w = bids.argmax(axis=1, out=winner[s])
         top = bids[np.arange(len(w)), w]
         b_max[s], b0[s] = top, bids[:, 0]
         bids.sum(axis=1, out=sum_bids[s])
         at_top = bids == top[:, None]
-        if np.count_nonzero(at_top) > untied[s].sum():  # a tie, rare: find its rows
-            for row in np.nonzero(at_top.sum(axis=1) > untied[s])[0]:
+        # bids are >= 0, so an abstainer's 0 can tie only a top bid of 0: a
+        # row with no tie to draw has one bid at its top, or n zeros if
+        # nobody enters
+        untied = np.where(k[s] > 0, 1, n)
+        if np.count_nonzero(at_top) > untied.sum():  # a tie, rare: find its rows
+            for row in np.nonzero(at_top.sum(axis=1) > untied)[0]:
                 # the tie draw is among the participants at the top bid
                 tied.append((s.start + row, np.nonzero(mask[row] & at_top[row])[0]))
+        del bids, top, at_top, untied  # before the next block draws
     for row, idxs in tied:
         winner[row] = idxs[rng.integers(len(idxs))] if len(idxs) > 1 else idxs[0]
     return k, part[:, 0].copy(), winner, b_max, sum_bids, b0
+
+
+def _add_chunk(acc: dict, p: AuctionParams, eq: Equilibrium, rng: np.random.Generator,
+               m: int) -> None:
+    """Replay one chunk of m auctions on rng and add its rows to the
+    accumulators. Each array is freed once it is last read, so the chunk's
+    next array can take its place, and all of them die on return."""
+    k, part0, winner, b_max, sum_bids, b0 = _chunk_columns(eq, rng, m, p.num_agents)
+    rg = p.revert_rate_base * p.base_fee
+    r2 = p.revert_rate_priority
+    idle = k == 0
+    # in place, in the operation order of b_max + r2 (sum_bids - b_max) and
+    # g + (k - 1) r1 g, so the sums keep the bits of those formulas
+    prio = sum_bids
+    prio -= b_max
+    prio *= r2
+    prio += b_max
+    prio[idle] = 0.0
+    del b_max
+    base = k - 1.0
+    base *= rg
+    base += p.base_fee
+    base[idle] = 0.0
+    rev = base + prio
+    rev += eq.entry_cost * k
+
+    # once per chunk: added per block, the pairwise sums would round
+    # differently and the reports would depend on the block size
+    acc["rev"].add(rev)
+    acc["base"].add(base)
+    acc["prio"].add(prio)
+    acc["sub"].add(k)
+    del rev, base, prio, k, idle
+
+    win0 = part0 & (winner == 0)
+    payoff0 = np.where(
+        part0,
+        np.where(win0, p.breakeven_bid - b0, -(rg + r2 * b0)) - eq.entry_cost,
+        0.0,
+    )
+    acc["pay"].add(payoff0, p.breakeven_bid)  # V - g - b0 at its largest term
 
 
 def monte_carlo_replay(
@@ -196,12 +243,15 @@ def monte_carlo_replay(
     starts), so no generator is made ahead of its chunk. A chunk draws all
     its participation uniforms, then all its bid uniforms, then one tie draw
     per tied row in row order; only the participants' bid uniforms go
-    through the quantile. A chunk holds a 1-byte participation mask (at most
-    2^22 agent-draws, 4 MiB) and per-row columns; its float64 draws exist one
-    block of at most 2^17 agent-draws (1 MiB an array) at a time, or one row
-    where N exceeds 2^17. So memory stays bounded in N and trials, and the
-    reports do not depend on the block size. A trials that is not an int of
-    at least 1, a bad seed or N above 2^22 raises ArgumentOutOfRange first.
+    through the quantile. A replay holds one chunk at a time (_add_chunk): a
+    1-byte participation mask (at most 2^22 agent-draws, 4 MiB), six per-row
+    columns and the sums made from them in place, all freed before the next
+    chunk draws. Its float64 draws exist one block of at most 2^17
+    agent-draws (1 MiB an array) at a time, or one row where N exceeds 2^17.
+    So memory stays bounded in N and trials, a replay of many chunks peaks as
+    one chunk does, and the reports do not depend on the block size. A
+    trials that is not an int of at least 1, a bad seed or N above 2^22
+    raises ArgumentOutOfRange first.
     """
     if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
         raise ArgumentOutOfRange(f"trials must be an int >= 1, got {trials!r}")
@@ -210,37 +260,13 @@ def monte_carlo_replay(
     n = p.num_agents
     rows = _chunk_rows(n)
     eq = solve_equilibrium(p, entry_cost)
-    rg = p.revert_rate_base * p.base_fee
-    r2 = p.revert_rate_priority
-    c = eq.entry_cost
-
     # the money sums run in units of V's binary exponent, the count unscaled
     e = math.frexp(p.value)[1]
     acc = {k: _Acc(e) for k in ("rev", "base", "prio", "pay")}
     acc["sub"] = _Acc()
     n_chunks = (trials + rows - 1) // rows
     for i, rng in enumerate(_chunk_rngs(seed, n_chunks)):
-        k, part0, winner, b_max, sum_bids, b0 = _chunk_columns(
-            eq, rng, min(rows, trials - i * rows), n)
-        any_part = k > 0
-        base = np.where(any_part, p.base_fee + (k - 1) * rg, 0.0)
-        prio = np.where(any_part, b_max + r2 * (sum_bids - b_max), 0.0)
-        rev = base + prio + c * k
-
-        win0 = part0 & (winner == 0)
-        payoff0 = np.where(
-            part0,
-            np.where(win0, p.breakeven_bid - b0, -(rg + r2 * b0)) - c,
-            0.0,
-        )
-
-        # once per chunk: added per block, the pairwise sums would round
-        # differently and the reports would depend on the block size
-        acc["rev"].add(rev)
-        acc["base"].add(base)
-        acc["prio"].add(prio)
-        acc["sub"].add(k.astype(float))
-        acc["pay"].add(payoff0, p.breakeven_bid)  # V - g - b0 at its largest term
+        _add_chunk(acc, p, eq, rng, min(rows, trials - i * rows))
 
     return ReplayReport(
         revenue=acc["rev"].estimate(seed),

@@ -15,11 +15,12 @@ and any longer separator (a JSON key with its indentation) is a column of
 constant words. The block's text is the matrix's bytes without the NULs.
 pga_lab._numtext fills a column of floats, or an int64 array, with no
 Python object per cell, and hands the floats it cannot prove to fmt_float.
-Any other column (a list of ints too) takes its texts from _column, lays out
-each distinct text once and gathers the cells from that table. A command that
-never loads numpy writes every column by _column, to the same text, and
-joins each block's cells into its separators. So fmt_float decides the text
-of every float, and _column (by _scalar) that of every other cell.
+Any other column (a list of ints too) lays out the text of each distinct
+cell once, as _distinct writes it, and gathers the cells from that table. A
+command that never loads numpy writes every column by _column, from the same
+_distinct texts, and joins each block's cells into its separators. So
+fmt_float decides the text of every float, and _scalar that of every other
+cell.
 """
 
 from __future__ import annotations
@@ -99,23 +100,33 @@ def _kinds(values: Sequence[Any]) -> set:
 
 
 def _column(values: Sequence[Any], text: Callable[[Optional[str]], str]) -> list[str]:
-    """One column's cells as text, as _scalar writes them: every cell of a
-    process that has not loaded numpy (and of a CSV block holding a NUL
-    byte), and every column of _gathered. An ndarray is written as its
-    tolist() would be. A column of one type other than float takes one
-    _scalar call per distinct value; otherwise a float cell takes one
-    fmt_float call, and every other cell one _scalar call per distinct
-    (type, value), since True == 1 == 1.0."""
+    """One column's cells as text, as _distinct writes them: every cell of a
+    process that has not loaded numpy, and of a CSV block holding a NUL byte.
+    An ndarray is written as its tolist() would be."""
     if hasattr(values, "tolist"):
         values = values.tolist()
-    kinds = _kinds(values)
+    texts, rows = _distinct(values, _kinds(values), text)
+    return list(map(texts.__getitem__, rows))
+
+
+def _distinct(values: Sequence[Any], kinds: set,
+              text: Callable[[Optional[str]], str]) -> tuple[list[str], list[int]]:
+    """A column of cells of the given kinds as the texts of its distinct
+    cells, as _scalar writes them, and each cell's index into those texts.
+    A column of one type other than float is indexed by value, one _scalar
+    call a distinct value; any other by text, where a float cell takes one
+    fmt_float call and every other cell one _scalar call per distinct
+    (type, value), since True == 1 == 1.0."""
+    index: dict = {}
     if len(kinds) == 1 and not issubclass(*kinds, float):
-        memo = {v: _scalar(v, text) for v in set(values)}
-        return list(map(memo.__getitem__, values))
+        rows = [index.setdefault(v, len(index)) for v in values]
+        return [_scalar(v, text) for v in index], rows
     # floats stay out of the memo: -0.0 == 0.0 would give the two zeros one key
     memo = {key: _scalar(key[1], text) for key in set(zip(map(type, values), values))
             if not issubclass(key[0], float)}
-    return [fmt_float(v) if isinstance(v, float) else memo[type(v), v] for v in values]
+    rows = [index.setdefault(fmt_float(v) if isinstance(v, float) else memo[type(v), v], len(index))
+            for v in values]
+    return list(index), rows
 
 
 def _cell_words(values: Sequence[Any], text: Callable[[Optional[str]], str], sep: int) -> Any:
@@ -148,24 +159,24 @@ def _cell_words(values: Sequence[Any], text: Callable[[Optional[str]], str], sep
         none = text(None).encode()
         words.view(np.uint8)[blank, 1:1 + len(none)] = np.frombuffer(none, np.uint8)
         return words
-    return _gathered(values, text, sep)
+    return _gathered(values, kinds, text, sep)
 
 
-def _gathered(values: Sequence[Any], text: Callable[[Optional[str]], str], sep: int) -> Any:
+def _gathered(values: Sequence[Any], kinds: set, text: Callable[[Optional[str]], str],
+              sep: int) -> Any:
     """_cell_words of a column neither of floats nor an int64 array (strings,
-    bools, enums, lists of ints, mixtures): its cells' texts by _column, each
-    distinct text laid out once and the cells gathered from that table by
-    _numtext.text_words."""
+    bools, enums, lists of ints, mixtures), given its cells' kinds: the texts
+    of its distinct cells (_distinct) laid out once and the cells gathered
+    from that table by _numtext.text_words."""
     from . import _numtext as numtext
 
     np = sys.modules["numpy"]
-    cells = _column(values, text)
-    index = {cell: i for i, cell in enumerate(dict.fromkeys(cells))}
-    texts = [cell.encode("utf-8", "surrogatepass") for cell in index]
-    if any(b"\0" in t for t in texts):
+    texts, rows = _distinct(values, kinds, text)
+    texts = [t.encode("utf-8", "surrogatepass") for t in texts]
+    if b"\0" in b"".join(texts):
         return None
-    return numtext.text_words(np.array(texts, dtype="S"),
-                              np.fromiter(map(index.__getitem__, cells), np.intp, len(cells)), sep)
+    rows = np.fromiter(rows, np.intp, len(rows))
+    return numtext.text_words(np.array(texts, dtype="S"), rows, sep)
 
 
 def _laid_out(block: list, text: Callable[[Optional[str]], str],

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,8 @@ from pga_lab import (
     scheme2_revenue,
     solve_equilibrium,
 )
+
+from pga_lab import analytics
 
 from _util import philox, random_params
 
@@ -107,6 +110,16 @@ class TestRevenueReport:
         assert big.base_revenue == pytest.approx(lim.base_revenue, rel=1e-3)
         assert big.priority_revenue == pytest.approx(lim.priority_revenue, rel=1e-3)
         assert big.expected_submitted_txs == pytest.approx(lim.submitted_txs, rel=1e-3)
+
+    @pytest.mark.parametrize("y", [1e-100, 1e-12, 1e-5, 0.01, 0.2499, 0.25, 0.5, 3.0, 700.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_phi_against_mpmath(self, y, sign):
+        # expm1(y) - y keeps its digits on both sides of the series switch at
+        # |y| = 1/4; 250 digits hold y^2/2 beside y at y = 1e-100
+        y *= sign
+        with mpmath.workdps(250):
+            exact = mpmath.expm1(y) - y
+        assert float(abs(analytics._phi(y) / exact - 1)) <= 4e-15
 
     def test_welfare_loss_identity(self):
         rng = philox(5)

@@ -36,6 +36,18 @@ from _util import philox, random_params
 REF = AuctionParams(10, 1, 0.1, 0.1, 20)
 
 
+def _replay_peak(params, trials):
+    """Peak traced bytes of one replay, after a warm-up replay has made the
+    one-time imports of numpy's SeedSequence."""
+    monte_carlo_replay(params, 1, seed=0)
+    tracemalloc.start()
+    try:
+        monte_carlo_replay(params, trials, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMonteCarloReplay:
     def test_zero_standard_error_allows_rounding(self):
         # verify --seed 7 draws this point: with r1 = 0 every trial's base
@@ -101,17 +113,33 @@ class TestMonteCarloReplay:
 
     @pytest.mark.parametrize("n", [32, 1000])
     def test_replay_memory_is_bounded_by_its_blocks(self, n):
-        # a chunk keeps a 1-byte participation mask and per-row columns, and
-        # its float64 draws live one block at a time; float64 arrays over the
-        # whole chunk would peak near 29 MiB at N = 32 and 105 MiB at N = 1000
+        # a chunk keeps a 1-byte participation mask of at most 2^22 draws
+        # (4 MiB) and six per-row columns of at most 2^16 rows (3 MiB), and
+        # its float64 draws live one block of 2^17 at a time (1 MiB an
+        # array); float64 arrays over the whole chunk would peak near 29 MiB
+        # at N = 32 and 105 MiB at N = 1000
         params = replace(REF, num_agents=n)
-        tracemalloc.start()
-        try:
-            monte_carlo_replay(params, trials=50_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert _replay_peak(params, 50_000) < 8 * 2**20
+
+    def test_many_chunks_peak_as_one_chunk_does(self):
+        # chunk i's columns and sums are freed before chunk i + 1 draws, so a
+        # second chunk adds nothing; keeping even one float64 column of
+        # chunk i (2^16 rows at N = 20) would add 512 KiB
+        rows = _chunk_rows(REF.num_agents)
+        one, two = _replay_peak(REF, rows), _replay_peak(REF, 2 * rows)
+        assert two < one + 2**19
+
+    @pytest.mark.parametrize("n", [2, 20, 300])
+    @pytest.mark.parametrize("cost", [0.0, 0.2])
+    def test_reports_do_not_depend_on_the_block_size(self, n, cost, monkeypatch):
+        # blocks continue the chunk's one stream and the sums run once per
+        # chunk, so 1-, 7- and 1024-draw blocks give the reports of the
+        # default 2^17 bit for bit
+        params = replace(REF, num_agents=n)
+        default = monte_carlo_replay(params, 3_001, seed=n, entry_cost=cost)
+        for block in (1, 7, 1 << 10):
+            monkeypatch.setattr(oracle, "_BLOCK", block)
+            assert monte_carlo_replay(params, 3_001, seed=n, entry_cost=cost) == default
 
     def test_large_field_replays_in_bounded_chunks(self, monkeypatch):
         spawned = []

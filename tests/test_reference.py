@@ -227,12 +227,10 @@ def test_expected_bids_where_e_to_the_log_rho_underflows(n):
                     id="rho-1e-14-below-1")],
 )
 def test_revenue_report(n, r1, v, g, r2):
-    """The priority revenue is checked only where 1 - rho > 1e-10: the split
-    forms N (1 - p*) - (1 - p*^N), and its limit V - g - r1 g s_inf, which
-    cancel as rho -> 1 (ROADMAP item 3)."""
+    """Every field, the priority split and its limit included: both cancel as
+    rho -> 1 unless they are formed from expm1(y) - y."""
     rep = revenue_report(AuctionParams(v, g, r1, r2, n))
     ref = Reference(n, r1, 0.0, r2, v, g)
-    split = 1 - ref.rho > 1e-10
     participation = 1 - ref.p**n
     excess_losers = (1 - ref.p) * n - participation
     expected = {
@@ -241,9 +239,8 @@ def test_revenue_report(n, r1, v, g, r2):
         "expected_revenue": participation * v,
         "base_revenue": participation * g + excess_losers * ref.rg,
         "expected_submitted_txs": (1 - ref.p) * n,
+        "priority_revenue": participation * ref.vg - excess_losers * ref.rg,
     }
-    if split:
-        expected["priority_revenue"] = participation * ref.vg - excess_losers * ref.rg
     for field, value in expected.items():
         assert _rel(getattr(rep, field), value) <= CLOSED_REL, field
     s_inf = mp.log(1 + ref.vg / ref.rg)
@@ -252,9 +249,8 @@ def test_revenue_report(n, r1, v, g, r2):
         "revenue": v * p_inf,
         "base_revenue": g * p_inf * (1 - mpf(r1)) + ref.rg * s_inf,
         "submitted_txs": s_inf,
+        "priority_revenue": ref.vg - ref.rg * s_inf,
     }
-    if split:
-        limits["priority_revenue"] = ref.vg - ref.rg * s_inf
     for field, value in limits.items():
         assert _rel(getattr(rep.limits, field), value) <= CLOSED_REL, field
 
